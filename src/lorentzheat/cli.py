@@ -17,11 +17,11 @@ DEFAULTS below for the schema.  Exit codes: 0 ok/pass, 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,9 +218,11 @@ class Manifest:
 
 
 def write_csv(path: Path, header: str, rows) -> None:
-    body = "\n".join(",".join(_fmt(c) if not isinstance(c, str) else c
-                              for c in row) for row in rows)
-    path.write_text(header + "\n" + body + ("\n" if body else ""))
+    """Header line, then one row per line; fields holding commas are quoted."""
+    with path.open("w", newline="") as fh:
+        fh.write(header + "\n")
+        csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(
+            [c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
 
 
 def write_columns(path: Path, *columns) -> None:
@@ -322,28 +324,14 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     return 0
 
 
-def _empirical_table(cfg, ps, k, alphas, lps, ts, jobs=1):
+def _empirical_table(cfg, ps, k, alphas, lps, ts):
     """{(alpha, lp_idx): [estimate per t]} via the batched sweep."""
-    hk = ps.h(k)
-    scheme = scheme_from(cfg)
-    j_max = cfg["family.j_max"]
-    if jobs <= 1 or len(ts) == 1:
-        return semigroup.operator_norm_sweep(ps.spec, hk, alphas, lps, list(ts),
-                                             scheme=scheme, j_max=j_max)
-    chunks = [[t] for t in ts]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(
-            lambda c: semigroup.operator_norm_sweep(
-                ps.spec, hk, alphas, lps, c, scheme=scheme, j_max=j_max),
-            chunks))
-    merged = {key: [] for key in parts[0]}
-    for part in parts:  # chunk order preserved by map: deterministic
-        for key, vals in part.items():
-            merged[key].extend(vals)
-    return merged
+    return semigroup.operator_norm_sweep(ps.spec, ps.h(k), alphas, lps, list(ts),
+                                         scheme=scheme_from(cfg),
+                                         j_max=cfg["family.j_max"])
 
 
-def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest, jobs=1) -> int:
+def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ps = build_profiles(cfg)
     ts = time_grid(cfg)
     lps = cfg["lorentz"]
@@ -352,7 +340,7 @@ def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest, jobs=1) -> int:
         manifest.add_warning("empty time range: no scan rows")
     for k in cfg["modes.scan"]:
         try:
-            table = _empirical_table(cfg, ps, k, alphas, lps, ts, jobs)
+            table = _empirical_table(cfg, ps, k, alphas, lps, ts)
         except (harmonic.HarmonicSolveError, ArithmeticError,
                 np.linalg.LinAlgError) as exc:
             manifest.add_warning(f"mode k={k} scan failed: {exc}")
@@ -415,12 +403,12 @@ def _fit_series(table, key):
     return ts, vals, rates.fit_rate(ts, vals)
 
 
-def _verify_family_rates(cfg, ps, out, manifest, theorem, jobs) -> list[Verdict]:
+def _verify_family_rates(cfg, ps, out, manifest, theorem) -> list[Verdict]:
     verdicts = []
     ts = time_grid(cfg)
     lps = cfg["lorentz"]
     alphas = cfg["alphas"]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts, jobs)
+    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
     for i, lp in enumerate(lps):
         for alpha in alphas:
             subject = f"alpha={alpha} {lp.label()}"
@@ -450,12 +438,12 @@ def _verify_family_rates(cfg, ps, out, manifest, theorem, jobs) -> list[Verdict]
     return verdicts
 
 
-def _verify_floor(cfg, ps, out, manifest, jobs) -> list[Verdict]:
+def _verify_floor(cfg, ps, out, manifest) -> list[Verdict]:
     verdicts = []
     ts = time_grid(cfg)
     lps = cfg["lorentz"]
     alphas = cfg["alphas"]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts, jobs)
+    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
     for i, lp in enumerate(lps):
         for alpha in alphas:
             subject = f"alpha={alpha} {lp.label()}"
@@ -471,12 +459,12 @@ def _verify_floor(cfg, ps, out, manifest, jobs) -> list[Verdict]:
     return verdicts
 
 
-def _verify_upper(cfg, ps, out, manifest, jobs) -> list[Verdict]:
+def _verify_upper(cfg, ps, out, manifest) -> list[Verdict]:
     verdicts = []
     ts = time_grid(cfg)
     lps = cfg["lorentz"]
     alphas = cfg["alphas"]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts, jobs)
+    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
     for i, lp in enumerate(lps):
         for alpha in alphas:
             subject = f"alpha={alpha} {lp.label()}"
@@ -503,12 +491,12 @@ def _verify_upper(cfg, ps, out, manifest, jobs) -> list[Verdict]:
     return verdicts
 
 
-def _verify_two_sided(cfg, ps, out, manifest, jobs) -> list[Verdict]:
+def _verify_two_sided(cfg, ps, out, manifest) -> list[Verdict]:
     verdicts = []
     ts = time_grid(cfg)
     lps = cfg["lorentz"]
     alphas = [a for a in cfg["alphas"] if a <= 2]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts, jobs)
+    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
     for i, lp in enumerate(lps):
         for alpha in alphas:
             subject = f"alpha={alpha} {lp.label()}"
@@ -534,20 +522,19 @@ def _verify_two_sided(cfg, ps, out, manifest, jobs) -> list[Verdict]:
     return verdicts
 
 
-def cmd_verify(cfg: RunConfig, out: Path, manifest: Manifest, theorem: str,
-               jobs=1) -> int:
+def cmd_verify(cfg: RunConfig, out: Path, manifest: Manifest, theorem: str) -> int:
     if theorem not in THEOREM_IDS:
         print(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
         return 1
     ps = build_profiles(cfg)
     if theorem in ("T7.1", "T7.2", "T7.3", "T7.4"):
-        verdicts = _verify_family_rates(cfg, ps, out, manifest, theorem, jobs)
+        verdicts = _verify_family_rates(cfg, ps, out, manifest, theorem)
     elif theorem == "T4.2":
-        verdicts = _verify_floor(cfg, ps, out, manifest, jobs)
+        verdicts = _verify_floor(cfg, ps, out, manifest)
     elif theorem == "T3.1":
-        verdicts = _verify_upper(cfg, ps, out, manifest, jobs)
+        verdicts = _verify_upper(cfg, ps, out, manifest)
     else:
-        verdicts = _verify_two_sided(cfg, ps, out, manifest, jobs)
+        verdicts = _verify_two_sided(cfg, ps, out, manifest)
     path = out / f"verdicts_{theorem}.csv"
     write_csv(path, "theorem,subject,status,detail",
               [v.row() for v in verdicts])
@@ -563,8 +550,8 @@ def cmd_report(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     verdict_files = sorted(out.glob("verdicts_*.csv"))
     rows = []
     for path in verdict_files:
-        lines = path.read_text().splitlines()[1:]
-        rows.extend(line.split(",", 3) for line in lines if line)
+        with path.open(newline="") as fh:
+            rows.extend(row for row in list(csv.reader(fh))[1:] if row)
     missing = [tid for tid in THEOREM_IDS
                if not (out / f"verdicts_{tid}.csv").exists()]
     manifest_path = out / "manifest.txt"
@@ -603,7 +590,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, required=False,
                         help="path to the key = value config file")
     parser.add_argument("--out", type=Path, default=Path("runs/out"))
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides the config seed (recorded only)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -633,9 +619,9 @@ def main(argv=None) -> int:
         elif args.command == "evolve":
             code = cmd_evolve(cfg, out, manifest)
         elif args.command == "norm-scan":
-            code = cmd_norm_scan(cfg, out, manifest, jobs=args.jobs)
+            code = cmd_norm_scan(cfg, out, manifest)
         elif args.command == "verify":
-            code = cmd_verify(cfg, out, manifest, args.theorem, jobs=args.jobs)
+            code = cmd_verify(cfg, out, manifest, args.theorem)
         else:
             code = cmd_report(cfg, out, manifest)
     except (spectral.SpectralError, LambdaMembershipError, ConfigError) as exc:

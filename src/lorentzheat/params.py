@@ -19,6 +19,7 @@ sup_lam lam (mu(lam)/a_N)^(1/p) is used instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,6 +333,9 @@ class RadialProfile:
 _POWER = 0
 _LINEAR = 1
 
+# most (segment, level) pairs mu_batch forms at once, which bounds its memory
+_PAIR_BLOCK = 4096
+
 
 class _SegmentSet:
     """|phi| as disjoint monotone segments, each a power law or linear."""
@@ -352,65 +356,73 @@ class _SegmentSet:
         self.vmin, self.vmax = self._value_range()
 
     def _value_range(self):
-        n = self.ra.size
-        lo, hi = np.empty(n), np.empty(n)
-        for i in range(n):
-            a = self._value_at(i, self.r0[i])
-            b = self._value_at(i, self.r1[i])
-            lo[i], hi[i] = min(a, b), max(a, b)
-        return lo, hi
-
-    def _value_at(self, i, r):
-        if self.kind[i] == _POWER:
-            a = self.expo[i]
-            if r == 0.0:
-                return INF if a < 0 else (self.va[i] if a == 0 else 0.0)
-            if r == INF:
-                return INF if a > 0 else (self.va[i] if a == 0 else 0.0)
-            return self.va[i] * (r / self.ra[i]) ** a
-        return self.icpt[i] + self.slope[i] * r
-
-    def _partial_batch(self, i, lam):
-        """Volumes of {|phi| > lam} within segment i; lam array with
-        vmin <= lam < vmax (strictly inside the value range)."""
-        if self.kind[i] == _POWER:
-            a = self.expo[i]
-            rstar = self.ra[i] * (lam / self.va[i]) ** (1.0 / a)
-            increasing = a > 0
-        else:
-            rstar = (lam - self.icpt[i]) / self.slope[i]
-            increasing = self.slope[i] > 0
-        if increasing:
-            lo = np.maximum(self.r0[i], rstar)
-            hi = np.full_like(lam, self.r1[i])
-        else:
-            lo = np.full_like(lam, self.r0[i])
-            hi = np.minimum(self.r1[i], rstar)
-        res = self.alpha_N * (hi ** self.N - lo ** self.N)
-        return np.maximum(res, 0.0)
+        """(min, max) of |phi| at segment ends; pow gives the limits at 0, inf."""
+        power = self.kind == _POWER
+        ends = []
+        for r in (self.r0, self.r1):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                end = self.icpt + self.slope * r
+                end[power] = self.va[power] * _libm(operator.pow, r[power] / self.ra[power],
+                                                    self.expo[power])
+            ends.append(end)
+        return np.minimum(*ends), np.maximum(*ends)
 
     def mu_batch(self, lam_desc):
-        """Exact distribution function at a descending array of levels."""
+        """Exact distribution function at a descending array of levels.
+
+        Segment i adds its whole volume at the levels k >= hi[i] and a part of
+        it at lo[i] <= k < hi[i].  Those (segment, level) pairs are formed in
+        blocks of consecutive levels with at most _PAIR_BLOCK pairs (or one
+        level), segment by segment, so each level sums in segment order."""
         m = lam_desc.size
-        mu = np.zeros(m)
-        base_delta = np.zeros(m + 1)
         neg = -lam_desc  # ascending
-        for i in range(self.ra.size):
-            lo_pos = np.searchsorted(neg, -self.vmax[i], side="right")
-            hi_pos = np.searchsorted(neg, -self.vmin[i], side="right")
-            if lo_pos < hi_pos:
-                mu[lo_pos:hi_pos] += self._partial_batch(i, lam_desc[lo_pos:hi_pos])
-            base_delta[hi_pos] += self.vol[i]
-        mu += np.cumsum(base_delta[:-1])
+        lo = np.searchsorted(neg, -self.vmax, side="right")
+        hi = np.searchsorted(neg, -self.vmin, side="right")
+        mu = np.cumsum(np.bincount(hi, weights=self.vol, minlength=m + 1)[:-1])
+        straddle = np.nonzero(lo < hi)[0]
+        lo, hi = lo[straddle], hi[straddle]
+        # before[k]: pairs on the levels before level k
+        before = np.bincount(lo + 1, minlength=m + 1) - \
+            np.bincount(hi + 1, minlength=m + 2)[:-1]
+        np.cumsum(np.cumsum(before, out=before), out=before)
+        # per straddling segment: |phi| = lam at rstar = (lam - icpt) / slope on a
+        # line, ra (lam / va)^(1/a) on a power law (icpt = 0); the part above lam
+        # is sign (fixed^N - clip(rstar, r0, r1)^N): a_N, r1 if increasing, else -a_N, r0
+        power = self.kind[straddle] == _POWER
+        icpt = self.icpt[straddle]
+        scale = np.where(power, self.va[straddle], self.slope[straddle])
+        ra = self.ra[straddle]
+        inv_a = np.divide(1.0, self.expo[straddle], out=np.ones(straddle.size),
+                          where=power)
+        r0, r1 = self.r0[straddle], self.r1[straddle]
+        increasing = np.where(power, self.expo[straddle] > 0, self.slope[straddle] > 0)
+        fixed_N = np.where(increasing, r1, r0) ** self.N
+        sign = np.where(increasing, self.alpha_N, -self.alpha_N)
+        b0 = 0
+        while b0 < m:
+            b1 = max(b0 + 1, int(np.searchsorted(before, before[b0] + _PAIR_BLOCK,
+                                                 side="right")) - 1)
+            if before[b1] > before[b0]:
+                take = (lo < b1) & (hi > b0)
+                first = np.maximum(lo[take], b0)
+                count = np.minimum(hi[take], b1) - first
+                level = np.arange(before[b1] - before[b0]) + \
+                    np.repeat(first - np.cumsum(count) + count, count)
+                j = np.repeat(np.nonzero(take)[0], count)
+                rstar = (lam_desc[level] - icpt[j]) / scale[j]
+                pw = power[j]
+                rstar[pw] = ra[j[pw]] * _scalar_like_power(rstar[pw], inv_a[j[pw]])
+                vol = fixed_N[j] - np.clip(rstar, r0[j], r1[j]) ** self.N
+                vol *= sign[j]
+                np.maximum(vol, 0.0, out=vol)
+                mu[b0:b1] += np.bincount(level - b0, weights=vol, minlength=b1 - b0)
+            b0 = b1
         return mu
 
     def measure_above(self, lam: float) -> float:
-        if np.any((self.vmax == INF) & (self.r1 == INF)):
+        if np.any((self.r1 == INF) & ((self.vmax == INF) |
+                                      (self.vmax > lam) & (self.vmin >= lam))):
             return INF
-        tail = np.nonzero((self.r1 == INF) & (self.vmax > lam))[0]
-        for i in tail:
-            if self.vmin[i] >= lam:
-                return INF
         return float(self.mu_batch(np.array([lam]))[0])
 
     def sup_value(self) -> float:
@@ -462,21 +474,13 @@ class _SegmentSet:
         if levels.size == 0:
             return 0.0
         acc = 0.0
-        singular = np.nonzero(self.vmax == INF)[0]
-        if singular.size:
-            acc = self._top_tail(singular, levels[0], p, sigma)
+        if np.any(self.vmax == INF):
+            acc = self._top_tail(levels[0], p, sigma)
             if acc == INF:
                 return INF
         if levels.size > 1:
             n_gl = 24 if levels.size <= 192 else 8
-            nodes, weights = _gauss_nodes(n_gl)
-            u_hi, u_lo = _subdivide_log(np.log(levels[:-1]), np.log(levels[1:]))
-            half = 0.5 * (u_hi - u_lo)
-            mid = 0.5 * (u_hi + u_lo)
-            # descending lambda nodes across all intervals at once
-            u_all = (mid[:, None] + half[:, None] * nodes[None, ::-1]).ravel()
-            w_all = (half[:, None] * weights[None, ::-1]).ravel()
-            lam = np.exp(u_all)
+            lam, w_all = _log_gauss(np.log(levels[:-1]), np.log(levels[1:]), n_gl)
             mu = self.mu_batch(lam)
             acc += p * float(np.sum(w_all * lam ** sigma * mu ** (sigma / p)))
         acc += self._bottom_piece(levels[-1], p, sigma)
@@ -484,33 +488,33 @@ class _SegmentSet:
             return INF
         return (self.alpha_N ** (1.0 - sigma / p) * acc) ** (1.0 / sigma)
 
-    def _top_tail(self, singular, lam0, p, sigma):
+    def _top_tail(self, lam0, p, sigma):
         """p * int_{lam0}^inf lam^(sigma-1) mu^(sigma/p) dlam, closed form.
 
-        Only the inner extension can be singular, so mu is the pure power
-        a_N (ra (lam/va)^(1/a))^N there.  Assembled in logs: nearly flat
-        negative exponents make the individual powers overflow even though
-        the combined term is tiny.
+        Only the inner extension (the one segment with r0 = 0) can be
+        integrably singular, so mu is the pure power a_N (ra (lam/va)^(1/a))^N
+        there.  Assembled in logs: nearly flat negative exponents make the
+        individual powers overflow even though the combined term is tiny.
         """
-        acc = 0.0
-        for i in singular:
-            if self.kind[i] != _POWER or self.expo[i] >= 0 or self.r0[i] > 0.0:
-                return INF
-            a = self.expo[i]
-            e = sigma - 1.0 + (self.N * sigma) / (p * a)
-            if e >= -1.0:
-                return INF
-            log_term = (
-                math.log(p)
-                + (sigma / p) * (math.log(self.alpha_N) + self.N * math.log(self.ra[i]))
-                + sigma * math.log(lam0)
-                + (self.N * sigma) / (p * a) * (math.log(lam0) - math.log(self.va[i]))
-                - math.log(-(e + 1.0))
-            )
-            if log_term > 700.0:
-                return INF
-            acc += math.exp(log_term) if log_term > -700.0 else 0.0
-        return acc
+        singular = self.vmax == INF
+        if np.any(singular & ((self.kind != _POWER) | (self.expo >= 0) |
+                              (self.r0 > 0.0))):
+            return INF
+        i = int(np.argmax(singular))
+        a = self.expo[i]
+        e = sigma - 1.0 + (self.N * sigma) / (p * a)
+        if e >= -1.0:
+            return INF
+        log_term = (
+            math.log(p)
+            + (sigma / p) * (math.log(self.alpha_N) + self.N * math.log(self.ra[i]))
+            + sigma * math.log(lam0)
+            + (self.N * sigma) / (p * a) * (math.log(lam0) - math.log(self.va[i]))
+            - math.log(-(e + 1.0))
+        )
+        if log_term > 700.0:
+            return INF
+        return math.exp(log_term) if log_term > -700.0 else 0.0
 
     def _bottom_piece(self, lam_min, p, sigma):
         """p * int_0^{lam_min} lam^(sigma-1) mu^(sigma/p) dlam."""
@@ -541,14 +545,8 @@ class _SegmentSet:
             lam_c *= 0.5
         acc = 0.0
         if lam_c < lam_min:
-            nodes, weights = _gauss_nodes(24)
-            u_hi, u_lo = _subdivide_log(np.array([math.log(lam_min)]),
-                                        np.array([math.log(lam_c)]))
-            half = 0.5 * (u_hi - u_lo)
-            mid = 0.5 * (u_hi + u_lo)
-            u_all = (mid[:, None] + half[:, None] * nodes[None, ::-1]).ravel()
-            w_all = (half[:, None] * weights[None, ::-1]).ravel()
-            lam = np.exp(u_all)
+            lam, w_all = _log_gauss(np.array([math.log(lam_min)]),
+                                    np.array([math.log(lam_c)]), 24)
             mu = self.mu_batch(lam)
             acc += p * float(np.sum(w_all * lam ** sigma * mu ** (sigma / p)))
         # asymptotic piece with a first-order binomial correction in R/c lam^beta
@@ -564,39 +562,62 @@ class _SegmentSet:
         levels = self._levels()
         if levels.size == 0:
             return 0.0
-        for i in np.nonzero(self.vmax == INF)[0]:
-            # singular end: lam mu(lam)^(1/p) ~ lam^(1 + N/(a p)) as lam -> inf
-            if self.expo[i] >= 0 or 1.0 + self.N / (self.expo[i] * p) > 0:
-                return INF
-        # mu jumps at the levels; sample just below each to capture the sup
-        cand = [levels, levels * (1.0 - 1e-12)]
-        for j in range(levels.size - 1):
-            lo, hi = levels[j + 1], levels[j]
-            cand.append(np.exp(np.linspace(math.log(hi), math.log(lo), 10)[1:-1]))
-        for i in np.nonzero((self.r1 == INF) & (self.expo < 0) & (self.kind == _POWER))[0]:
-            if 1.0 + self.N / (self.expo[i] * p) < 0:
-                return INF  # decaying tail too heavy for weak-L^p
+        # singular end: lam mu(lam)^(1/p) ~ lam^(1 + N/(a p)) as lam -> inf
+        a = self.expo[self.vmax == INF]
+        if np.any(a >= 0) or np.any(1.0 + self.N / (a * p) > 0):
+            return INF
+        tail = (self.r1 == INF) & (self.expo < 0) & (self.kind == _POWER)
+        if np.any(1.0 + self.N / (self.expo[tail] * p) < 0):
+            return INF  # decaying tail too heavy for weak-L^p
+        # mu jumps at the levels; sample just below each to capture the sup,
+        # and between levels at the inner points of linspace(log hi, log lo, 10)
+        u = _libm(math.log, levels)
+        step = (u[1:] - u[:-1]) / 9
+        between = np.exp((np.arange(1.0, 9.0) * step[:, None] + u[:-1, None]).ravel())
+        cand = [levels, levels * (1.0 - 1e-12), between]
+        if tail.any():
             cand.append(levels[-1] * np.exp(-np.arange(1.0, 60.0, 3.0)))
         lam = np.unique(np.concatenate(cand))[::-1]
         mu = self.mu_batch(lam)
         return float(np.max(lam * (mu / self.alpha_N) ** (1.0 / p)))
 
 
-def _subdivide_log(u_hi, u_lo, max_width=1.15):
-    """Split [u_lo, u_hi] interval arrays so no piece exceeds max_width
-    (half a decade in lambda), keeping the overall descending order."""
-    his, los = [], []
-    for hi, lo in zip(u_hi, u_lo):
-        width = hi - lo
-        if width <= max_width:
-            his.append(hi)
-            los.append(lo)
-            continue
-        n = int(math.ceil(width / max_width))
-        cuts = np.linspace(hi, lo, n + 1)
-        his.extend(cuts[:-1])
-        los.extend(cuts[1:])
-    return np.asarray(his), np.asarray(los)
+def _libm(fn, *arrays):
+    """fn elementwise over float64 scalars, whose log and ** are the C library's
+    (numpy's SIMD loops differ in the last bit, which moves quadrature levels)."""
+    return np.fromiter(map(fn, *arrays), float, arrays[0].size)
+
+
+def _scalar_like_power(base, expo):
+    """base ** expo elementwise, rounded as `base ** e` with a scalar e is:
+    numpy takes square, sqrt and reciprocal for e = 2, 0.5 and -1."""
+    out = np.power(base, expo)
+    for e, fn in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
+        hit = expo == e
+        if hit.any():
+            out[hit] = fn(base[hit])
+    return out
+
+
+def _log_gauss(u_hi, u_lo, n_gl, max_width=1.15):
+    """Gauss-Legendre rule, n_gl nodes per piece of u = log(lam), over the
+    intervals [u_lo, u_hi] cut where np.linspace(u_hi, u_lo, n + 1) cuts them
+    into pieces no wider than max_width (half a decade in lambda).  Returns
+    the lam nodes, descending, and their u-weights."""
+    width = u_hi - u_lo
+    n = np.where(width > max_width, np.ceil(width / max_width), 1.0).astype(int)
+    start = np.repeat(u_hi, n)
+    step = np.repeat((u_lo - u_hi) / n, n)
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # piece within interval
+    hi = k * step + start
+    lo = (k + 1) * step + start
+    lo[np.cumsum(n) - 1] = u_lo
+    nodes, weights = _gauss_nodes(n_gl)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    u_all = (mid[:, None] + half[:, None] * nodes[None, ::-1]).ravel()
+    w_all = (half[:, None] * weights[None, ::-1]).ravel()
+    return np.exp(u_all), w_all
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -609,57 +630,50 @@ def _gauss_nodes(n):
 
 
 def _build_segments(profile: RadialProfile) -> _SegmentSet:
-    g = profile.grid
-    v = profile.values
-    r0l, r1l, kindl, ral, val, expol, slopel, icptl = [], [], [], [], [], [], [], []
+    """Inner extension, then per grid interval a power law (same signs), two
+    linear pieces meeting at the interpolated zero (opposite signs) or one
+    linear piece (a zero end), then the outer tail; all-zero parts dropped."""
+    g, v = profile.grid, profile.values
+    r0, r1, v0, v1 = g[:-1], g[1:], v[:-1], v[1:]
+    power, cross = v0 * v1 > 0.0, v0 * v1 < 0.0
+    a = np.zeros(r0.size)
+    a[power] = _libm(math.log, np.abs(v1[power] / v0[power])) / \
+        _libm(math.log, r1[power] / r0[power])
+    a[np.abs(a) < _FLAT_EPS] = 0.0
+    rc = r0.copy()
+    rc[cross] = r0[cross] + (r1[cross] - r0[cross]) * v0[cross] / (v0[cross] - v1[cross])
+    # two slots per interval: the first piece, and the second linear piece
+    # of a sign change (rc, r1, 0, |v1|); row-major order is segment order
+    y0, y1 = np.abs(v0), np.abs(v1)
+    x0 = np.stack((r0, rc), axis=1)
+    x1 = np.stack((np.where(cross, rc, r1), r1), axis=1)
+    f0 = np.stack((y0, np.zeros_like(y0)), axis=1)
+    f1 = np.stack((np.where(cross, 0.0, y1), y1), axis=1)
+    slope = (f1 - f0) / (x1 - x0)
+    is_pow = np.stack((power, np.zeros_like(power)), axis=1)
+    keep = np.stack(((v0 != 0.0) | (v1 != 0.0), cross), axis=1)
+    columns = (x0, x1, np.where(is_pow, _POWER, _LINEAR), x0,
+               np.where(is_pow, f0, np.maximum(f0, f1)),
+               np.where(is_pow, a[:, None], 0.0),
+               np.where(is_pow, 0.0, slope),
+               np.where(is_pow, 0.0, f0 - slope * x0))
 
-    def add_power(r0, r1, ra, va, a):
-        if va == 0.0:
-            return
-        r0l.append(r0); r1l.append(r1); kindl.append(_POWER)
-        ral.append(ra); val.append(abs(va)); expol.append(a)
-        slopel.append(0.0); icptl.append(0.0)
-
-    def add_linear(r0, r1, y0, y1):
-        if y0 == 0.0 and y1 == 0.0:
-            return
-        m = (y1 - y0) / (r1 - r0)
-        r0l.append(r0); r1l.append(r1); kindl.append(_LINEAR)
-        ral.append(r0); val.append(max(y0, y1)); expol.append(0.0)
-        slopel.append(m); icptl.append(y0 - m * r0)
-
+    # the power-law extensions, as (r0, r1, kind, ra, va, expo, slope, icpt)
+    head, tail = [], []
     a_in = profile.inner_exponent
     if v[0] != 0.0 and a_in != INF_DECAY:
-        add_power(0.0, g[0], g[0], v[0], a_in)
-
-    for i in range(g.size - 1):
-        r0, r1, v0, v1 = g[i], g[i + 1], v[i], v[i + 1]
-        if v0 == 0.0 and v1 == 0.0:
-            continue
-        if v0 * v1 > 0.0:
-            a = math.log(abs(v1 / v0)) / math.log(r1 / r0)
-            if abs(a) < _FLAT_EPS:
-                a = 0.0
-            add_power(r0, r1, r0, abs(v0), a)
-        elif v0 * v1 < 0.0:
-            rc = r0 + (r1 - r0) * v0 / (v0 - v1)
-            add_linear(r0, rc, abs(v0), 0.0)
-            add_linear(rc, r1, 0.0, abs(v1))
-        else:
-            add_linear(r0, r1, abs(v0), abs(v1))
-
+        head.append((0.0, g[0], _POWER, g[0], abs(v[0]), a_in, 0.0, 0.0))
     if profile.outer.kind == "power" and v[-1] != 0.0:
         if profile.outer.log_power != 0:
             raise NotImplementedError(
                 "norms across log-power outer tails: restrict to a ball first")
-        add_power(g[-1], INF, g[-1], abs(v[-1]), profile.outer.exponent)
-
-    return _SegmentSet(
-        profile.dimension,
-        np.asarray(r0l), np.asarray(r1l), np.asarray(kindl, dtype=int),
-        np.asarray(ral), np.asarray(val), np.asarray(expol),
-        np.asarray(slopel), np.asarray(icptl),
-    )
+        tail.append((g[-1], INF, _POWER, g[-1], abs(v[-1]), profile.outer.exponent,
+                     0.0, 0.0))
+    r0, r1, kind, ra, va, expo, slope, icpt = (
+        np.concatenate(([h[j] for h in head], col[keep], [t[j] for t in tail]))
+        for j, col in enumerate(columns))
+    return _SegmentSet(profile.dimension, r0, r1, kind.astype(int),
+                       ra, va, expo, slope, icpt)
 
 
 # ---------------------------------------------------------------------------

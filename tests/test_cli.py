@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,23 @@ class TestReport:
         assert code2 == 0
         summary = (out / "summary.txt").read_text()
         assert "T4.2" in summary and "MISSING T7.1" in summary
+
+    def test_verdict_and_summary_rows_parse_to_four_fields(self, tmp_path):
+        # subjects such as "alpha=0 (1,1)->(inf,inf)" hold commas
+        cfgtext = FAST_COMMON + "potential.lambda = 2.0\n"
+        code, out = run_cli(tmp_path, cfgtext, "verify", "T4.2")
+        assert code == 0
+        assert cli.main(["--config", str(tmp_path / "run.cfg"),
+                         "--out", str(out), "report"]) == 0
+        for name in ("verdicts_T4.2.csv", "summary.csv"):
+            with (out / name).open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["theorem", "subject", "status", "detail"]
+            assert len(rows) > 1 and all(len(row) == 4 for row in rows)
+        with (out / "summary.csv").open(newline="") as fh:
+            first = list(csv.reader(fh))[1]
+        assert first[:3] == ["T4.2", "alpha=0 (1,1)->(inf,inf)", "PASS"]
+        assert "T4.2 alpha=0 (1,1)->(inf,inf) PASS" in (out / "summary.txt").read_text()
 
     def test_report_detects_tampering(self, tmp_path):
         cfgtext = FAST_COMMON + "potential.lambda = 2.0\n"

@@ -1,11 +1,15 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorentzheat import params
 from lorentzheat.params import (
     INF,
+    INF_DECAY,
     LambdaMembershipError,
     LorentzParams,
     OuterExtension,
@@ -19,6 +23,7 @@ from lorentzheat.params import (
     power_norm_asymptotic,
     unit_ball_volume,
     validate_lambda,
+    ZERO_OUTSIDE,
 )
 
 A3 = unit_ball_volume(3)
@@ -304,3 +309,157 @@ class TestProfileBasics:
         phi = RadialProfile(np.array([0.1, 1.0]), np.array([1.0, 1.0]), 3,
                             outer=OuterExtension("power", -2.0))
         assert phi.eval(10.0) == pytest.approx(1e-2)
+
+
+def _mu_oracle(segs, lam_desc):
+    """mu at descending levels, summed one segment at a time with scalar
+    segment parameters: closed-form partial volumes on the levels inside a
+    segment's value range, its whole volume on the levels below it."""
+    mu = np.zeros(lam_desc.size)
+    whole = np.zeros(lam_desc.size + 1)
+    neg = -lam_desc
+    for i in range(segs.ra.size):
+        lo = np.searchsorted(neg, -segs.vmax[i], side="right")
+        hi = np.searchsorted(neg, -segs.vmin[i], side="right")
+        lam = lam_desc[lo:hi]
+        if lam.size:
+            if segs.kind[i] == params._POWER:
+                a = segs.expo[i]
+                rstar = segs.ra[i] * (lam / segs.va[i]) ** (1.0 / a)
+                increasing = a > 0
+            else:
+                rstar = (lam - segs.icpt[i]) / segs.slope[i]
+                increasing = segs.slope[i] > 0
+            if increasing:
+                r_lo, r_hi = np.maximum(segs.r0[i], rstar), np.full_like(lam, segs.r1[i])
+            else:
+                r_lo, r_hi = np.full_like(lam, segs.r0[i]), np.minimum(segs.r1[i], rstar)
+            mu[lo:hi] += np.maximum(segs.alpha_N * (r_hi ** segs.N - r_lo ** segs.N), 0.0)
+        whole[hi] += segs.vol[i]
+    return mu + np.cumsum(whole[:-1])
+
+
+def _segments_oracle(phi):
+    """Segment fields of phi built one grid interval at a time with scalar
+    math (the C library's log and pow), plus each segment's value range."""
+    g, v = phi.grid, phi.values
+    rows = []  # (r0, r1, kind, ra, va, expo, slope, icpt)
+
+    def linear(r0, r1, y0, y1):
+        m = (y1 - y0) / (r1 - r0)
+        rows.append((r0, r1, params._LINEAR, r0, max(y0, y1), 0.0, m, y0 - m * r0))
+
+    if v[0] != 0.0 and phi.inner_exponent != INF_DECAY:
+        rows.append((0.0, g[0], params._POWER, g[0], abs(v[0]), phi.inner_exponent,
+                     0.0, 0.0))
+    for r0, r1, v0, v1 in zip(g[:-1], g[1:], v[:-1], v[1:]):
+        if v0 * v1 > 0.0:
+            a = math.log(abs(v1 / v0)) / math.log(r1 / r0)
+            a = 0.0 if abs(a) < params._FLAT_EPS else a
+            rows.append((r0, r1, params._POWER, r0, abs(v0), a, 0.0, 0.0))
+        elif v0 * v1 < 0.0:
+            rc = r0 + (r1 - r0) * v0 / (v0 - v1)
+            linear(r0, rc, abs(v0), 0.0)
+            linear(rc, r1, 0.0, abs(v1))
+        elif v0 != 0.0 or v1 != 0.0:
+            linear(r0, r1, abs(v0), abs(v1))
+    if phi.outer.kind == "power" and v[-1] != 0.0:
+        rows.append((g[-1], INF, params._POWER, g[-1], abs(v[-1]), phi.outer.exponent,
+                     0.0, 0.0))
+
+    def value(row, r):
+        _, _, kind, ra, va, a, slope, icpt = row
+        if kind == params._LINEAR:
+            return icpt + slope * r
+        if r == 0.0 or r == INF:
+            grows = a < 0 if r == 0.0 else a > 0
+            return INF if grows else (va if a == 0 else 0.0)
+        return va * (r / ra) ** a
+
+    ends = [(value(row, row[0]), value(row, row[1])) for row in rows]
+    return rows, [min(e) for e in ends], [max(e) for e in ends]
+
+
+# zeros, flat runs and sign changes come from the sampled values
+_VALUE = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]),
+                   st.floats(0.01, 3.0), st.floats(-3.0, -0.01))
+
+
+@st.composite
+def signed_profiles(draw):
+    n = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(_VALUE, min_size=n, max_size=n)))
+        steps = draw(st.lists(st.floats(0.05, 1.5), min_size=n - 1, max_size=n - 1))
+    else:
+        # slowly varying, as on fine grids: neighbour ratios near 1
+        drift = draw(st.lists(st.floats(-0.05, 0.05), min_size=n - 1, max_size=n - 1))
+        signs = draw(st.lists(st.sampled_from([1.0] * 6 + [-1.0, 0.0]), min_size=n,
+                              max_size=n))
+        values = np.exp(np.concatenate(([0.0], np.cumsum(drift)))) * np.array(signs)
+        steps = draw(st.lists(st.floats(0.001, 0.05), min_size=n - 1, max_size=n - 1))
+    grid = 1e-2 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+    inner = draw(st.sampled_from([None, INF_DECAY, 0.0, 1.0, -1.0, 2.0, 0.5, -0.8]))
+    outer = draw(st.sampled_from([ZERO_OUTSIDE, OuterExtension("power", -1.0),
+                                  OuterExtension("power", -4.5),
+                                  OuterExtension("power", 0.0),
+                                  OuterExtension("power", 1.0)]))
+    dimension = draw(st.sampled_from([2, 3, 5]))
+    return RadialProfile(grid, values, dimension, inner_exponent=inner, outer=outer)
+
+
+def _test_levels(segs, extra):
+    """Descending levels: every finite segment end value, points just beside
+    them, and extra levels."""
+    ends = np.concatenate((segs.vmin, segs.vmax))
+    ends = ends[np.isfinite(ends) & (ends > 0.0)]
+    lam = np.concatenate((ends, ends * (1.0 + 1e-9), ends * (1.0 - 1e-9), extra))
+    return np.unique(lam)[::-1]
+
+
+class TestDistributionKernel:
+    @given(phi=signed_profiles(),
+           extra=st.lists(st.floats(1e-12, 10.0), min_size=1, max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_mu_batch_matches_segmentwise_oracle(self, phi, extra):
+        segs = phi.segments()
+        lam = _test_levels(segs, np.array(extra))
+        expect = _mu_oracle(segs, lam)
+        # small blocks split the level ranges a segment straddles
+        for block in (params._PAIR_BLOCK, 1, 7):
+            with mock.patch.object(params, "_PAIR_BLOCK", block), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = segs.mu_batch(lam)
+            assert np.array_equal(got, expect), block
+
+    @given(phi=signed_profiles())
+    @settings(max_examples=150, deadline=None)
+    def test_segments_match_intervalwise_oracle(self, phi):
+        # bit for bit: an ulp in an exponent or end value moves quadrature levels
+        rows, vmin, vmax = _segments_oracle(phi)
+        segs = phi.segments()
+        fields = (segs.r0, segs.r1, segs.kind, segs.ra, segs.va, segs.expo,
+                  segs.slope, segs.icpt)
+        for got, expect in zip(fields, zip(*rows) if rows else [[]] * 8):
+            assert np.array_equal(got, np.array(expect, dtype=got.dtype))
+        assert np.array_equal(segs.vmin, vmin) and np.array_equal(segs.vmax, vmax)
+
+    @given(phi=signed_profiles(), k=st.integers(-6, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_dilation_law(self, phi, k):
+        # ||f(c .)||_{L^{p,sigma}} = c^(-N/p) ||f||_{L^{p,sigma}}.  With c a
+        # power of two the dilated profile has the same values, levels and
+        # quadrature nodes, so the law must hold to rounding.
+        scale = 2.0 ** k
+        dilated = RadialProfile(phi.grid / scale, phi.values, phi.dimension,
+                                inner_exponent=phi.inner_exponent, outer=phi.outer)
+        for p, sigma in [(1.0, 1.0), (1.5, 1.0), (1.5, 3.0), (2.0, 2.0),
+                         (2.0, INF), (4.0, 2.0), (INF, INF)]:
+            base = lorentz_norm(phi, p, sigma)
+            got = lorentz_norm(dilated, p, sigma)
+            factor = 1.0 if p == INF else scale ** (-phi.dimension / p)
+            if base == INF:
+                assert got == INF
+            else:
+                assert got == pytest.approx(factor * base, rel=1e-12, abs=0.0)
