@@ -23,6 +23,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,10 @@ def _validate_config(v):
         raise ConfigError(f"unknown potential.kind {v['potential.kind']!r}")
     if any(a < 0 for a in v["alphas"]):
         raise ConfigError("alphas must be nonnegative")
+    if max(v["alphas"], default=0) > v["modes.k_max"]:
+        raise ConfigError(
+            f"alphas reach {max(v['alphas'])} > modes.k_max = {v['modes.k_max']}: "
+            "the envelopes of order alpha use h_k for every k <= alpha")
     r_needed = 20.0 * math.sqrt(v["time.t_max"])
     if v["grid.r_max"] < r_needed:
         raise ConfigError(
@@ -378,172 +383,109 @@ def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
 
 
 # -- verification recipes -----------------------------------------------------
-
-THEOREM_IDS = ("T1.1", "T3.1", "T4.2", "T7.1", "T7.2", "T7.3", "T7.4")
+#
+# A judge reads the mode-0 empirical series `vals` of one tuple and derivative
+# order at the times `ts`.  It returns a SKIP reason, or the tuple
+# (.dat columns, (name, value) manifest constant or None, passed, detail).
 
 EXP_TOL = 0.05
 LOG_TOL = 0.3
 
 
-@dataclass
-class Verdict:
-    theorem: str
-    subject: str
-    status: str          # PASS | FAIL | SKIP
-    detail: str
-
-    def row(self):
-        return (self.theorem, self.subject, self.status, self.detail)
-
-
-def _fit_series(table, key):
-    ests = table[key]
-    ts = np.array([e.t for e in ests])
-    vals = np.array([e.value for e in ests])
-    return ts, vals, rates.fit_rate(ts, vals)
+def _judge_two_sided(ps, lp, alpha, ts, vals):
+    phis = np.array([rates.phi_alpha(ps, lp, alpha, t) for t in ts])
+    if not np.all(np.isfinite(phis)):
+        return "envelope infinite for this tuple"
+    uppers = np.array([rates.upper_envelope_J(ps, lp, alpha, t) for t in ts])
+    r1 = vals / phis
+    r2 = uppers / phis
+    band1 = float(np.max(r1) / np.min(r1))
+    band2 = float(np.max(r2) / np.min(r2))
+    return ((ts, vals, phis, uppers), None, band1 <= 10.0 and band2 <= 10.0,
+            f"bands empirical/phi {band1:.3g}, upper/phi {band2:.3g}")
 
 
-def _verify_family_rates(cfg, ps, out, manifest, theorem) -> list[Verdict]:
-    verdicts = []
-    ts = time_grid(cfg)
-    lps = cfg["lorentz"]
-    alphas = cfg["alphas"]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
-    for i, lp in enumerate(lps):
-        for alpha in alphas:
-            subject = f"alpha={alpha} {lp.label()}"
-            pred = rates.closed_form_rate(ps, lp, alpha, regime="large-t")
-            if pred.theorem != theorem:
-                verdicts.append(Verdict(theorem, subject, "SKIP",
-                                        f"potential routes to {pred.theorem}"))
-                continue
-            if not pred.applicable:
-                why = "; ".join(f"{c}" for c, ok, _ in pred.hypotheses if not ok)
-                verdicts.append(Verdict(theorem, subject, "SKIP",
-                                        f"hypothesis failed: {why}"))
-                continue
-            ts_arr, vals, fit = _fit_series(table, (alpha, i))
-            path = out / f"{theorem}_{alpha}_{_tuple_slug(lp)}.dat"
-            write_columns(path, ts_arr, vals)
-            manifest.add_file(path)
-            manifest.add_constant(f"{theorem}_fit_b_alpha{alpha}_{_tuple_slug(lp)}",
-                                  fit.exponent)
-            ok = abs(fit.exponent - pred.exponent) <= EXP_TOL and \
-                abs(fit.log_power - (pred.log_power or 0.0)) <= LOG_TOL
-            detail = (f"fitted {fit.exponent:+.4f} (log {fit.log_power:+.2f}) "
-                      f"vs predicted {pred.exponent:+.4f} "
-                      f"(log {pred.log_power:+.2f})")
-            verdicts.append(Verdict(theorem, subject,
-                                    "PASS" if ok else "FAIL", detail))
-    return verdicts
+def _judge_upper(ps, lp, alpha, ts, vals):
+    uppers = np.array([rates.upper_envelope_J(ps, lp, alpha, t) for t in ts])
+    if not np.all(np.isfinite(uppers)):
+        return "upper envelope infinite (membership)"
+    ratio = vals / uppers
+    c_fit = float(np.max(ratio))
+    drift = float(np.max(ratio) / max(np.min(ratio), 1e-300))
+    return ((ts, vals, uppers), ("C", c_fit),
+            math.isfinite(c_fit) and drift <= 10.0,
+            f"envelope constant {c_fit:.3g}, ratio drift {drift:.3g}")
 
 
-def _verify_floor(cfg, ps, out, manifest) -> list[Verdict]:
-    verdicts = []
-    ts = time_grid(cfg)
-    lps = cfg["lorentz"]
-    alphas = cfg["alphas"]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
-    for i, lp in enumerate(lps):
-        for alpha in alphas:
-            subject = f"alpha={alpha} {lp.label()}"
-            free = rates.free_exponent(lp, alpha, ps.spec.dimension)
-            ts_arr, vals, fit = _fit_series(table, (alpha, i))
-            path = out / f"T4.2_{alpha}_{_tuple_slug(lp)}.dat"
-            write_columns(path, ts_arr, vals)
-            manifest.add_file(path)
-            ok = fit.exponent >= free - EXP_TOL
-            verdicts.append(Verdict(
-                "T4.2", subject, "PASS" if ok else "FAIL",
-                f"fitted {fit.exponent:+.4f} >= free {free:+.4f} - {EXP_TOL}"))
-    return verdicts
+def _judge_floor(ps, lp, alpha, ts, vals):
+    free = rates.free_exponent(lp, alpha, ps.spec.dimension)
+    fit = rates.fit_rate(ts, vals)
+    return ((ts, vals), None, fit.exponent >= free - EXP_TOL,
+            f"fitted {fit.exponent:+.4f} >= free {free:+.4f} - {EXP_TOL}")
 
 
-def _verify_upper(cfg, ps, out, manifest) -> list[Verdict]:
-    verdicts = []
-    ts = time_grid(cfg)
-    lps = cfg["lorentz"]
-    alphas = cfg["alphas"]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
-    for i, lp in enumerate(lps):
-        for alpha in alphas:
-            subject = f"alpha={alpha} {lp.label()}"
-            uppers = np.array([rates.upper_envelope_J(ps, lp, alpha, t)
-                               for t in ts])
-            ests = table[(alpha, i)]
-            vals = np.array([e.value for e in ests])
-            if not np.all(np.isfinite(uppers)):
-                verdicts.append(Verdict("T3.1", subject, "SKIP",
-                                        "upper envelope infinite (membership)"))
-                continue
-            ratio = vals / uppers
-            c_fit = float(np.max(ratio))
-            manifest.add_constant(
-                f"T3.1_C_alpha{alpha}_{_tuple_slug(lp)}", c_fit)
-            path = out / f"T3.1_{alpha}_{_tuple_slug(lp)}.dat"
-            write_columns(path, ts, vals, uppers)
-            manifest.add_file(path)
-            drift = float(np.max(ratio) / max(np.min(ratio), 1e-300))
-            ok = math.isfinite(c_fit) and drift <= 10.0
-            verdicts.append(Verdict(
-                "T3.1", subject, "PASS" if ok else "FAIL",
-                f"envelope constant {c_fit:.3g}, ratio drift {drift:.3g}"))
-    return verdicts
+def _judge_family_rates(theorem, ps, lp, alpha, ts, vals):
+    pred = rates.closed_form_rate(ps, lp, alpha, regime="large-t")
+    if pred.theorem != theorem:
+        return f"potential routes to {pred.theorem}"
+    if not pred.applicable:
+        why = "; ".join(f"{c}" for c, ok, _ in pred.hypotheses if not ok)
+        return f"hypothesis failed: {why}"
+    # fit the model the prediction names: a free log factor can trade
+    # exponent for log power where the theorem rules the log out
+    fit = rates.fit_rate(ts, vals, "power-log" if pred.log_power else "pure-power")
+    ok = abs(fit.exponent - pred.exponent) <= EXP_TOL and \
+        abs(fit.log_power - (pred.log_power or 0.0)) <= LOG_TOL
+    return ((ts, vals), ("fit_b", fit.exponent), ok,
+            f"fitted {fit.exponent:+.4f} (log {fit.log_power:+.2f}) "
+            f"vs predicted {pred.exponent:+.4f} (log {pred.log_power:+.2f})")
 
 
-def _verify_two_sided(cfg, ps, out, manifest) -> list[Verdict]:
-    verdicts = []
-    ts = time_grid(cfg)
-    lps = cfg["lorentz"]
-    alphas = [a for a in cfg["alphas"] if a <= 2]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
-    for i, lp in enumerate(lps):
-        for alpha in alphas:
-            subject = f"alpha={alpha} {lp.label()}"
-            phis = np.array([rates.phi_alpha(ps, lp, alpha, t) for t in ts])
-            if not np.all(np.isfinite(phis)):
-                verdicts.append(Verdict("T1.1", subject, "SKIP",
-                                        "envelope infinite for this tuple"))
-                continue
-            vals = np.array([e.value for e in table[(alpha, i)]])
-            uppers = np.array([rates.upper_envelope_J(ps, lp, alpha, t)
-                               for t in ts])
-            r1 = vals / phis
-            r2 = uppers / phis
-            band1 = float(np.max(r1) / np.min(r1))
-            band2 = float(np.max(r2) / np.min(r2))
-            path = out / f"T1.1_{alpha}_{_tuple_slug(lp)}.dat"
-            write_columns(path, ts, vals, phis, uppers)
-            manifest.add_file(path)
-            ok = band1 <= 10.0 and band2 <= 10.0
-            verdicts.append(Verdict(
-                "T1.1", subject, "PASS" if ok else "FAIL",
-                f"bands empirical/phi {band1:.3g}, upper/phi {band2:.3g}"))
-    return verdicts
+# theorem -> (judge, largest derivative order it covers)
+RECIPES = {
+    "T1.1": (_judge_two_sided, 2),
+    "T3.1": (_judge_upper, INF),
+    "T4.2": (_judge_floor, INF),
+    **{tid: (partial(_judge_family_rates, tid), INF)
+       for tid in ("T7.1", "T7.2", "T7.3", "T7.4")},
+}
+THEOREM_IDS = tuple(RECIPES)
 
 
 def cmd_verify(cfg: RunConfig, out: Path, manifest: Manifest, theorem: str) -> int:
-    if theorem not in THEOREM_IDS:
+    if theorem not in RECIPES:
         print(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
         return 1
+    judge, alpha_max = RECIPES[theorem]
     ps = build_profiles(cfg)
-    if theorem in ("T7.1", "T7.2", "T7.3", "T7.4"):
-        verdicts = _verify_family_rates(cfg, ps, out, manifest, theorem)
-    elif theorem == "T4.2":
-        verdicts = _verify_floor(cfg, ps, out, manifest)
-    elif theorem == "T3.1":
-        verdicts = _verify_upper(cfg, ps, out, manifest)
-    else:
-        verdicts = _verify_two_sided(cfg, ps, out, manifest)
+    ts = time_grid(cfg)
+    lps = cfg["lorentz"]
+    alphas = [a for a in cfg["alphas"] if a <= alpha_max]
+    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
+    verdicts = []
+    for i, lp in enumerate(lps):
+        slug = _tuple_slug(lp)
+        for alpha in alphas:
+            subject = f"alpha={alpha} {lp.label()}"
+            vals = np.array([e.value for e in table[(alpha, i)]])
+            judged = judge(ps, lp, alpha, ts, vals)
+            if isinstance(judged, str):
+                verdicts.append((theorem, subject, "SKIP", judged))
+                continue
+            columns, constant, ok, detail = judged
+            path = out / f"{theorem}_{alpha}_{slug}.dat"
+            write_columns(path, *columns)
+            manifest.add_file(path)
+            if constant is not None:
+                name, value = constant
+                manifest.add_constant(f"{theorem}_{name}_alpha{alpha}_{slug}", value)
+            verdicts.append((theorem, subject, "PASS" if ok else "FAIL", detail))
     path = out / f"verdicts_{theorem}.csv"
-    write_csv(path, "theorem,subject,status,detail",
-              [v.row() for v in verdicts])
+    write_csv(path, "theorem,subject,status,detail", verdicts)
     manifest.add_file(path)
-    for v in verdicts:
-        print(f"[{v.status}] {v.theorem} {v.subject}: {v.detail}")
-    if any(v.status == "FAIL" for v in verdicts):
-        return 3
-    return 0
+    for _, subject, status, detail in verdicts:
+        print(f"[{status}] {theorem} {subject}: {detail}")
+    return 3 if any(v[2] == "FAIL" for v in verdicts) else 0
 
 
 def cmd_report(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
@@ -579,10 +521,20 @@ def cmd_report(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     if integrity:
         print("integrity error: " + "; ".join(integrity))
         return 2
-    return 0
+    return 3 if any(r[2:3] == ["FAIL"] for r in rows) else 0
 
 
 # ---------------------------------------------------------------------------
+
+# name -> (command, {positional argument: choices})
+COMMANDS = {
+    "classify": (cmd_classify, {}),
+    "harmonic": (cmd_harmonic, {}),
+    "evolve": (cmd_evolve, {}),
+    "norm-scan": (cmd_norm_scan, {}),
+    "verify": (cmd_verify, {"theorem": THEOREM_IDS}),
+    "report": (cmd_report, {}),
+}
 
 
 def main(argv=None) -> int:
@@ -593,10 +545,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides the config seed (recorded only)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("classify", "harmonic", "evolve", "norm-scan", "report"):
-        sub.add_parser(name)
-    vp = sub.add_parser("verify")
-    vp.add_argument("theorem", choices=THEOREM_IDS)
+    for name, (_, positionals) in COMMANDS.items():
+        command_parser = sub.add_parser(name)
+        for arg, choices in positionals.items():
+            command_parser.add_argument(arg, choices=choices)
     args = parser.parse_args(argv)
 
     try:
@@ -611,19 +563,9 @@ def main(argv=None) -> int:
     seed = cfg["seed"] if args.seed is None else args.seed
     manifest = Manifest(out, cfg.sha256(), seed)
 
+    command, positionals = COMMANDS[args.command]
     try:
-        if args.command == "classify":
-            code = cmd_classify(cfg, out, manifest)
-        elif args.command == "harmonic":
-            code = cmd_harmonic(cfg, out, manifest)
-        elif args.command == "evolve":
-            code = cmd_evolve(cfg, out, manifest)
-        elif args.command == "norm-scan":
-            code = cmd_norm_scan(cfg, out, manifest)
-        elif args.command == "verify":
-            code = cmd_verify(cfg, out, manifest, args.theorem)
-        else:
-            code = cmd_report(cfg, out, manifest)
+        code = command(cfg, out, manifest, *(getattr(args, a) for a in positionals))
     except (spectral.SpectralError, LambdaMembershipError, ConfigError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,8 @@ import numpy as np
 
 from .harmonic import HarmonicProfile, derivative_h
 from .params import RadialProfile
-from .quadrature import DivergentIntegralError, cumulative_integral
+from .quadrature import (DivergentIntegralError, cumulative_integral,
+                         two_point_exponent, windowed_exponent)
 
 
 class SingularSourceError(ValueError):
@@ -61,7 +62,7 @@ def apply_I(hk: HarmonicProfile, f, f_inner_exponent=None) -> IteratedIntegral:
     else:
         fvals = np.asarray(f, dtype=float)
     if f_inner_exponent is None or not math.isfinite(f_inner_exponent):
-        f_inner_exponent = _fit_head_exponent(r, fvals)
+        f_inner_exponent = two_point_exponent(r, fvals)
 
     a1 = hk.inner_exponent
     head_in = n - 1.0 + 2.0 * a1 + f_inner_exponent
@@ -258,23 +259,11 @@ def envelope_nabla_J(hk: HarmonicProfile, itg: IteratedIntegral, alpha: int
         env += weight * radial
         env_crude += weight * radial_crude
     env[env < 1e-10 * env_crude] = 0.0
+    # smooth profiles keep flat envelopes near the origin even when the
+    # generic scaling would suggest a singular power, so the extension is
+    # read off the computed values rather than declared (None: default fit)
     return RadialProfile(r, env, hk.spec.dimension,
-                         inner_exponent=_head_slope(r, env))
-
-
-def _head_slope(r, vals, window=16, snap=0.02):
-    """Windowed inner power of an envelope; None defers to the default fit.
-
-    Smooth profiles keep flat envelopes near the origin even when the
-    generic scaling would suggest a singular power, so the extension is
-    read off the computed values rather than declared.
-    """
-    m = min(window, vals.size // 4)
-    head = vals[:m]
-    if np.any(head <= 0.0):
-        return None
-    slope = np.polyfit(np.log(r[:m]), np.log(head), 1)[0]
-    return 0.0 if abs(slope) < snap else float(slope)
+                         inner_exponent=windowed_exponent(r, env, 16, 0.02))
 
 
 def mode_ode_residual(itg: IteratedIntegral, interior=(4, 4)) -> float:
@@ -295,9 +284,3 @@ def mode_ode_residual(itg: IteratedIntegral, interior=(4, 4)) -> float:
     scale = (np.abs(u2) + (n - 1.0) / r * np.abs(u1)
              + np.abs(vk * u) + np.abs(rhs))[sl]
     return float(np.max(np.abs(lhs[sl] - rhs[sl]) / scale))
-
-
-def _fit_head_exponent(r, f):
-    if f[0] == 0.0 or f[1] == 0.0 or f[0] * f[1] < 0.0:
-        return 0.0
-    return math.log(abs(f[1] / f[0])) / math.log(r[1] / r[0])

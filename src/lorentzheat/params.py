@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .quadrature import two_point_exponent
+
 INF = math.inf
 
 # marker for "vanishes faster than any power" below the grid
@@ -176,7 +178,8 @@ class RadialProfile:
         self.dimension = int(dimension)
         self.outer = outer
         if inner_exponent is None:
-            inner_exponent = self._fit_inner_exponent()
+            inner_exponent = INF_DECAY if values[0] == 0.0 \
+                else two_point_exponent(grid, values)
         self.inner_exponent = float(inner_exponent)
         self._segments = None
 
@@ -218,14 +221,6 @@ class RadialProfile:
                     outer: OuterExtension | None = None) -> "RadialProfile":
         return RadialProfile(self.grid, values, self.dimension, inner_exponent,
                              self.outer if outer is None else outer)
-
-    def _fit_inner_exponent(self) -> float:
-        v0, v1 = self.values[0], self.values[1]
-        if v0 == 0.0:
-            return INF_DECAY
-        if v1 == 0.0 or v0 * v1 < 0.0:
-            return 0.0
-        return math.log(abs(v1 / v0)) / math.log(self.grid[1] / self.grid[0])
 
     # -- evaluation -------------------------------------------------------------
 

@@ -17,6 +17,29 @@ class DivergentIntegralError(ArithmeticError):
     """Head panel of a cumulative integral diverges at r = 0."""
 
 
+def two_point_exponent(r, v) -> float:
+    """Power e with v[1] = v[0] (r[1]/r[0])^e; 0.0 unless v[0] and v[1] are
+    nonzero with one sign (tested by sign, as a product could underflow)."""
+    v0, v1 = v[0], v[1]
+    if min(v0, v1) > 0.0 or max(v0, v1) < 0.0:
+        return math.log(abs(v1 / v0)) / math.log(r[1] / r[0])
+    return 0.0
+
+
+def windowed_exponent(r, v, window, snap):
+    """Least-squares log-log slope of the first min(window, n // 4) values.
+
+    None when those values hold a zero or change sign; a slope within snap
+    of 0 becomes 0.0.
+    """
+    m = min(window, v.size // 4)
+    head = v[:m]
+    if np.any(head == 0.0) or np.any(head * head[0] < 0.0):
+        return None
+    slope = np.polyfit(np.log(r[:m]), np.log(np.abs(head)), 1)[0]
+    return 0.0 if abs(slope) < snap else float(slope)
+
+
 def cumulative_integral(r, y, head_exponent=None):
     """Cumulative integral F(r_i) = int_0^{r_i} y dr on a positive grid.
 
@@ -36,10 +59,7 @@ def cumulative_integral(r, y, head_exponent=None):
         out[0] = 0.0
     else:
         if head_exponent is None:
-            if y[1] != 0.0 and y[0] * y[1] > 0.0:
-                head_exponent = math.log(y[1] / y[0]) / math.log(r[1] / r[0])
-            else:
-                head_exponent = 0.0
+            head_exponent = two_point_exponent(r, y)
         if head_exponent <= -1.0:
             raise DivergentIntegralError(
                 f"head exponent {head_exponent:.3f} <= -1 with nonzero value at r_min")

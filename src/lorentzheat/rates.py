@@ -417,13 +417,6 @@ class RateEstimate:
     window: tuple[float, float]
     model: str
 
-    def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.amplitude * t ** self.exponent
-        if self.log_power:
-            out = out * np.log(t) ** self.log_power
-        return out
-
 
 def fit_rate(ts, values, model: str = "auto") -> RateEstimate:
     """Least squares in log-log coordinates.

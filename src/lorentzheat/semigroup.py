@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 
 from .harmonic import HarmonicProfile, derivative_h
 from .params import INF, INF_DECAY, LorentzParams, RadialProfile
-from .quadrature import radial_derivative_values
+from .quadrature import radial_derivative_values, windowed_exponent
 
 
 @dataclass(frozen=True)
@@ -254,28 +254,14 @@ def radial_derivative(state: ModeState, alpha: int) -> RadialProfile:
     for j in range(alpha + 1):
         hj = hk.values if j == 0 else derivative_h(hk, j).values
         acc += math.comb(alpha, j) * hj * wd[alpha - j]
+    # deep sub-resolution cells carry a percent-level systematic tilt from
+    # the quasi-static advance, so two-point fits are meaningless there: a
+    # windowed fit averages the tilt, and slopes inside the snap band become
+    # flat extensions, since the estimate layer reports lower bounds and must
+    # not extrapolate a singularity it cannot resolve (genuine singular
+    # exponents on this corpus sit well outside the band)
     return RadialProfile(r, acc, hk.spec.dimension,
-                         inner_exponent=_robust_inner_exponent(r, acc))
-
-
-def _robust_inner_exponent(r, vals, window=32, snap=0.15):
-    """Windowed log-log slope of the leading profile values.
-
-    Deep sub-resolution cells carry a percent-level systematic tilt from
-    the quasi-static advance, so two-point fits are meaningless there.  A
-    windowed fit averages the tilt, and slopes inside the snap band become
-    flat extensions: the estimate layer reports lower bounds, so it must
-    not extrapolate a singularity it cannot resolve (genuine singular
-    exponents on this corpus sit well outside the band).
-    """
-    m = min(window, vals.size // 4)
-    head = vals[:m]
-    if np.any(head == 0.0) or np.any(head * head[0] < 0.0):
-        return None  # fall back to the constructor's local fit
-    slope = np.polyfit(np.log(r[:m]), np.log(np.abs(head)), 1)[0]
-    if abs(slope) < snap:
-        return 0.0
-    return float(slope)
+                         inner_exponent=windowed_exponent(r, acc, 32, 0.15))
 
 
 def norm_on_region(profile: RadialProfile, q, theta, region) -> float:

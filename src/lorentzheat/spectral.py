@@ -170,22 +170,6 @@ class PotentialSpec:
                    label=f"inverse_power(a={a:g},kappa={kappa:g})",
                    params={"amplitude": a, "kappa": kappa})
 
-    @classmethod
-    def from_table(cls, dimension: int, radii, samples, lambda1, rho1,
-                   lambda2, rho2, smoothness=1) -> "PotentialSpec":
-        """Table-driven potential; V interpolated as r^2 V piecewise-linear in log r."""
-        radii = np.asarray(radii, dtype=float)
-        samples = np.asarray(samples, dtype=float)
-        logr = np.log(radii)
-        r2v = radii ** 2 * samples
-
-        def v(r):
-            r = np.asarray(r, dtype=float)
-            return np.interp(np.log(r), logr, r2v) / r ** 2
-
-        return cls(dimension, "table", lambda1, rho1, lambda2, rho2, smoothness,
-                   v, None, label="table")
-
     def v_k(self, r, k: int):
         """Mode potential V(r) + omega_k r^-2."""
         r = np.asarray(r, dtype=float)

@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="20 sqrt"):
             parse_config("time.t_max = 1e6\ngrid.r_max = 1e3")
 
+    def test_alpha_above_k_max_rejected(self):
+        # upper_envelope_J of order alpha needs h_k for every k <= alpha
+        with pytest.raises(ConfigError, match=r"alphas .* modes\.k_max"):
+            parse_config("alphas = 0,1,3\nmodes.k_max = 2")
+        assert parse_config("alphas = 0,1,3\nmodes.k_max = 3")["alphas"] == [0, 1, 3]
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nseed = 7  # trailing\n")
         assert cfg["seed"] == 7
@@ -120,6 +126,65 @@ class TestCommands:
         assert "PASS" in text and "FAIL" not in text
 
 
+    def test_verify_two_sided_writes_four_columns(self, tmp_path):
+        cfgtext = FAST_COMMON + "potential.kind = zero\nalphas = 0,1,3\n" \
+            "modes.k_max = 3\n"
+        code, out = run_cli(tmp_path, cfgtext, "verify", "T1.1")
+        assert code == 0
+        files = sorted(p.name for p in out.glob("T1.1_*.dat"))
+        # the two-sided envelope covers orders <= 2 only: no row for alpha = 3
+        assert files == ["T1.1_0_p1qinfs1tinf.dat", "T1.1_1_p1qinfs1tinf.dat"]
+        for name in files:
+            assert np.loadtxt(out / name).shape[1] == 4
+        with (out / "verdicts_T1.1.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[1].split()[0] for r in rows] == ["alpha=0", "alpha=1"]
+        assert all(r[2] == "PASS" for r in rows)
+        manifest = (out / "manifest.txt").read_text()
+        for name in files + ["verdicts_T1.1.csv"]:
+            assert f"file {name} sha256=" in manifest
+
+    def test_verify_upper_writes_three_columns_and_constants(self, tmp_path):
+        cfgtext = FAST_COMMON + "potential.lambda = 2.0\nalphas = 0,1\n" \
+            "lorentz = 1,inf,1,inf; 2,inf,2,inf\n"
+        code, out = run_cli(tmp_path, cfgtext, "verify", "T3.1")
+        assert code == 0
+        files = sorted(p.name for p in out.glob("T3.1_*.dat"))
+        assert len(files) == 4
+        manifest = (out / "manifest.txt").read_text()
+        for name in files:
+            assert np.loadtxt(out / name).shape[1] == 3
+            assert f"file {name} sha256=" in manifest
+            alpha, slug = name[len("T3.1_"):-len(".dat")].split("_")
+            assert f"constant T3.1_C_alpha{alpha}_{slug} = " in manifest
+        assert "file verdicts_T3.1.csv sha256=" in manifest
+
+    def test_verify_family_rate_fits_the_predicted_model(self, tmp_path):
+        # Theorem 7.3 predicts a pure power for kappa > N; a free log factor
+        # fits -0.8148 (log +0.52) on this window and fails the rate
+        cfgtext = """
+dimension = 3
+potential.kind = inverse_power
+potential.kappa = 4.0
+grid.r_min = 1e-8
+grid.r_max = 1e4
+grid.points = 768
+modes.k_max = 2
+time.t_min = 30
+time.t_max = 3000
+time.points_per_decade = 4
+family.j_max = 3
+lorentz = 2,inf,2,inf
+alphas = 1
+"""
+        code, out = run_cli(tmp_path, cfgtext, "verify", "T7.3")
+        assert code == 0
+        with (out / "verdicts_T7.3.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 1 and rows[0][2] == "PASS"
+        assert "(log +0.00) vs predicted -0.7500" in rows[0][3]
+
+
 class TestDeterminism:
     CFG = FAST_COMMON + "potential.lambda = 2.0\ntime.t_max = 10\n" \
         "time.points_per_decade = 2\n"
@@ -170,6 +235,21 @@ class TestReport:
             first = list(csv.reader(fh))[1]
         assert first[:3] == ["T4.2", "alpha=0 (1,1)->(inf,inf)", "PASS"]
         assert "T4.2 alpha=0 (1,1)->(inf,inf) PASS" in (out / "summary.txt").read_text()
+
+    def test_report_exits_3_on_fail_and_2_on_integrity_error(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "run.cfg").write_text("")
+        cli.write_csv(out / "verdicts_T7.3.csv", "theorem,subject,status,detail",
+                      [("T7.3", "alpha=1 (2,2)->(inf,inf)", "FAIL", "fitted"),
+                       ("T7.3", "alpha=0 (2,2)->(inf,inf)", "PASS", "fitted")])
+        argv = ["--config", str(tmp_path / "run.cfg"), "--out", str(out), "report"]
+        assert cli.main(argv) == 3
+        assert "T7.3 alpha=1 (2,2)->(inf,inf) FAIL" in (out / "summary.txt").read_text()
+        # an integrity error outranks a FAIL verdict
+        (out / "manifest.txt").write_text("file gone.dat sha256=00\n")
+        assert cli.main(argv) == 2
+        assert "INTEGRITY missing gone.dat" in (out / "summary.txt").read_text()
 
     def test_report_detects_tampering(self, tmp_path):
         cfgtext = FAST_COMMON + "potential.lambda = 2.0\n"

@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from lorentzheat.params import INF_DECAY, RadialProfile
+from lorentzheat.quadrature import (
+    cumulative_integral,
+    two_point_exponent,
+    windowed_exponent,
+)
+
+GRID = np.geomspace(1e-3, 1e2, 64)
+
+
+class TestTwoPointExponent:
+    def test_exact_on_powers_of_either_sign(self):
+        for c in (3.0, -0.5):
+            e = two_point_exponent(GRID, c * GRID ** 1.5)
+            assert e == pytest.approx(1.5, rel=1e-12)
+
+    def test_zero_or_sign_change_gives_flat(self):
+        for v in ((0.0, 1.0), (1.0, 0.0), (1.0, -2.0), (-1.0, 2.0)):
+            assert two_point_exponent(GRID, np.array(v)) == 0.0
+
+    def test_underflowing_product_still_fits(self):
+        # y0 * y1 underflows to 0.0; the signs still agree
+        y = 1e-170 * GRID ** 2
+        assert y[0] * y[1] == 0.0
+        assert two_point_exponent(GRID, y) == pytest.approx(2.0, rel=1e-12)
+        head = cumulative_integral(GRID, y)[0]
+        assert head == pytest.approx(y[0] * GRID[0] / 3.0, rel=1e-12)
+
+    def test_profile_keeps_its_zero_rule(self):
+        vals = np.ones_like(GRID)
+        vals[0] = 0.0
+        assert RadialProfile(GRID, vals, 3).inner_exponent == INF_DECAY
+        assert RadialProfile(GRID, GRID ** 2, 3).inner_exponent == pytest.approx(2.0)
+
+
+class TestWindowedExponent:
+    def test_slope_of_a_power_and_snap(self):
+        assert windowed_exponent(GRID, GRID ** 0.5, 16, 0.02) == pytest.approx(0.5)
+        assert windowed_exponent(GRID, -GRID ** 0.5, 16, 0.02) == pytest.approx(0.5)
+        assert windowed_exponent(GRID, GRID ** 0.1, 16, 0.15) == 0.0
+
+    def test_zero_or_sign_change_defers(self):
+        vals = GRID ** 0.5
+        vals[3] = 0.0
+        assert windowed_exponent(GRID, vals, 16, 0.02) is None
+        vals[3] = -1.0
+        assert windowed_exponent(GRID, vals, 16, 0.02) is None
+        # values past the window are not read
+        vals = GRID ** 0.5
+        vals[20:] = 0.0
+        assert windowed_exponent(GRID, vals, 16, 0.02) == pytest.approx(0.5)
