@@ -135,6 +135,11 @@ def _validate_config(v):
         raise ConfigError(f"unknown potential.kind {v['potential.kind']!r}")
     if any(a < 0 for a in v["alphas"]):
         raise ConfigError("alphas must be nonnegative")
+    for key, ks in (("modes.scan", v["modes.scan"]), ("evolve.k", [v["evolve.k"]])):
+        bad = [k for k in ks if not 0 <= k <= v["modes.k_max"]]
+        if bad:
+            raise ConfigError(
+                f"{key} holds {bad[0]}, outside 0..modes.k_max = {v['modes.k_max']}")
     if max(v["alphas"], default=0) > v["modes.k_max"]:
         raise ConfigError(
             f"alphas reach {max(v['alphas'])} > modes.k_max = {v['modes.k_max']}: "
@@ -212,14 +217,35 @@ class Manifest:
         self.files.append((path.name, digest))
 
     def write(self):
+        """Write manifest.txt; the constant, warning and file lines of an
+        earlier manifest there are kept unless this command rewrote them."""
+        own = {
+            "constant": [f"constant {n} = {_fmt(v)}" for n, v in self.constants],
+            "warning": [f"warning {w}" for w in self.warnings],
+            "file": [f"file {name} sha256={digest}" for name, digest in self.files],
+        }
+        path = self.out_dir / "manifest.txt"
+        earlier = path.read_text().splitlines() if path.exists() else []
+        rewritten = {_manifest_key(line) for lines in own.values() for line in lines}
         lines = [f"artifact = lorentzheat {__version__}",
                  f"config_sha256 = {self.config_sha}",
                  f"seed = {self.seed}",
                  f"wall_clock_seconds = {time.monotonic() - self.started:.3f}"]
-        lines += [f"constant {n} = {_fmt(v)}" for n, v in self.constants]
-        lines += [f"warning {w}" for w in self.warnings]
-        lines += [f"file {name} sha256={digest}" for name, digest in self.files]
-        (self.out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+        for kind, kind_lines in own.items():
+            lines += [line for line in earlier if line.startswith(kind + " ")
+                      and _manifest_key(line) not in rewritten]
+            lines += kind_lines
+        path.write_text("\n".join(lines) + "\n")
+
+
+def _manifest_key(line: str) -> str:
+    """What a manifest line is about: a constant's or a file's name, or the
+    whole line of a warning."""
+    if line.startswith("constant "):
+        return line.partition(" = ")[0]
+    if line.startswith("file "):
+        return line.rpartition(" sha256=")[0]
+    return line
 
 
 def write_csv(path: Path, header: str, rows) -> None:
@@ -231,8 +257,11 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def write_columns(path: Path, *columns) -> None:
-    rows = zip(*columns)
-    path.write_text("\n".join(" ".join(_fmt(c) for c in row) for row in rows) + "\n")
+    """Space-separated float columns, one row per line.  '%.10e' renders
+    inf, -inf and nan as _fmt does."""
+    row = " ".join([_FMT] * len(columns))
+    values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    path.write_text("\n".join([row % v for v in values]) + "\n")
 
 
 def _tuple_slug(lp: LorentzParams) -> str:
@@ -344,10 +373,10 @@ def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     if ts.size == 0:
         manifest.add_warning("empty time range: no scan rows")
     for k in cfg["modes.scan"]:
+        ps.h(k)  # a failed profile solve fails the command, not just this scan
         try:
             table = _empirical_table(cfg, ps, k, alphas, lps, ts)
-        except (harmonic.HarmonicSolveError, ArithmeticError,
-                np.linalg.LinAlgError) as exc:
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
             manifest.add_warning(f"mode k={k} scan failed: {exc}")
             continue
         for i, lp in enumerate(lps):
@@ -517,6 +546,8 @@ def cmd_report(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     write_csv(out / "summary.csv", "theorem,subject,status,detail",
               [tuple(r) for r in rows] +
               [(tid, "", "MISSING", "") for tid in missing])
+    manifest.add_file(out / "summary.txt")
+    manifest.add_file(out / "summary.csv")
     print(text, end="")
     if integrity:
         print("integrity error: " + "; ".join(integrity))

@@ -314,13 +314,17 @@ def doubling_constant(hp: HarmonicProfile) -> float:
 
 @dataclass
 class ProfileSet:
-    """Potential spec, exponent table, and solved profiles for k <= k_max."""
+    """Potential spec, exponent table, and the profiles h_k for k <= k_max.
+
+    Each h_k is solved the first time it is asked for, so a command pays
+    only for the modes it reads.
+    """
 
     spec: spectral.PotentialSpec
     table: spectral.ExponentTable
     criticality: str
-    hks: dict[int, HarmonicProfile]
     grid: np.ndarray
+    _hks: dict = field(default_factory=dict, repr=False)
     _iterated: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -337,18 +341,25 @@ class ProfileSet:
             raise spectral.SpectralError(
                 "positive-critical operators are rejected by the semigroup layer")
         table = spectral.exponent_table(spec, criticality, k_max)
-        hks = {k: solve_h(spec, k, grid) for k in range(k_max + 1)}
-        table.c = np.array([hks[k].c if hks[k].c is not None else np.nan
-                            for k in range(k_max + 1)])
-        return cls(spec, table, criticality, hks, np.asarray(grid, dtype=float))
+        return cls(spec, table, criticality, np.asarray(grid, dtype=float))
 
     def h(self, k: int) -> HarmonicProfile:
-        return self.hks[k]
+        """h_k, solved on first use; KeyError outside 0..k_max."""
+        if k not in self._hks:
+            if not 0 <= k <= self.table.k_max:
+                raise KeyError(k)
+            self._hks[k] = solve_h(self.spec, k, self.grid)
+        return self._hks[k]
+
+    @property
+    def hks(self) -> dict[int, HarmonicProfile]:
+        """Every mode k <= k_max, solved."""
+        return {k: self.h(k) for k in range(self.table.k_max + 1)}
 
     def iterated(self, k: int, n: int):
         """Cached I_k^n bundles (lazily built)."""
         from . import iterated as it
         key = (k, n)
         if key not in self._iterated:
-            self._iterated[key] = it.iterate_I(self.hks[k], n)
+            self._iterated[key] = it.iterate_I(self.h(k), n)
         return self._iterated[key]

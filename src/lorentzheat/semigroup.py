@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .harmonic import HarmonicProfile, derivative_h
 from .params import INF, INF_DECAY, LorentzParams, RadialProfile
@@ -81,35 +81,67 @@ class _Operator:
         self.cond = np.sqrt(weight[:-1] * weight[1:]) / np.diff(r)
         self.mass = _cell_masses(r, weight,
                                  head_exponent=2.0 * hk.inner_exponent + n - 1.0)
+        # conductance of each cell's left and right face (none at the ends)
+        self.cl = np.concatenate(([0.0], self.cond))
+        self.cr = np.concatenate((self.cond, [0.0]))
 
-    def apply(self, w):
-        """Flux divergence divided by cell mass (the semigroup generator)."""
-        flux = self.cond[:, None] * np.diff(w, axis=0)
-        out = np.empty_like(w)
-        out[0] = flux[0]
-        out[1:-1] = flux[1:] - flux[:-1]
-        out[-1] = -flux[-1]
-        out /= self.mass[:, None]
-        if self.boundary == "absorbing":
-            out[-1] = 0.0
-        return out
 
-    def step_matrix(self, theta, dt):
-        m = self.mass.size
-        ab = np.zeros((3, m))
-        cl = np.zeros(m)
-        cr = np.zeros(m)
-        cr[:-1] = self.cond
-        cl[1:] = self.cond
-        tl = theta * dt * cl / self.mass
-        tr = theta * dt * cr / self.mass
-        ab[1] = 1.0 + tl + tr  # shares the exact fp terms of the off-diagonals
-        ab[0, 1:] = -tr[:-1]
-        ab[2, :-1] = -tl[1:]
-        if self.boundary == "absorbing":
-            ab[1, -1] = 1.0
-            ab[2, -2] = 0.0
-        return ab
+class _ThetaStepper:
+    """Implicit theta steps of the columns of w, in reused buffers.
+
+    A step solves (1 - theta dt G) w' = w + (1 - theta) dt G w, G the flux
+    divergence over cell mass, with LAPACK's tridiagonal dgtsv.  The band
+    vectors and the Fortran-ordered w / rhs pair are allocated once and
+    refilled with out= ufuncs, in the operations and order of a fresh
+    assembly, so the bits do not depend on the reuse.
+    """
+
+    def __init__(self, op: _Operator, w: np.ndarray):
+        """w: the Fortran-ordered start columns, taken over as a buffer."""
+        m, ncol = w.shape
+        self.op, self.w = op, w
+        self.absorbing = op.boundary == "absorbing"
+        self.rhs = np.empty_like(w, order="F")
+        self.flux = np.empty((m - 1, ncol), order="F")
+        self.tl, self.tr, self.d = np.empty((3, m))
+        self.dl, self.du = np.empty((2, m - 1))
+
+    def step(self, theta: float, dt: float) -> np.ndarray:
+        """Advance w by one step; returns the new w (a buffer: copy to keep)."""
+        op, w, rhs = self.op, self.w, self.rhs
+        s = theta * dt
+        tl = np.divide(np.multiply(s, op.cl, out=self.tl), op.mass, out=self.tl)
+        tr = np.divide(np.multiply(s, op.cr, out=self.tr), op.mass, out=self.tr)
+        d = np.add(np.add(1.0, tl, out=self.d), tr, out=self.d)
+        np.negative(tl[1:], out=self.dl)
+        np.negative(tr[:-1], out=self.du)
+        if self.absorbing:
+            d[-1] = 1.0
+            self.dl[-1] = 0.0
+        if theta >= 1.0:
+            np.copyto(rhs, w)
+        else:
+            # rhs = w + ((1 - theta) dt) G(w), G assembled in place in rhs
+            flux = np.multiply(op.cond[:, None],
+                               np.subtract(w[1:], w[:-1], out=self.flux),
+                               out=self.flux)
+            rhs[0] = flux[0]
+            np.subtract(flux[1:], flux[:-1], out=rhs[1:-1])
+            np.negative(flux[-1], out=rhs[-1])
+            np.divide(rhs, op.mass[:, None], out=rhs)
+            np.multiply((1.0 - theta) * dt, rhs, out=rhs)
+            np.add(w, rhs, out=rhs)
+        if self.absorbing:
+            rhs[-1] = 0.0
+        # every band entry is a term of d = (1 + tl) + tr, so a finite d
+        # means a finite band
+        if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        *_, x, info = dgtsv(self.dl, d, self.du, rhs, 1, 1, 1, 1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        self.w, self.rhs = x, w
+        return x
 
 
 def _cell_masses(r, weight, head_exponent):
@@ -173,11 +205,11 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
     oscillations, and positivity / outer-boundary contamination are
     monitored rather than silently ignored.
     """
-    w = np.atleast_2d(np.asarray(w0, dtype=float).T).T.copy()
-    op = _Operator(hk, scheme.boundary)
+    w = np.array(np.atleast_2d(np.asarray(w0, dtype=float).T).T, order="F")
     targets, steps = _time_schedule(t_targets, scheme)
     if scheme.boundary == "absorbing":
         w[-1] = 0.0
+    stepper = _ThetaStepper(_Operator(hk, scheme.boundary), w)
     out = []
     warnings = []
     r = hk.grid
@@ -186,12 +218,7 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
     t = 0.0
     for step_index, (dt, emit) in enumerate(steps):
         theta = 1.0 if step_index < scheme.rannacher_steps else scheme.theta
-        rhs = w if theta >= 1.0 else w + (1.0 - theta) * dt * op.apply(w)
-        ab = op.step_matrix(theta, dt)
-        if scheme.boundary == "absorbing":
-            rhs = rhs.copy()
-            rhs[-1] = 0.0
-        w = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=False)
+        w = stepper.step(theta, dt)
         t += dt
         if emit:
             t = targets[len(out)]

@@ -205,7 +205,6 @@ class ExponentTable:
     A1: np.ndarray
     A2: np.ndarray
     B: np.ndarray
-    c: np.ndarray | None = None  # fitted far-field constants, filled later
 
     def row(self, k: int) -> dict:
         return {

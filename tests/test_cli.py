@@ -1,9 +1,11 @@
 import csv
+import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from lorentzheat import cli
+from lorentzheat import cli, harmonic
 from lorentzheat.cli import ConfigError, parse_config
 from lorentzheat.params import INF
 
@@ -54,6 +56,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"alphas .* modes\.k_max"):
             parse_config("alphas = 0,1,3\nmodes.k_max = 2")
         assert parse_config("alphas = 0,1,3\nmodes.k_max = 3")["alphas"] == [0, 1, 3]
+
+    @pytest.mark.parametrize("key, value", [("modes.scan", "0,2"),
+                                            ("modes.scan", "-1"),
+                                            ("evolve.k", "3"),
+                                            ("evolve.k", "-1")])
+    def test_mode_outside_k_max_rejected(self, key, value, tmp_path, capsys):
+        # ProfileSet.h raises KeyError outside 0..k_max; the config catches it
+        text = f"{key} = {value}\nmodes.k_max = 1\n"
+        with pytest.raises(ConfigError, match=re.escape(key) + r" .*modes\.k_max"):
+            parse_config(text)
+        command = "evolve" if key == "evolve.k" else "norm-scan"
+        code, _ = run_cli(tmp_path, text, command)
+        assert code == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert parse_config(f"{key} = 1\nmodes.k_max = 1")[key] in (1, [1])
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nseed = 7  # trailing\n")
@@ -124,6 +141,17 @@ class TestCommands:
         assert code == 0
         text = (out / "verdicts_T4.2.csv").read_text()
         assert "PASS" in text and "FAIL" not in text
+
+    def test_verify_solves_only_the_mode_it_reads(self, tmp_path, monkeypatch):
+        calls = []
+        eager = harmonic.solve_h
+        monkeypatch.setattr(harmonic, "solve_h",
+                            lambda spec, k, grid=None: calls.append(k) or
+                            eager(spec, k, grid))
+        cfgtext = FAST_COMMON + "potential.lambda = 2.0\nmodes.k_max = 6\n"
+        code, _ = run_cli(tmp_path, cfgtext, "verify", "T4.2")
+        assert code == 0
+        assert calls == [0]
 
 
     def test_verify_two_sided_writes_four_columns(self, tmp_path):
@@ -199,6 +227,21 @@ class TestDeterminism:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_only_a_mode_that_is_read_can_fail_the_run(self, tmp_path, monkeypatch):
+        eager = harmonic.solve_h
+
+        def failing_mode_1(spec, k, grid=None):
+            if k == 1:
+                raise harmonic.HarmonicSolveError("mode 1 integration failed")
+            return eager(spec, k, grid)
+
+        monkeypatch.setattr(harmonic, "solve_h", failing_mode_1)
+        code, out = run_cli(tmp_path / "a", self.CFG, "norm-scan")
+        assert code == 0 and list(out.glob("norm_scan_k0_*.csv"))
+        code, out = run_cli(tmp_path / "b", self.CFG + "modes.scan = 1\n",
+                            "norm-scan")
+        assert code == 2 and not list(out.glob("norm_scan_*.csv"))
+
     def test_csv_schema(self, tmp_path):
         _, out = run_cli(tmp_path, self.CFG, "norm-scan")
         csv = next(out.glob("norm_scan_*.csv")).read_text().splitlines()
@@ -251,6 +294,52 @@ class TestReport:
         assert cli.main(argv) == 2
         assert "INTEGRITY missing gone.dat" in (out / "summary.txt").read_text()
 
+    def test_tampering_detected_after_repeated_reports(self, tmp_path):
+        # each report rewrites manifest.txt; the verify file lines must stay
+        cfgtext = FAST_COMMON + "potential.lambda = 2.0\n"
+        _, out = run_cli(tmp_path, cfgtext, "verify", "T4.2")
+        argv = ["--config", str(tmp_path / "run.cfg"), "--out", str(out), "report"]
+        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0
+        listed = [line.split()[1] for line in
+                  (out / "manifest.txt").read_text().splitlines()
+                  if line.startswith("file ")]
+        victim = next(out.glob("T4.2_*.dat"))
+        assert sorted(listed) == sorted(
+            [victim.name, "verdicts_T4.2.csv", "summary.txt", "summary.csv"])
+        victim.write_text("tampered\n")
+        assert cli.main(argv) == 2
+        assert "checksum mismatch" in (out / "summary.txt").read_text()
+
+    def test_manifest_keeps_lines_of_other_commands(self, tmp_path):
+        out = tmp_path
+        (out / "a.dat").write_text("1\n")
+        (out / "b.dat").write_text("2\n")
+        first = cli.Manifest(out, "sha", 0)
+        first.add_constant("x", 1.0)
+        first.add_constant("y", 2.0)
+        first.add_warning("old warning")
+        first.add_file(out / "a.dat")
+        first.add_file(out / "b.dat")
+        first.write()
+        (out / "b.dat").write_text("3\n")
+        second = cli.Manifest(out, "sha2", 1)
+        second.add_constant("y", 4.0)
+        second.add_warning("new warning")
+        second.add_file(out / "b.dat")
+        second.write()
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[1:3] == ["config_sha256 = sha2", "seed = 1"]
+        body = [line for line in lines if not line.startswith(
+            ("artifact", "config_sha256", "seed", "wall_clock"))]
+        b_digest = hashlib.sha256(b"3\n").hexdigest()
+        a_digest = hashlib.sha256(b"1\n").hexdigest()
+        assert body == ["constant x = 1.0000000000e+00",
+                        "constant y = 4.0000000000e+00",
+                        "warning old warning", "warning new warning",
+                        f"file a.dat sha256={a_digest}",
+                        f"file b.dat sha256={b_digest}"]
+
     def test_report_detects_tampering(self, tmp_path):
         cfgtext = FAST_COMMON + "potential.lambda = 2.0\n"
         _, out = run_cli(tmp_path, cfgtext, "verify", "T4.2")
@@ -260,3 +349,27 @@ class TestReport:
                          "--out", str(out), "report"])
         assert code == 2
         assert "checksum mismatch" in (out / "summary.txt").read_text()
+
+
+def _fmt_join_columns(path, *columns):
+    """The per-element writer that write_columns replaced."""
+    rows = zip(*columns)
+    path.write_text("\n".join(" ".join(cli._fmt(c) for c in row)
+                              for row in rows) + "\n")
+
+
+class TestWriteColumns:
+    def test_matches_per_element_formatting(self, tmp_path):
+        special = [INF, -INF, np.nan, 0.0, -0.0, 5e-324, -5e-324,
+                   1.7976931348623157e308, 2.2250738585072014e-308, 1.0, -1.0,
+                   0.1, 1e-8, 123456789.0]
+        rng = np.random.default_rng(3)
+        a = np.array(special + list(rng.standard_normal(50) * 10.0 ** rng.integers(
+            -300, 300, 50)))
+        b = np.roll(a, 5)
+        c = np.geomspace(1e-8, 1e4, a.size)
+        for cols in ((a,), (a, b), (c, a, b), (c[:0], a[:0])):
+            cli.write_columns(tmp_path / "new.dat", *cols)
+            _fmt_join_columns(tmp_path / "old.dat", *cols)
+            assert (tmp_path / "new.dat").read_bytes() == \
+                (tmp_path / "old.dat").read_bytes()

@@ -225,3 +225,51 @@ class TestProfileSet:
             lambda r: np.full_like(np.asarray(r, float), -40.0))
         with pytest.raises(harmonic.NonpositiveSolutionError):
             solve_h(spec, 0, make_grid(1e-4, 1e3, 1024))
+
+
+class TestLazyProfiles:
+    SPEC = spectral.PotentialSpec.hardy(3, 2.0)
+    SMALL = make_grid(1e-6, 1e3, 512)
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Modes handed to harmonic.solve_h, in call order."""
+        calls = []
+        eager = harmonic.solve_h
+
+        def counting(spec, k, grid=None, **kwargs):
+            calls.append(k)
+            return eager(spec, k, grid, **kwargs)
+
+        monkeypatch.setattr(harmonic, "solve_h", counting)
+        return calls
+
+    def test_build_solves_nothing(self, solved):
+        ps = ProfileSet.build(self.SPEC, k_max=6, grid=self.SMALL)
+        assert solved == []
+        assert ps.table.k_max == 6
+
+    def test_mode_solved_once(self, solved):
+        ps = ProfileSet.build(self.SPEC, k_max=6, grid=self.SMALL)
+        assert ps.h(0) is ps.h(0)
+        ps.iterated(0, 0)
+        assert solved == [0]
+
+    def test_modes_outside_table_raise(self, solved):
+        ps = ProfileSet.build(self.SPEC, k_max=2, grid=self.SMALL)
+        for k in (3, -1):
+            with pytest.raises(KeyError):
+                ps.h(k)
+        assert solved == []
+
+    def test_hks_equal_eager_solves(self, solved):
+        ps = ProfileSet.build(self.SPEC, k_max=2, grid=self.SMALL)
+        ps.h(1)
+        hks = ps.hks
+        assert sorted(hks) == [0, 1, 2] and sorted(solved) == [0, 1, 2]
+        for k, hp in hks.items():
+            eager = solve_h(self.SPEC, k, self.SMALL)
+            assert np.array_equal(hp.values, eager.values)
+            assert np.array_equal(hp.hprime, eager.hprime)
+            assert hp.c == eager.c and hp.fit_residual == eager.fit_residual
+            assert hp.fitted_outer_exponent == eager.fitted_outer_exponent
