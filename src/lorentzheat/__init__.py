@@ -14,15 +14,10 @@ from .params import (  # noqa: F401
     LorentzParams,
     OuterExtension,
     RadialProfile,
-    decreasing_rearrangement,
-    distribution_function,
     holder_conjugate,
-    lorentz_norm,
-    lorentz_norm_on_ball,
     power_membership,
     power_norm_asymptotic,
     unit_ball_volume,
-    validate_lambda,
 )
 from .spectral import (  # noqa: F401
     ExponentTable,

@@ -11,7 +11,8 @@ exactly (A(A+N-2) = lambda_1 + omega_k), leaving
 
 which is integrated in x = log r with an adaptive embedded Runge-Kutta
 pair.  Far-field exponents are fitted on the last grid decade and matched
-against the characteristic roots.
+against the characteristic roots; the match of h_0 is what
+`spectral.classify_criticality` reads.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .params import INF, RadialProfile, OuterExtension, power_membership
 from .quadrature import cumulative_integral, make_grid
 
 FIT_WINDOW_DECADES = 1.0
+# RK45 tolerances; the absolute one sits far below any profile value
+RTOL = 1e-11
+ATOL = 1e-250
 
 
 class HarmonicSolveError(RuntimeError):
@@ -75,8 +79,16 @@ class HarmonicProfile:
     __call__ = eval
 
 
-def solve_h(spec: spectral.PotentialSpec, k: int, grid=None, rtol=1e-11,
-            atol=1e-250) -> HarmonicProfile:
+def _g_reaches_zero(xv, y):
+    """Terminal solve_ivp event: g, and with it h, falls to zero."""
+    return y[0]
+
+
+_g_reaches_zero.terminal = True
+_g_reaches_zero.direction = -1
+
+
+def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
     """Integrate the regularized profile equation for mode k on the grid."""
     if grid is None:
         grid = make_grid()
@@ -103,13 +115,16 @@ def solve_h(spec: spectral.PotentialSpec, k: int, grid=None, rtol=1e-11,
         gd0 = coef * spec.rho1 * grid[0] ** spec.rho1
 
     sol = solve_ivp(rhs, (x[0], x[-1]), [g0, gd0], method="RK45",
-                    t_eval=x, rtol=rtol, atol=atol, dense_output=False,
+                    t_eval=x, rtol=RTOL, atol=ATOL, dense_output=False,
+                    events=_g_reaches_zero,
                     first_step=min(1e-3, (x[-1] - x[0]) / 10.0))
     if not sol.success:
         raise HarmonicSolveError(f"mode {k} integration failed: {sol.message}")
     g, gdot = sol.y
-    h = np.exp(a1 * x) * g
-    if np.any(h <= 0.0):
+    # a zero of g stops the solve short (status 1); h can also underflow
+    # to zero while g > 0
+    h = np.exp(a1 * x) * g if sol.status == 0 else None
+    if h is None or np.any(h <= 0.0):
         raise NonpositiveSolutionError(
             f"h_{k} nonpositive on the grid; check nonnegativity/criticality")
     hprime = np.exp((a1 - 1.0) * x) * (a1 * g + gdot)
@@ -135,6 +150,9 @@ def _fit_tail_exponent(grid, h, decades=FIT_WINDOW_DECADES):
 
 
 def _match_outer(spec, k, fitted):
+    """The characteristic root within FIT_TOL of the fitted far-field
+    exponent (A^+, or for k = 0 also A^-), else the fit itself; and the
+    power of the log factor at infinity."""
     n = spec.dimension
     a_plus = spectral.a_exponents(spec.lambda2 + spectral.omega(k, n), n)[0]
     candidates = [a_plus]
@@ -317,7 +335,8 @@ class ProfileSet:
     """Potential spec, exponent table, and the profiles h_k for k <= k_max.
 
     Each h_k is solved the first time it is asked for, so a command pays
-    only for the modes it reads.
+    only for the modes it reads; h_0 of a potential classified from its far
+    field is solved by `build` and kept.
     """
 
     spec: spectral.PotentialSpec
@@ -330,10 +349,16 @@ class ProfileSet:
     @classmethod
     def build(cls, spec: spectral.PotentialSpec, k_max=6, grid=None,
               criticality=None) -> "ProfileSet":
-        if grid is None:
-            grid = make_grid()
+        """Exponent table and criticality; other than for Hardy and zero
+        potentials, classifying solves h_0 on the grid and keeps it."""
+        grid = np.asarray(make_grid() if grid is None else grid, dtype=float)
+        hks = {}
         if criticality is None:
-            criticality = spectral.classify_criticality(spec)
+            outer = None
+            if spec.kind not in spectral.ANALYTIC_KINDS:
+                hks[0] = solve_h(spec, 0, grid)
+                outer = hks[0].outer_exponent
+            criticality = spectral.classify_criticality(spec, outer)
         if criticality == spectral.UNKNOWN:
             raise spectral.AmbiguousClassificationError(
                 "criticality could not be resolved; pass it explicitly")
@@ -341,7 +366,7 @@ class ProfileSet:
             raise spectral.SpectralError(
                 "positive-critical operators are rejected by the semigroup layer")
         table = spectral.exponent_table(spec, criticality, k_max)
-        return cls(spec, table, criticality, np.asarray(grid, dtype=float))
+        return cls(spec, table, criticality, grid, hks)
 
     def h(self, k: int) -> HarmonicProfile:
         """h_k, solved on first use; KeyError outside 0..k_max."""

@@ -22,7 +22,8 @@ import numpy as np
 from .harmonic import HarmonicProfile, derivative_h
 from .params import RadialProfile
 from .quadrature import (DivergentIntegralError, cumulative_integral,
-                         two_point_exponent, windowed_exponent)
+                         radial_derivative_values, two_point_exponent,
+                         windowed_exponent)
 
 
 class SingularSourceError(ValueError):
@@ -150,7 +151,6 @@ def derivative_iterated(itg: IteratedIntegral, ell: int) -> np.ndarray:
         out = itg.fvals - ((n - 1.0) / r) * itg.dI \
             - 2.0 * (hk.hprime / hk.values) * itg.dI
     else:
-        from .quadrature import radial_derivative_values
         base = derivative_iterated(itg, 2)
         out = radial_derivative_values(base, r, order=1) if ell == 3 else \
             radial_derivative_values(base, r, order=2)
@@ -269,14 +269,13 @@ def envelope_nabla_J(hk: HarmonicProfile, itg: IteratedIntegral, alpha: int
 def mode_ode_residual(itg: IteratedIntegral, interior=(4, 4)) -> float:
     """Max relative residual of L_k (h_k I_k[f]) = h_k f on the grid interior,
     with all derivatives taken by independent finite differences."""
-    from .quadrature import radial_derivative_values
     hk = itg.source
     r = hk.grid
     n = hk.spec.dimension
     u = hk.values * itg.values
     lo, hi = interior
-    u1 = radial_derivative_values(u, r, order=1, acc=4)
-    u2 = radial_derivative_values(u, r, order=2, acc=4)
+    u1 = radial_derivative_values(u, r, order=1)
+    u2 = radial_derivative_values(u, r, order=2)
     vk = hk.spec.v_k(r, hk.k)
     lhs = u2 + (n - 1.0) / r * u1 - vk * u
     rhs = hk.values * itg.fvals

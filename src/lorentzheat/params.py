@@ -108,11 +108,6 @@ class LorentzParams:
         return f"({fmt(self.p)},{fmt(self.sigma)})->({fmt(self.q)},{fmt(self.theta)})"
 
 
-def validate_lambda(p, q, sigma, theta) -> LorentzParams:
-    """Validate a full tuple; raises LambdaMembershipError naming the clause."""
-    return LorentzParams(p, q, sigma, theta)
-
-
 def validate_pair(p, sigma) -> tuple[float, float]:
     """Validate a single-space pair (p, sigma), i.e. (p, p, sigma, sigma)."""
     lp = LorentzParams(p, p, sigma, sigma)
@@ -210,12 +205,6 @@ class RadialProfile:
             raise ValueError("need 0 < r1 < r2")
         return cls(np.array([r1, r2]), np.array([1.0, 1.0]), dimension,
                    inner_exponent=INF_DECAY)
-
-    @classmethod
-    def from_callable(cls, fn, dimension, r_min=1e-8, r_max=1e4, n_points=2048,
-                      inner_exponent=None, outer: OuterExtension = ZERO_OUTSIDE):
-        grid = np.geomspace(r_min, r_max, n_points)
-        return cls(grid, fn(grid), dimension, inner_exponent, outer)
 
     def with_values(self, values, inner_exponent=None,
                     outer: OuterExtension | None = None) -> "RadialProfile":
@@ -669,27 +658,6 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
         for j, col in enumerate(columns))
     return _SegmentSet(profile.dimension, r0, r1, kind.astype(int),
                        ra, va, expo, slope, icpt)
-
-
-# ---------------------------------------------------------------------------
-# module-level operations mirroring the profile methods
-# ---------------------------------------------------------------------------
-
-
-def distribution_function(phi: RadialProfile, lam: float) -> float:
-    return phi.distribution_function(lam)
-
-
-def decreasing_rearrangement(phi: RadialProfile):
-    return phi.decreasing_rearrangement()
-
-
-def lorentz_norm(phi: RadialProfile, p, sigma) -> float:
-    return phi.lorentz_norm(p, sigma)
-
-
-def lorentz_norm_on_ball(phi: RadialProfile, p, sigma, radius) -> float:
-    return phi.lorentz_norm_on_ball(p, sigma, radius)
 
 
 def power_membership(exponent: float, p: float, sigma: float, dimension: int) -> bool:

@@ -91,12 +91,13 @@ def is_log_uniform(r, tol=1e-8) -> bool:
     return float(np.max(np.abs(h - h[0]))) <= tol * abs(h[0])
 
 
-def _d_du(y, h, order, acc):
-    """Uniform-grid derivative in the log variable."""
+def _d_du(y, h, order):
+    """Uniform-grid derivative in the log variable: fourth-order central
+    stencils inside, second order next to and at the ends."""
     n = y.size
     out = np.empty(n)
     if order == 1:
-        if acc >= 4 and n >= 5:
+        if n >= 5:
             out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
             out[1] = (y[2] - y[0]) / (2 * h)
             out[-2] = (y[-1] - y[-3]) / (2 * h)
@@ -106,7 +107,7 @@ def _d_du(y, h, order, acc):
         out[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * h)
         return out
     if order == 2:
-        if acc >= 4 and n >= 5:
+        if n >= 5:
             out[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2]
                          + 16 * y[3:-1] - y[4:]) / (12 * h * h)
             out[1] = (y[0] - 2 * y[1] + y[2]) / (h * h)
@@ -119,29 +120,22 @@ def _d_du(y, h, order, acc):
     raise ValueError("order must be 1 or 2")
 
 
-def _d_nonuniform(y, x, order):
-    if order == 1:
-        return np.gradient(y, x, edge_order=2)
-    d1 = np.gradient(y, x, edge_order=2)
-    return np.gradient(d1, x, edge_order=2)
+def radial_derivative_values(y, r, order=1):
+    """d^order y / dr^order on the geometric grid r (order in {1, 2}).
 
-
-def radial_derivative_values(y, r, order=1, acc=4):
-    """d^order y / dr^order on the grid r (order in {1, 2}).
-
-    Uses uniform stencils in log r when the grid is geometric, mapped back
-    by dy/dr = (1/r) dy/du and d2y/dr2 = (d2y/du2 - dy/du)/r^2.
+    Uses uniform stencils in u = log r, mapped back by dy/dr = (1/r) dy/du
+    and d2y/dr2 = (d2y/du2 - dy/du)/r^2; any other grid raises ValueError.
     """
     r = np.asarray(r, dtype=float)
     y = np.asarray(y, dtype=float)
-    if is_log_uniform(r):
-        h = math.log(r[1] / r[0])
-        du1 = _d_du(y, h, 1, acc)
-        if order == 1:
-            return du1 / r
-        du2 = _d_du(y, h, 2, acc)
-        return (du2 - du1) / (r * r)
-    return _d_nonuniform(y, r, order)
+    if not is_log_uniform(r):
+        raise ValueError("radial derivatives need a geometric grid")
+    h = math.log(r[1] / r[0])
+    du1 = _d_du(y, h, 1)
+    if order == 1:
+        return du1 / r
+    du2 = _d_du(y, h, 2)
+    return (du2 - du1) / (r * r)
 
 
 def make_grid(r_min=1e-8, r_max=1e4, n_points=4096) -> np.ndarray:

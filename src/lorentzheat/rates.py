@@ -215,9 +215,6 @@ class RatePrediction:
     regime: str                      # 'all-t' | 'large-t' | 'small-t'
     hypotheses: list = field(default_factory=list)  # (clause, ok, detail)
 
-    def failed_clauses(self):
-        return [h for h in self.hypotheses if not h[1]]
-
 
 def _ball_norm_growth(exponent, log_power, q, theta, dimension):
     """(t-exponent, log-power) of || (1+r)^e log^b ||_{L^{q,theta}(B(0,sqrt t))}

@@ -363,7 +363,6 @@ class OperatorNormEstimate:
     t: float
     alpha: int
     params: LorentzParams
-    lower_bound: bool = True
     warnings: tuple = ()
 
 
@@ -413,7 +412,7 @@ def operator_norm_sweep(spec, hk: HarmonicProfile, alphas, lps, t_list,
                     if ratio > best:
                         best, who = ratio, d.label
                 results[(a, i)].append(OperatorNormEstimate(
-                    best, who, t, a, lp, True, tuple(warnings)))
+                    best, who, t, a, lp, tuple(warnings)))
     return results
 
 

@@ -3,7 +3,9 @@
 Everything here is derivable from (lambda_1, lambda_2, N, k) without solving
 an ODE: sphere eigenvalues, eigenspace dimensions, the characteristic
 exponents A^+/-, per-mode exponent tables, and the criticality /
-nonnegativity checks for radial inverse-square potentials.
+nonnegativity checks for radial inverse-square potentials.  Criticality of
+a potential other than Hardy or zero takes one more number, the matched
+far-field exponent of h_0, which the harmonic module solves for.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ UNKNOWN = "unknown"
 # admissibility floor and separation demanded of a criticality exponent fit
 FIT_TOL = 0.05
 ROOT_SEPARATION = 0.2
+
+# potential kinds whose criticality follows from lambda_2 alone
+ANALYTIC_KINDS = ("zero", "hardy")
 
 
 class SpectralError(ValueError):
@@ -238,37 +243,33 @@ def exponent_table(spec: PotentialSpec, criticality: str, k_max: int
     return ExponentTable(n, k_max, criticality, om, dims, a1, a2, b)
 
 
-def classify_criticality(spec: PotentialSpec, solver_kwargs: dict | None = None
-                         ) -> str:
+def classify_criticality(spec: PotentialSpec,
+                         h0_outer_exponent: float | None = None) -> str:
     """Subcritical / null-critical / positive-critical / unknown.
 
-    Hardy and zero potentials are classified analytically.  Otherwise the
-    positive harmonic profile is solved numerically and its far-field
-    exponent matched against the two characteristic roots; this procedure is
-    the package's own device, not a closed-form criterion.
+    Hardy and zero potentials are classified analytically.  Any other kind
+    is classified from the matched far-field exponent of its positive
+    harmonic profile h_0 (`HarmonicProfile.outer_exponent` for k = 0): the
+    root A^+ means subcritical, the root A^- critical, and an unmatched fit
+    or roots closer than ROOT_SEPARATION unknown.  This procedure is the
+    package's own device, not a closed-form criterion.
     """
-    floor = lambda_star(spec.dimension)
+    n = spec.dimension
+    a_plus, a_minus = a_exponents(spec.lambda2, n)
+    critical = NULL_CRITICAL if a_minus > -n / 2.0 else POSITIVE_CRITICAL
     if spec.kind == "zero":
         return SUBCRITICAL
     if spec.kind == "hardy":
-        lam = spec.params["lambda"]
-        if lam > floor:
-            return SUBCRITICAL
-        a_minus = a_exponents(spec.lambda2, spec.dimension)[1]
-        return NULL_CRITICAL if a_minus > -spec.dimension / 2.0 else POSITIVE_CRITICAL
-
-    from . import harmonic  # deferred: harmonic depends on this module
-
-    kwargs = solver_kwargs or {}
-    hp = harmonic.solve_h(spec, 0, **kwargs)
-    fitted = hp.fitted_outer_exponent
-    a_plus, a_minus = a_exponents(spec.lambda2, spec.dimension)
+        return SUBCRITICAL if spec.lambda2 > lambda_star(n) else critical
+    if h0_outer_exponent is None:
+        raise SpectralError(f"potential kind {spec.kind!r} is classified from "
+                            "the far-field exponent of h_0; none was given")
     if abs(a_plus - a_minus) < ROOT_SEPARATION:
         return UNKNOWN
-    if abs(fitted - a_plus) < FIT_TOL:
+    if h0_outer_exponent == a_plus:
         return SUBCRITICAL
-    if abs(fitted - a_minus) < FIT_TOL:
-        return NULL_CRITICAL if a_minus > -spec.dimension / 2.0 else POSITIVE_CRITICAL
+    if h0_outer_exponent == a_minus:
+        return critical
     return UNKNOWN
 
 

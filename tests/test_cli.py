@@ -107,6 +107,29 @@ class TestCommands:
         text = (out / "classify.txt").read_text()
         assert "2 6 5 2 2 0" in text  # A_k = k row at k = 2
 
+    def test_classify_reads_h0_on_the_config_grid(self, tmp_path, monkeypatch):
+        calls = []
+        eager = harmonic.solve_h
+        monkeypatch.setattr(harmonic, "solve_h",
+                            lambda spec, k, grid=None: calls.append(
+                                (k, len(grid))) or eager(spec, k, grid))
+        code, out = run_cli(tmp_path, FAST_COMMON + "potential.kind = inverse_power\n",
+                            "classify")
+        assert code == 0
+        assert calls == [(0, 768)]
+        assert "criticality = subcritical" in (out / "classify.txt").read_text()
+
+    def test_classify_ambiguous_fit_exits_2(self, tmp_path, capsys):
+        # a slow r^-2.5 far field has not settled by r = 1e3: the fitted
+        # exponent of h_0 lies between the roots
+        code, out = run_cli(tmp_path, FAST_COMMON + "potential.kind = inverse_power\n"
+                            "potential.amplitude = 4.0\npotential.kappa = 2.5\n",
+                            "classify")
+        assert code == 2
+        assert "criticality: unknown (exponent fit ambiguous; assert explicitly)" \
+            in capsys.readouterr().out
+        assert not (out / "classify.txt").exists()
+
     def test_harmonic_writes_profiles_and_constants(self, tmp_path):
         code, out = run_cli(tmp_path, FAST_COMMON, "harmonic")
         assert code == 0

@@ -78,8 +78,8 @@ class TestODEResidual:
         spec, k = build()
         hp = solve_h(spec, k, GRID)
         r, h = hp.grid, hp.values
-        h1 = radial_derivative_values(h, r, order=1, acc=4)
-        h2 = radial_derivative_values(h, r, order=2, acc=4)
+        h1 = radial_derivative_values(h, r, order=1)
+        h2 = radial_derivative_values(h, r, order=2)
         vk = spec.v_k(r, k)
         res = h2 + (spec.dimension - 1) / r * h1 - vk * h
         scale = (np.abs(vk) + r ** -2.0) * h
@@ -226,6 +226,26 @@ class TestProfileSet:
         with pytest.raises(harmonic.NonpositiveSolutionError):
             solve_h(spec, 0, make_grid(1e-4, 1e3, 1024))
 
+    def test_failing_solve_stops_at_the_first_zero(self, monkeypatch):
+        # the same potential: h_0 first vanishes near r = 0.5, so the solve
+        # stops there instead of following h through its oscillations
+        results = []
+        eager = harmonic.solve_ivp
+
+        def recording(*args, **kwargs):
+            results.append(eager(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harmonic, "solve_ivp", recording)
+        spec = spectral.PotentialSpec(
+            3, "table", 0.0, 2.0, 0.0, 2.0, 1,
+            lambda r: np.full_like(np.asarray(r, float), -40.0))
+        with pytest.raises(harmonic.NonpositiveSolutionError):
+            solve_h(spec, 0, make_grid(1e-4, 1e3, 1024))
+        (sol,) = results
+        assert sol.status == 1
+        assert sol.t[-1] < 0.0 and sol.nfev < 20000
+
 
 class TestLazyProfiles:
     SPEC = spectral.PotentialSpec.hardy(3, 2.0)
@@ -248,6 +268,23 @@ class TestLazyProfiles:
         ps = ProfileSet.build(self.SPEC, k_max=6, grid=self.SMALL)
         assert solved == []
         assert ps.table.k_max == 6
+
+    def test_far_field_classification_solves_h0_once(self, solved):
+        spec = spectral.PotentialSpec.inverse_power(3, 1.0, 4.0)
+        ps = ProfileSet.build(spec, k_max=6, grid=self.SMALL)
+        assert solved == [0]
+        assert ps.criticality == spectral.SUBCRITICAL
+        h0 = ps.h(0)
+        ps.iterated(0, 0)
+        assert solved == [0]
+        assert np.array_equal(h0.grid, self.SMALL)
+        assert np.array_equal(h0.values, solve_h(spec, 0, self.SMALL).values)
+
+    def test_given_criticality_solves_nothing(self, solved):
+        spec = spectral.PotentialSpec.inverse_power(3, 1.0, 4.0)
+        ps = ProfileSet.build(spec, k_max=2, grid=self.SMALL,
+                              criticality=spectral.SUBCRITICAL)
+        assert solved == [] and ps.criticality == spectral.SUBCRITICAL
 
     def test_mode_solved_once(self, solved):
         ps = ProfileSet.build(self.SPEC, k_max=6, grid=self.SMALL)

@@ -131,8 +131,8 @@ class TestInversionIdentity:
         hk = solve_h(spectral.PotentialSpec.zero(3), 0, grid)
         f = np.exp(-grid)
         itg = apply_I(hk, f)
-        i1 = radial_derivative_values(itg.values, grid, 1, acc=4)
-        i2 = radial_derivative_values(itg.values, grid, 2, acc=4)
+        i1 = radial_derivative_values(itg.values, grid, 1)
+        i2 = radial_derivative_values(itg.values, grid, 2)
         res = i2 + 2.0 / grid * i1 - f
         sl = slice(4, -4)
         scale = np.abs(f) + np.abs(i2) + np.abs(2.0 / grid * i1)

@@ -14,15 +14,10 @@ from lorentzheat.params import (
     LorentzParams,
     OuterExtension,
     RadialProfile,
-    decreasing_rearrangement,
-    distribution_function,
     holder_conjugate,
-    lorentz_norm,
-    lorentz_norm_on_ball,
     power_membership,
     power_norm_asymptotic,
     unit_ball_volume,
-    validate_lambda,
     ZERO_OUTSIDE,
 )
 
@@ -31,31 +26,31 @@ A3 = unit_ball_volume(3)
 
 class TestLambdaValidation:
     def test_endpoint_tuple_valid(self):
-        lp = validate_lambda(1, INF, 1, INF)
+        lp = LorentzParams(1, INF, 1, INF)
         assert lp.p == 1 and lp.q == INF
 
     def test_l2_tuple_valid(self):
-        assert validate_lambda(2, 2, 2, 2).sigma == 2
+        assert LorentzParams(2, 2, 2, 2).sigma == 2
 
     def test_ordering_violation(self):
         with pytest.raises(LambdaMembershipError, match="p <= q"):
-            validate_lambda(2, 1, 2, 1)
+            LorentzParams(2, 1, 2, 1)
 
     def test_sigma_forced_at_p1(self):
         with pytest.raises(LambdaMembershipError, match="sigma must be 1"):
-            validate_lambda(1, 2, 2, 2)
+            LorentzParams(1, 2, 2, 2)
 
     def test_sigma_forced_at_p_inf(self):
         with pytest.raises(LambdaMembershipError, match="sigma must be inf"):
-            validate_lambda(INF, INF, 2, INF)
+            LorentzParams(INF, INF, 2, INF)
 
     def test_theta_forced_at_q_inf(self):
         with pytest.raises(LambdaMembershipError):
-            validate_lambda(1, INF, 1, 2)
+            LorentzParams(1, INF, 1, 2)
 
     def test_sigma_le_theta_on_diagonal(self):
         with pytest.raises(LambdaMembershipError, match="sigma <= theta"):
-            validate_lambda(2, 2, 3, 2)
+            LorentzParams(2, 2, 3, 2)
 
     def test_conjugates(self):
         assert holder_conjugate(1) == INF
@@ -70,53 +65,53 @@ class TestLambdaValidation:
     def test_conjugate_involution_and_membership(self, p, frac, s):
         q = p + frac * (50 - p)
         assert math.isclose(holder_conjugate(holder_conjugate(p)), p, rel_tol=1e-9)
-        lp = validate_lambda(p, q, s, s if p == q else max(s, 1))
+        lp = LorentzParams(p, q, s, s if p == q else max(s, 1))
         assert lp.p <= lp.q
 
 
 class TestDistributionFunction:
     def test_ball_indicator(self):
         phi = RadialProfile.indicator_ball(1.0, 3)
-        assert distribution_function(phi, 0.5) == pytest.approx(4 * math.pi / 3)
+        assert phi.distribution_function(0.5) == pytest.approx(4 * math.pi / 3)
 
     def test_inverse_power_full_space(self):
         # |x|^-1 on (0, inf) in R^3: mu(lam) = (4 pi / 3) lam^-3
         phi = RadialProfile.power(-1.0, 3)
         for lam in (0.1, 1.0, 7.3):
-            assert distribution_function(phi, lam) == pytest.approx(
+            assert phi.distribution_function(lam) == pytest.approx(
                 A3 * lam ** -3, rel=1e-12)
 
     def test_above_sup_is_zero(self):
         phi = RadialProfile.indicator_ball(2.0, 3)
-        assert distribution_function(phi, 1.0) == 0.0
-        assert distribution_function(phi, 5.0) == 0.0
+        assert phi.distribution_function(1.0) == 0.0
+        assert phi.distribution_function(5.0) == 0.0
 
     def test_monotone_in_lambda(self):
         grid = np.geomspace(1e-4, 10, 200)
         phi = RadialProfile(grid, np.exp(-grid), 3)
         lams = np.linspace(1e-3, 0.999, 40)
-        mus = [distribution_function(phi, l) for l in lams]
+        mus = [phi.distribution_function(l) for l in lams]
         assert all(a >= b for a, b in zip(mus, mus[1:]))
 
 
 class TestRearrangement:
     def test_indicator_rearranges_to_interval(self):
         phi = RadialProfile.indicator_ball(1.0, 3)
-        star = decreasing_rearrangement(phi)
+        star = phi.decreasing_rearrangement()
         assert star(0.5 * A3) == pytest.approx(1.0)
         assert star(2.0 * A3) == 0.0
 
     def test_power_function(self):
         # phi = r^-1, N = 3: phi*(s) = (a_3 / s)^(1/3)
         phi = RadialProfile.power(-1.0, 3)
-        star = decreasing_rearrangement(phi)
+        star = phi.decreasing_rearrangement()
         for s in (0.3, 1.0, 12.0):
             assert star(s) == pytest.approx((A3 / s) ** (1 / 3), rel=1e-10)
 
     def test_radial_nonincreasing_is_own_rearrangement(self):
         grid = np.geomspace(1e-3, 20, 300)
         phi = RadialProfile(grid, 1.0 / (1.0 + grid ** 2), 3)
-        star = decreasing_rearrangement(phi)
+        star = phi.decreasing_rearrangement()
         for r in (0.01, 0.5, 3.0):
             s = A3 * r ** 3
             assert star(s) == pytest.approx(phi.eval(r), rel=1e-6)
@@ -126,9 +121,9 @@ class TestRearrangement:
     def test_equimeasurability(self, raw):
         grid = np.geomspace(0.1, 10, len(raw))
         phi = RadialProfile(grid, np.array(raw), 3)
-        star = decreasing_rearrangement(phi)
+        star = phi.decreasing_rearrangement()
         for lam in np.linspace(0.06, max(raw) * 0.99, 7):
-            mu = distribution_function(phi, lam)
+            mu = phi.distribution_function(lam)
             # measure of {s : phi*(s) > lam} for the non-increasing phi*
             lo, hi = 0.0, mu + max(1.0, 2 * mu)
             for _ in range(60):
@@ -144,39 +139,39 @@ class TestLorentzNorm:
     def test_indicator_lp(self):
         phi = RadialProfile.indicator_ball(1.0, 3)
         for p in (1.0, 2.0, 3.5):
-            assert lorentz_norm(phi, p, p) == pytest.approx(A3 ** (1 / p), rel=1e-10)
+            assert phi.lorentz_norm(p, p) == pytest.approx(A3 ** (1 / p), rel=1e-10)
 
     def test_indicator_weak(self):
         phi = RadialProfile.indicator_ball(1.0, 3)
         for p in (1.5, 2.0, 6.0):
-            assert lorentz_norm(phi, p, INF) == pytest.approx(1.0, rel=1e-10)
+            assert phi.lorentz_norm(p, INF) == pytest.approx(1.0, rel=1e-10)
 
     def test_borderline_power_diverges(self):
         # r^(-N/p) on a ball: pA + N = 0 fails the strict rule for sigma < inf
         p = 2.0
         phi = RadialProfile.power(-1.5, 3, support=1.0)
-        assert lorentz_norm(phi, p, p) == INF
-        assert lorentz_norm(phi, p, 2.5) == INF
+        assert phi.lorentz_norm(p, p) == INF
+        assert phi.lorentz_norm(p, 2.5) == INF
         # but the weak norm is finite
-        assert lorentz_norm(phi, p, INF) < INF
+        assert phi.lorentz_norm(p, INF) < INF
 
     def test_power_on_ball_closed_form(self):
         # ||r^A||_p^p = N a_N R^(pA+N) / (pA + N) on B(0, R)
         for (A, p, R) in [(1.0, 2.0, 1.0), (0.5, 3.0, 2.0), (-0.5, 2.0, 0.7)]:
             phi = RadialProfile.power(A, 3, support=R)
             expect = (3 * A3 / (p * A + 3)) ** (1 / p) * R ** (A + 3 / p)
-            assert lorentz_norm(phi, p, p) == pytest.approx(expect, rel=1e-9)
+            assert phi.lorentz_norm(p, p) == pytest.approx(expect, rel=1e-9)
 
     def test_constant_on_sqrt_t_ball(self):
         t = 4.0
         phi = RadialProfile.indicator_ball(math.sqrt(t), 3)
         for p in (1.0, 2.0):
-            assert lorentz_norm(phi, p, p) == pytest.approx(
+            assert phi.lorentz_norm(p, p) == pytest.approx(
                 A3 ** (1 / p) * t ** (3 / (2 * p)), rel=1e-10)
 
     def test_lorentz_norm_on_ball_restriction(self):
         phi = RadialProfile.power(1.0, 3)  # r, power tail
-        val = lorentz_norm_on_ball(phi, 2.0, 2.0, 1.0)
+        val = phi.lorentz_norm_on_ball(2.0, 2.0, 1.0)
         expect = (3 * A3 / 5) ** 0.5
         assert val == pytest.approx(expect, rel=1e-9)
 
@@ -190,29 +185,29 @@ class TestLorentzNorm:
         # direct radial L^p quadrature of the same interpolant
         direct = (4 * math.pi * cumulative_integral(
             grid, vals ** p * grid ** 2)[-1]) ** (1 / p)
-        assert lorentz_norm(phi, p, p) == pytest.approx(direct, rel=1e-6)
+        assert phi.lorentz_norm(p, p) == pytest.approx(direct, rel=1e-6)
         # and the plain trapezoid agrees at its own accuracy
         trap = (4 * math.pi * np.trapezoid(vals ** p * grid ** 2, grid)) ** (1 / p)
-        assert lorentz_norm(phi, p, p) == pytest.approx(trap, rel=1e-4)
+        assert phi.lorentz_norm(p, p) == pytest.approx(trap, rel=1e-4)
 
     def test_sup_norm(self):
         grid = np.geomspace(0.01, 10, 50)
         vals = grid / (1 + grid ** 2)
         phi = RadialProfile(grid, vals, 3)
-        assert lorentz_norm(phi, INF, INF) == pytest.approx(np.max(vals), rel=1e-6)
+        assert phi.lorentz_norm(INF, INF) == pytest.approx(np.max(vals), rel=1e-6)
 
     def test_signed_profile_uses_absolute_value(self):
         grid = np.geomspace(0.1, 10, 400)
         vals = np.sin(grid) * np.exp(-grid)
         phi = RadialProfile(grid, vals, 3, inner_exponent=1.0)
         neg = RadialProfile(grid, -vals, 3, inner_exponent=1.0)
-        assert lorentz_norm(phi, 2, 2) == pytest.approx(
-            lorentz_norm(neg, 2, 2), rel=1e-12)
+        assert phi.lorentz_norm(2, 2) == pytest.approx(
+            neg.lorentz_norm(2, 2), rel=1e-12)
         # interpolation across sign changes is linear, so the pre-abs'd
         # profile only agrees up to the interpolant difference
         phi_abs = RadialProfile(grid, np.abs(vals), 3, inner_exponent=1.0)
-        assert lorentz_norm(phi, 2, 2) == pytest.approx(
-            lorentz_norm(phi_abs, 2, 2), rel=1e-4)
+        assert phi.lorentz_norm(2, 2) == pytest.approx(
+            phi_abs.lorentz_norm(2, 2), rel=1e-4)
 
     def test_nesting_in_sigma(self):
         # finiteness for sigma_1 implies finiteness for sigma_2 >= sigma_1
@@ -223,7 +218,7 @@ class TestLorentzNorm:
         ]
         for phi in profiles:
             for p in (2.0, 3.0):
-                norms = [lorentz_norm(phi, p, s) for s in (1.0, 2.0, 4.0, INF)]
+                norms = [phi.lorentz_norm(p, s) for s in (1.0, 2.0, 4.0, INF)]
                 for a, b in zip(norms, norms[1:]):
                     assert (a < INF) <= (b < INF)
 
@@ -237,8 +232,8 @@ class TestLorentzNorm:
             f = RadialProfile(grid, grid ** af, 3, inner_exponent=af)
             g = RadialProfile(grid, grid ** ag, 3, inner_exponent=ag)
             s = RadialProfile(grid, grid ** af + grid ** ag, 3)
-            num = lorentz_norm(s, p, sigma)
-            den = lorentz_norm(f, p, sigma) + lorentz_norm(g, p, sigma)
+            num = s.lorentz_norm(p, sigma)
+            den = f.lorentz_norm(p, sigma) + g.lorentz_norm(p, sigma)
             worst = max(worst, num / den)
         assert 0 < worst < 4.0
 
@@ -253,8 +248,8 @@ class TestLorentzNorm:
             f = RadialProfile(grid, grid ** af, 3, inner_exponent=af)
             g = RadialProfile(grid, grid ** ag, 3, inner_exponent=ag)
             fg = RadialProfile(grid, grid ** (af + ag), 3, inner_exponent=af + ag)
-            l1 = lorentz_norm(fg, 1.0, 1.0)
-            bound = lorentz_norm(f, p, sigma) * lorentz_norm(g, ps, ss)
+            l1 = fg.lorentz_norm(1.0, 1.0)
+            bound = f.lorentz_norm(p, sigma) * g.lorentz_norm(ps, ss)
             if math.isfinite(l1) and math.isfinite(bound):
                 worst = max(worst, l1 / bound)
         assert 0 < worst < 10.0  # single corpus-wide constant
@@ -281,7 +276,7 @@ class TestPowerNormAsymptotics:
         phi = RadialProfile.power(A, 3)
         ratios = []
         for t in np.geomspace(0.01, 100, 9):
-            val = lorentz_norm_on_ball(phi, p, sigma, math.sqrt(t))
+            val = phi.lorentz_norm_on_ball(p, sigma, math.sqrt(t))
             ratios.append(val / power_norm_asymptotic(A, p, sigma, t, 3))
         assert max(ratios) / min(ratios) < 1.0 + 1e-9  # exactly a power here
 
@@ -295,7 +290,7 @@ class TestProfileBasics:
     def test_restrict_annulus(self):
         phi = RadialProfile.power(0.0, 3, support=10.0)
         ann = phi.restrict(2.0, r_lo=1.0)
-        assert lorentz_norm(ann, 1.0, 1.0) == pytest.approx(A3 * (8 - 1), rel=1e-9)
+        assert ann.lorentz_norm(1.0, 1.0) == pytest.approx(A3 * (8 - 1), rel=1e-9)
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -456,8 +451,8 @@ class TestDistributionKernel:
                                 inner_exponent=phi.inner_exponent, outer=phi.outer)
         for p, sigma in [(1.0, 1.0), (1.5, 1.0), (1.5, 3.0), (2.0, 2.0),
                          (2.0, INF), (4.0, 2.0), (INF, INF)]:
-            base = lorentz_norm(phi, p, sigma)
-            got = lorentz_norm(dilated, p, sigma)
+            base = phi.lorentz_norm(p, sigma)
+            got = dilated.lorentz_norm(p, sigma)
             factor = 1.0 if p == INF else scale ** (-phi.dimension / p)
             if base == INF:
                 assert got == INF

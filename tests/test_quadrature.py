@@ -4,6 +4,7 @@ import pytest
 from lorentzheat.params import INF_DECAY, RadialProfile
 from lorentzheat.quadrature import (
     cumulative_integral,
+    radial_derivative_values,
     two_point_exponent,
     windowed_exponent,
 )
@@ -52,3 +53,23 @@ class TestWindowedExponent:
         vals = GRID ** 0.5
         vals[20:] = 0.0
         assert windowed_exponent(GRID, vals, 16, 0.02) == pytest.approx(0.5)
+
+
+class TestRadialDerivative:
+    def test_fourth_order_in_log_r(self):
+        # y = (log r)^4: the interior log-grid stencils are exact on
+        # quartics in u, which second-order ones are not
+        u = np.log(GRID)
+        d1 = radial_derivative_values(u ** 4, GRID, order=1)
+        d2 = radial_derivative_values(u ** 4, GRID, order=2)
+        inner = slice(2, -2)
+        assert np.allclose((d1 * GRID)[inner], (4 * u ** 3)[inner],
+                           rtol=1e-9, atol=1e-8)
+        assert np.allclose((d2 * GRID ** 2)[inner],
+                           (12 * u ** 2 - 4 * u ** 3)[inner], rtol=1e-9, atol=1e-8)
+
+    def test_non_geometric_grid_rejected(self):
+        r = np.linspace(0.1, 10.0, 64)
+        for order in (1, 2):
+            with pytest.raises(ValueError, match="geometric grid"):
+                radial_derivative_values(r ** 2, r, order=order)

@@ -1,11 +1,21 @@
+import ast
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from lorentzheat import harmonic, spectral
+from lorentzheat.quadrature import make_grid
 from lorentzheat.spectral import (
+    FIT_TOL,
     NULL_CRITICAL,
+    POSITIVE_CRITICAL,
+    ROOT_SEPARATION,
     SUBCRITICAL,
+    UNKNOWN,
     PotentialSpec,
     SpectralError,
     a_exponents,
@@ -160,7 +170,94 @@ class TestClassification:
 
     def test_bounded_potential_numeric(self):
         spec = PotentialSpec.inverse_power(3, 1.0, 4.0)
-        assert classify_criticality(spec) == SUBCRITICAL
+        h0 = harmonic.solve_h(spec, 0)
+        assert classify_criticality(spec, h0.outer_exponent) == SUBCRITICAL
+
+    def test_far_field_kind_needs_the_exponent(self):
+        with pytest.raises(SpectralError, match="far-field exponent of h_0"):
+            classify_criticality(PotentialSpec.inverse_power(3, 1.0, 4.0))
+
+    @pytest.mark.parametrize("n, lam2, pick, want", [
+        (3, 0.0, 0, SUBCRITICAL),
+        (3, 0.0, 1, NULL_CRITICAL),
+        (5, 0.0, 1, POSITIVE_CRITICAL),
+        (3, 0.0, None, UNKNOWN),
+        # roots 0.1 apart: unknown even when the exponent is one of them
+        (3, lambda_star(3) + 0.0025, 0, UNKNOWN),
+    ])
+    def test_category_of_the_matched_exponent(self, n, lam2, pick, want):
+        spec = _table_spec(n, lam2)
+        roots = a_exponents(lam2, n)
+        outer = roots[0] + 0.3 if pick is None else roots[pick]
+        assert classify_criticality(spec, outer) == want
+
+
+def _table_spec(n, lam2):
+    """A potential of no analytic kind with far-field coupling lam2."""
+    return PotentialSpec(n, "table", 0.0, 2.0, lam2, 2.0, 1,
+                         lambda r: lam2 / np.asarray(r, dtype=float) ** 2)
+
+
+def _fitted_exponent_rule(spec, fitted):
+    """Criticality from the fitted far-field exponent of h_0, as decided
+    before the classifier read the matched exponent."""
+    a_plus, a_minus = a_exponents(spec.lambda2, spec.dimension)
+    if abs(a_plus - a_minus) < ROOT_SEPARATION:
+        return UNKNOWN
+    if abs(fitted - a_plus) < FIT_TOL:
+        return SUBCRITICAL
+    if abs(fitted - a_minus) < FIT_TOL:
+        return NULL_CRITICAL if a_minus > -spec.dimension / 2.0 \
+            else POSITIVE_CRITICAL
+    return UNKNOWN
+
+
+class TestClassificationOracle:
+    """The matched far-field exponent gives the category the fitted one did."""
+
+    def test_inverse_power_profiles(self):
+        seen = set()
+        for n, kappa, amplitude, r_max in itertools.product(
+                (3, 5), (2.5, 3.0, 4.0, 6.0), (4.0, 1.0, -0.05), (1e3, 1e4)):
+            spec = PotentialSpec.inverse_power(n, amplitude, kappa)
+            h0 = harmonic.solve_h(spec, 0, make_grid(1e-8, r_max, 512))
+            want = _fitted_exponent_rule(spec, h0.fitted_outer_exponent)
+            assert classify_criticality(spec, h0.outer_exponent) == want, \
+                (n, kappa, amplitude, r_max)
+            seen.add(want)
+        # slow far fields on short grids leave the fit between the roots
+        assert seen == {SUBCRITICAL, UNKNOWN}
+
+    @given(n=st.integers(3, 6), gap=st.floats(0.0, 3.0),
+           shift=st.floats(-0.5, 0.5), root=st.integers(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_synthetic_fits(self, n, gap, shift, root):
+        spec = _table_spec(n, lambda_star(n) + gap)
+        fitted = a_exponents(spec.lambda2, n)[root] + shift
+        # a fit exactly FIT_TOL from a root is matched, where the fitted
+        # rule left it unknown
+        assume(abs(abs(shift) - FIT_TOL) > 1e-12)
+        outer = harmonic._match_outer(spec, 0, fitted)[0]
+        assert classify_criticality(spec, outer) == \
+            _fitted_exponent_rule(spec, fitted)
+
+
+class TestLayering:
+    def test_spectral_solves_no_ode(self):
+        # the classifier is arithmetic on an exponent; an import of the
+        # profile solver or of scipy's integrators would bring a solve back
+        tree = ast.parse(Path(spectral.__file__).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        assert imported, "no imports parsed"
+        for name in imported:
+            assert "harmonic" not in name.split("."), name
+            assert not name.startswith("scipy.integrate"), name
 
 
 class TestNonnegativity:
