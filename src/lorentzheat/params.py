@@ -7,7 +7,9 @@ volumes are then available in closed form segment by segment, which makes
 distribution functions, rearrangements, and Lorentz norms exact on the
 power-function corpus that the rest of the package leans on.
 
-Norms are computed through the layer-cake identity
+For sigma = p < inf the norm is the L^p norm (int |phi|^p dx)^(1/p), whose
+radial integral has a closed form on every segment.  Other norms are
+computed through the layer-cake identity
 
     ||phi||^s = a_N^(1 - s/p) * p * int_0^inf  lam^(s-1) mu(lam)^(s/p) dlam
 
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import beta, comb
 
 from .quadrature import two_point_exponent
 
@@ -230,7 +233,7 @@ class RadialProfile:
             v0, v1 = v[i], v[i + 1]
             rm = r[mid]
             res = np.empty(i.shape)
-            powok = v0 * v1 > 0.0
+            powok = np.sign(v0) * np.sign(v1) > 0.0  # v0 * v1 can underflow
             if np.any(powok):
                 a = np.log(np.abs(v1[powok] / v0[powok])) / np.log(r1[powok] / r0[powok])
                 res[powok] = v0[powok] * (rm[powok] / r0[powok]) ** a
@@ -440,13 +443,59 @@ class _SegmentSet:
     def lorentz_norm(self, p: float, sigma: float) -> float:
         if self.ra.size == 0:
             return 0.0
-        if np.any((self.vmax == INF) & (self.r1 == INF)):
-            return INF  # growing tail: superlevel sets have infinite measure
         if p == INF:
             return self.sup_value()
+        if np.any((self.r1 == INF) & (self.expo >= 0)):
+            return INF  # flat or growing tail: mu = inf below the tail's value
+        if sigma == p:
+            return self._lp_norm(p)
         if sigma == INF:
             return self._weak_norm(p)
         return self._strong_norm(p, sigma)
+
+    def _lp_norm(self, p):
+        """(N a_N sum_i int |phi|^p r^(N-1) dr)^(1/p), each segment in closed form.
+
+        A power piece va (r/ra)^a with s = a p + N integrates to
+        v_e^p r_e^N (1 - (r_lo/r_hi)^|s|) / |s|, taken at the end e where
+        v^p r^N is larger (r1 if s > 0, else r0), or va^p r0^N log(r1/r0) if
+        s = 0; the inner extension (r0 = 0) diverges unless s > 0, the outer
+        tail (r1 = inf) unless s < 0.  A linear piece vanishes at one end, so
+        expanding r^(N-1) about r0, with L = r1 - r0 and va the nonzero end's
+        value, gives va^p sum_k C(N-1, k) r0^(N-1-k) L^(k+1) c_k, where
+        c_k = 1/(p+k+1) for the zero at r0 and B(k+1, p+1) for the zero at r1.
+        Values are divided by the largest finite end value before the power p.
+        """
+        N = self.N
+        power = self.kind == _POWER
+        s = np.where(power, self.expo * p + N, 0.0)
+        if np.any(power & (((self.r0 == 0.0) & (s <= 0.0)) |
+                           ((self.r1 == INF) & (s >= 0.0)))):
+            return INF
+        scale = float(np.max(self.vmax[np.isfinite(self.vmax)]))
+
+        s = s[power]
+        r0, r1 = self.r0[power], self.r1[power]
+        up = s > 0.0
+        # the value at r1 is vmax on increasing pieces, vmin on the others
+        v_e = np.where(up, np.where(self.expo[power] > 0, self.vmax[power],
+                                    self.vmin[power]), self.va[power])
+        abs_s = np.abs(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.log(r1 / r0)  # inf on the extensions
+            shape = np.where(s == 0.0, x, -np.expm1(-abs_s * x) / abs_s)
+        total = np.sum((v_e / scale) ** p * np.where(up, r1, r0) ** N * shape)
+
+        lin = ~power
+        r0 = self.r0[lin]
+        length = self.r1[lin] - r0
+        k = np.arange(N)
+        coef = np.where(self.slope[lin][:, None] > 0, 1.0 / (p + k + 1.0),
+                        beta(k + 1.0, p + 1.0))
+        terms = comb(N - 1, k) * r0[:, None] ** (N - 1 - k) * \
+            length[:, None] ** (k + 1) * coef
+        total += np.sum((self.va[lin] / scale) ** p * terms.sum(axis=1))
+        return scale * float(N * self.alpha_N * total) ** (1.0 / p)
 
     def _levels(self):
         vals = np.concatenate([self.vmin, self.vmax])
@@ -619,7 +668,8 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     linear piece (a zero end), then the outer tail; all-zero parts dropped."""
     g, v = profile.grid, profile.values
     r0, r1, v0, v1 = g[:-1], g[1:], v[:-1], v[1:]
-    power, cross = v0 * v1 > 0.0, v0 * v1 < 0.0
+    same = np.sign(v0) * np.sign(v1)  # v0 * v1 can underflow
+    power, cross = same > 0.0, same < 0.0
     a = np.zeros(r0.size)
     a[power] = _libm(math.log, np.abs(v1[power] / v0[power])) / \
         _libm(math.log, r1[power] / r0[power])

@@ -458,3 +458,121 @@ class TestDistributionKernel:
                 assert got == INF
             else:
                 assert got == pytest.approx(factor * base, rel=1e-12, abs=0.0)
+
+
+def _lp_quad_oracle(phi, p):
+    """||phi||_{L^p} by scipy quad of |phi|^p r^(N-1) on each node interval
+    (split at an interpolated zero), the inner and outer power extensions in
+    closed form."""
+    from scipy.integrate import quad
+
+    n, g, v = phi.dimension, phi.grid, phi.values
+    total = 0.0
+    for r0, r1, v0, v1 in zip(g[:-1], g[1:], v[:-1], v[1:]):
+        if v0 == 0.0 and v1 == 0.0:
+            continue
+        split = None
+        if v0 * v1 > 0.0:
+            a = math.log(v1 / v0) / math.log(r1 / r0)
+            f = lambda r: abs(v0 * (r / r0) ** a) ** p * r ** (n - 1)
+        else:
+            f = lambda r: abs(v0 + (v1 - v0) * (r - r0) / (r1 - r0)) ** p * r ** (n - 1)
+            if v0 * v1 < 0.0:
+                split = [r0 + (r1 - r0) * v0 / (v0 - v1)]
+        total += quad(f, r0, r1, points=split, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    for value, radius, a, inner in ((v[0], g[0], phi.inner_exponent, True),
+                                    (v[-1], g[-1], phi.outer.exponent, False)):
+        if value == 0.0 or (inner and a == INF_DECAY) or \
+                (not inner and phi.outer.kind == "zero"):
+            continue
+        s = a * p + n
+        if (s <= 0.0) if inner else (s >= 0.0):
+            return INF
+        total += abs(value) ** p * radius ** n / abs(s)
+    return (n * unit_ball_volume(n) * total) ** (1.0 / p)
+
+
+class TestExactLpNorm:
+    @given(phi=signed_profiles(), p=st.sampled_from([1.0, 1.5, 2.0, 3.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_quad_oracle(self, phi, p):
+        expect = _lp_quad_oracle(phi, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = phi.lorentz_norm(p, p)
+        if expect == INF:
+            assert got == INF
+        else:
+            assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    @given(phi=signed_profiles(), c=st.floats(0.01, 100.0),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_dilation_law_general_factor(self, phi, c, p):
+        dilated = RadialProfile(phi.grid / c, phi.values, phi.dimension,
+                                inner_exponent=phi.inner_exponent, outer=phi.outer)
+        base = phi.lorentz_norm(p, p)
+        got = dilated.lorentz_norm(p, p)
+        if base == INF:
+            assert got == INF
+        else:
+            assert got == pytest.approx(c ** (-phi.dimension / p) * base, rel=1e-13,
+                                        abs=0.0)
+
+    @given(phi=signed_profiles(), c=st.sampled_from([1e-300, 1e100]),
+           p=st.sampled_from([1.0, 3.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_homogeneous_at_extreme_magnitudes(self, phi, c, p):
+        # |phi|^p underflows for values near 1e-300 and overflows near 1e100 at
+        # p = 3.5; near 1e-300 the product of two neighbouring values underflows
+        scaled = RadialProfile(phi.grid, c * phi.values, phi.dimension,
+                               inner_exponent=phi.inner_exponent, outer=phi.outer)
+        base = phi.lorentz_norm(p, p)
+        got = scaled.lorentz_norm(p, p)
+        if base == INF:
+            assert got == INF
+        else:
+            assert got == pytest.approx(c * base, rel=1e-13, abs=0.0)
+
+    def test_hat_profile_not_underestimated(self):
+        # one distinct level; the layer-cake quadrature gave 0.028173928
+        phi = RadialProfile(np.geomspace(0.01, 1, 5), np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 3)
+        assert phi.lorentz_norm(2, 2) == pytest.approx(0.028174999684195, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["ball", "annulus"])
+    def test_indicators_on_grid_match_quad(self, kind):
+        from lorentzheat.quadrature import make_grid
+
+        r = make_grid(1e-8, 1e4, 1024)
+        if kind == "ball":
+            phi = RadialProfile(r, np.where(r <= 0.3, 1.0, 0.0), 3, inner_exponent=0.0)
+        else:
+            phi = RadialProfile(r, np.where((r > 0.15) & (r <= 0.3), 1.0, 0.0), 3,
+                                inner_exponent=INF_DECAY)
+        assert phi.lorentz_norm(2, 2) == pytest.approx(_lp_quad_oracle(phi, 2.0),
+                                                       rel=1e-13)
+
+    def test_outer_tail_with_nonnegative_s_diverges(self):
+        # r^-1 in R^5 at p = 1 (s = 4), and r^-1.5 in R^3 at p = 2 (s = 0)
+        phi = RadialProfile(np.array([0.01, 0.0349, 0.0575, 0.1566]),
+                            np.array([2.0, 2.0, 1.25004, 0.01]), 5,
+                            outer=OuterExtension("power", -1.0))
+        assert phi.lorentz_norm(1, 1) == INF
+        assert RadialProfile.power(-1.5, 3).lorentz_norm(2, 2) == INF
+        # the same tails converge for larger p
+        assert phi.lorentz_norm(6, 6) < INF
+        assert RadialProfile(np.array([1.0, 2.0]), np.array([1.0, 2.0 ** -1.5]), 3,
+                             inner_exponent=INF_DECAY,
+                             outer=OuterExtension("power", -1.5)).lorentz_norm(3, 3) < INF
+
+    def test_flat_outer_tail_is_infinite(self):
+        values = np.zeros(28)
+        values[-3:] = (1.0, 0.125, 1.0)
+        phi = RadialProfile(np.geomspace(0.01, 1.0, 28), values, 2, inner_exponent=INF_DECAY,
+                            outer=OuterExtension("power", 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p, sigma in [(1.0, 1.0), (1.5, 1.0), (1.5, 3.0), (2.0, 2.0),
+                             (2.0, INF), (4.0, 2.0)]:
+                assert phi.lorentz_norm(p, sigma) == INF, (p, sigma)
+            assert phi.lorentz_norm(INF, INF) == 1.0
