@@ -258,10 +258,12 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 def write_columns(path: Path, *columns) -> None:
     """Space-separated float columns, one row per line.  '%.10e' renders
-    inf, -inf and nan as _fmt does."""
+    inf, -inf and nan as _fmt does; the whole file is one % on the row
+    template repeated per row."""
+    values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row = " ".join([_FMT] * len(columns))
-    values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    path.write_text("\n".join([row % v for v in values]) + "\n")
+    path.write_text(("\n".join([row] * len(values)) + "\n")
+                    % tuple(values.ravel().tolist()))
 
 
 def _tuple_slug(lp: LorentzParams) -> str:

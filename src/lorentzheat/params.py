@@ -551,8 +551,9 @@ class _SegmentSet:
 
     def _bottom_piece(self, lam_min, p, sigma):
         """p * int_0^{lam_min} lam^(sigma-1) mu^(sigma/p) dlam."""
-        tail = np.nonzero((self.r1 == INF) & (self.vmax <= lam_min) &
-                          (self.kind == _POWER) & (self.expo < 0))[0]
+        # lorentz_norm has returned inf on flat and growing tails, so an
+        # outer tail here decays, whatever its value against lam_min
+        tail = np.nonzero(self.r1 == INF)[0]
         if tail.size == 0:
             # mu is bounded near 0; substitute u = lam^sigma
             nodes, weights = _gauss_nodes(24)
@@ -675,7 +676,13 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
         _libm(math.log, r1[power] / r0[power])
     a[np.abs(a) < _FLAT_EPS] = 0.0
     rc = r0.copy()
-    rc[cross] = r0[cross] + (r1[cross] - r0[cross]) * v0[cross] / (v0[cross] - v1[cross])
+    span, va, vb = r1[cross] - r0[cross], v0[cross], v1[cross]
+    with np.errstate(over="ignore"):
+        prod = span * va
+    # span * va overflows for values near the top of the float range: divide
+    # first there (an ulp apart from the product form, kept where it is finite)
+    rc[cross] = r0[cross] + np.where(np.isfinite(prod), prod / (va - vb),
+                                     span * (va / (va - vb)))
     # two slots per interval: the first piece, and the second linear piece
     # of a sign change (rc, r1, 0, |v1|); row-major order is segment order
     y0, y1 = np.abs(v0), np.abs(v1)

@@ -9,8 +9,11 @@ equation
 regular at the origin.  Space is discretized by a conservative finite
 volume on the geometric grid (face weights by geometric means, cell masses
 by exact power panels), time by an implicit theta scheme with a
-backward-Euler start-up.  w == 1 is a discrete steady state to machine
-precision, which pins the harmonic profile as stationary.
+backward-Euler start-up.  Each step solves the mass-weighted system
+(M + theta dt K) w' = M w - (1 - theta) dt K w, M the cell masses and K the
+conductance Laplacian: symmetric positive definite and tridiagonal, one
+LDL^T factorization for all columns.  w == 1 is a discrete steady state to
+machine precision, which pins the harmonic profile as stationary.
 
 Operator norms between Lorentz spaces are estimated from below by flowing a
 family of concentrated data (dyadic balls, annuli, and an h_k-shaped bump at
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .harmonic import HarmonicProfile, derivative_h
 from .params import INF, INF_DECAY, LorentzParams, RadialProfile
@@ -81,19 +84,21 @@ class _Operator:
         self.cond = np.sqrt(weight[:-1] * weight[1:]) / np.diff(r)
         self.mass = _cell_masses(r, weight,
                                  head_exponent=2.0 * hk.inner_exponent + n - 1.0)
-        # conductance of each cell's left and right face (none at the ends)
-        self.cl = np.concatenate(([0.0], self.cond))
-        self.cr = np.concatenate((self.cond, [0.0]))
 
 
 class _ThetaStepper:
     """Implicit theta steps of the columns of w, in reused buffers.
 
-    A step solves (1 - theta dt G) w' = w + (1 - theta) dt G w, G the flux
-    divergence over cell mass, with LAPACK's tridiagonal dgtsv.  The band
-    vectors and the Fortran-ordered w / rhs pair are allocated once and
-    refilled with out= ufuncs, in the operations and order of a fresh
-    assembly, so the bits do not depend on the reuse.
+    A step solves the mass-weighted system
+
+        (M + theta dt K) w' = M w - (1 - theta) dt K w,
+
+    M the diagonal of cell masses and K the conductance Laplacian (off
+    diagonals -cond, zero row sums).  The matrix is symmetric positive
+    definite, so LAPACK's dptsv factors it once (LDL^T, no pivoting) for all
+    columns.  The band vectors and the Fortran-ordered w / rhs pair are
+    allocated once and refilled with out= ufuncs, in the operations and
+    order of a fresh assembly, so the bits do not depend on the reuse.
     """
 
     def __init__(self, op: _Operator, w: np.ndarray):
@@ -103,43 +108,45 @@ class _ThetaStepper:
         self.absorbing = op.boundary == "absorbing"
         self.rhs = np.empty_like(w, order="F")
         self.flux = np.empty((m - 1, ncol), order="F")
-        self.tl, self.tr, self.d = np.empty((3, m))
-        self.dl, self.du = np.empty((2, m - 1))
+        self.d = np.empty(m)
+        self.e = np.empty(m - 1)
 
     def step(self, theta: float, dt: float) -> np.ndarray:
         """Advance w by one step; returns the new w (a buffer: copy to keep)."""
         op, w, rhs = self.op, self.w, self.rhs
         s = theta * dt
-        tl = np.divide(np.multiply(s, op.cl, out=self.tl), op.mass, out=self.tl)
-        tr = np.divide(np.multiply(s, op.cr, out=self.tr), op.mass, out=self.tr)
-        d = np.add(np.add(1.0, tl, out=self.d), tr, out=self.d)
-        np.negative(tl[1:], out=self.dl)
-        np.negative(tr[:-1], out=self.du)
+        # d = (mass + s cl) + s cr, cl / cr the conductance of each cell's
+        # left / right face (none at the ends); e = -s cond
+        sc, d = np.multiply(s, op.cond, out=self.e), self.d
+        d[0] = op.mass[0]
+        np.add(op.mass[1:], sc, out=d[1:])
+        np.add(d[:-1], sc, out=d[:-1])
+        e = np.negative(sc, out=sc)
         if self.absorbing:
+            # the pinned row decouples; its column multiplies w'[-1] = 0
             d[-1] = 1.0
-            self.dl[-1] = 0.0
+            e[-1] = 0.0
         if theta >= 1.0:
-            np.copyto(rhs, w)
+            np.multiply(op.mass[:, None], w, out=rhs)
         else:
-            # rhs = w + ((1 - theta) dt) G(w), G assembled in place in rhs
+            # rhs = M w + ((1 - theta) dt) div(flux), the divergence assembled
+            # in place in rhs and M w in w's buffer, which is dead afterwards
             flux = np.multiply(op.cond[:, None],
                                np.subtract(w[1:], w[:-1], out=self.flux),
                                out=self.flux)
             rhs[0] = flux[0]
             np.subtract(flux[1:], flux[:-1], out=rhs[1:-1])
             np.negative(flux[-1], out=rhs[-1])
-            np.divide(rhs, op.mass[:, None], out=rhs)
             np.multiply((1.0 - theta) * dt, rhs, out=rhs)
-            np.add(w, rhs, out=rhs)
+            np.add(np.multiply(op.mass[:, None], w, out=w), rhs, out=rhs)
         if self.absorbing:
             rhs[-1] = 0.0
-        # every band entry is a term of d = (1 + tl) + tr, so a finite d
-        # means a finite band
+        # every |e| is a term of d, so a finite d means a finite band
         if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
-        *_, x, info = dgtsv(self.dl, d, self.du, rhs, 1, 1, 1, 1)
+        *_, x, info = dptsv(d, e, rhs, 1, 1, 1)
         if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+            raise np.linalg.LinAlgError("matrix not positive definite")
         self.w, self.rhs = x, w
         return x
 

@@ -381,6 +381,13 @@ def _fmt_join_columns(path, *columns):
                               for row in rows) + "\n")
 
 
+def _per_row_columns(path, *columns):
+    """The one-% -per-row writer that write_columns replaced."""
+    row = " ".join([cli._FMT] * len(columns))
+    values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    path.write_text("\n".join([row % v for v in values]) + "\n")
+
+
 class TestWriteColumns:
     def test_matches_per_element_formatting(self, tmp_path):
         special = [INF, -INF, np.nan, 0.0, -0.0, 5e-324, -5e-324,
@@ -391,8 +398,11 @@ class TestWriteColumns:
             -300, 300, 50)))
         b = np.roll(a, 5)
         c = np.geomspace(1e-8, 1e4, a.size)
-        for cols in ((a,), (a, b), (c, a, b), (c[:0], a[:0])):
+        for cols in ((a,), (a, b), (c, a, b), (c[:0], a[:0]), (c[:1], a[:1]),
+                     (a[:3], b[:3])):
             cli.write_columns(tmp_path / "new.dat", *cols)
             _fmt_join_columns(tmp_path / "old.dat", *cols)
-            assert (tmp_path / "new.dat").read_bytes() == \
-                (tmp_path / "old.dat").read_bytes()
+            _per_row_columns(tmp_path / "row.dat", *cols)
+            new = (tmp_path / "new.dat").read_bytes()
+            assert new == (tmp_path / "old.dat").read_bytes()
+            assert new == (tmp_path / "row.dat").read_bytes()

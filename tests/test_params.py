@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lorentzheat import params
 from lorentzheat.params import (
@@ -519,16 +519,22 @@ class TestExactLpNorm:
             assert got == pytest.approx(c ** (-phi.dimension / p) * base, rel=1e-13,
                                         abs=0.0)
 
-    @given(phi=signed_profiles(), c=st.sampled_from([1e-300, 1e100]),
+    @given(phi=signed_profiles(), c=st.sampled_from([1e-300, 1e100, 1e300]),
            p=st.sampled_from([1.0, 3.5]))
-    @settings(max_examples=60, deadline=None)
+    # a sign change across a long interval
+    @example(phi=RadialProfile(np.array([0.01, 2.65e8, 7.2e8]), np.array([1.0, 1.0, -1.0]), 2),
+             c=1e300, p=1.0)
+    @settings(max_examples=90, deadline=None)
     def test_homogeneous_at_extreme_magnitudes(self, phi, c, p):
         # |phi|^p underflows for values near 1e-300 and overflows near 1e100 at
-        # p = 3.5; near 1e-300 the product of two neighbouring values underflows
+        # p = 3.5; near 1e-300 the product of two neighbouring values underflows,
+        # near 1e300 the product of a value and an interval length overflows
         scaled = RadialProfile(phi.grid, c * phi.values, phi.dimension,
                                inner_exponent=phi.inner_exponent, outer=phi.outer)
         base = phi.lorentz_norm(p, p)
-        got = scaled.lorentz_norm(p, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = scaled.lorentz_norm(p, p)
         if base == INF:
             assert got == INF
         else:
@@ -564,6 +570,35 @@ class TestExactLpNorm:
         assert RadialProfile(np.array([1.0, 2.0]), np.array([1.0, 2.0 ** -1.5]), 3,
                              inner_exponent=INF_DECAY,
                              outer=OuterExtension("power", -1.5)).lorentz_norm(3, 3) < INF
+
+    @pytest.mark.parametrize("p, sigma", [(2.0, 3.0), (2.0, 1.0), (3.0, 6.0),
+                                          (2.0, 2.0), (2.0, INF)])
+    def test_outer_tail_above_lowest_level_diverges(self, p, sigma):
+        # the r^-1 tail in R^5 starts at 0.01, above the lowest level 0.005
+        phi = RadialProfile(np.array([0.01, 0.03, 0.1]), np.array([2.0, 0.005, 0.01]), 5,
+                            inner_exponent=0.0, outer=OuterExtension("power", -1.0))
+        assert phi.lorentz_norm(p, sigma) == INF
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_outer_tail_above_lowest_level_matches_quad(self, sigma):
+        # the same profile with a convergent r^-3 tail: layer-cake integral
+        # against quad over the exact distribution function
+        from scipy.integrate import quad
+
+        phi = RadialProfile(np.array([0.01, 0.03, 0.1]), np.array([2.0, 0.005, 0.01]), 5,
+                            inner_exponent=0.0, outer=OuterExtension("power", -3.0))
+        segs, p = params._build_segments(phi), 2.0
+
+        def integrand(x):  # lam^sigma mu(lam)^(sigma/p) in x = log(lam)
+            mu = float(segs.mu_batch(np.array([math.exp(x)]))[0])
+            return math.exp(sigma * x + (sigma / p) * math.log(mu))
+
+        # below 1e-150 the tail's mu ~ lam^(-5/3) leaves a share of 1e-25
+        ends = np.log([1e-150, 0.005, 0.01, 2.0])
+        acc = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                  for a, b in zip(ends[:-1], ends[1:]))
+        expect = (segs.alpha_N ** (1.0 - sigma / p) * p * acc) ** (1.0 / sigma)
+        assert phi.lorentz_norm(p, sigma) == pytest.approx(expect, rel=1e-5)
 
     def test_flat_outer_tail_is_infinite(self):
         values = np.zeros(28)
