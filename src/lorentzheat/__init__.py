@@ -12,7 +12,6 @@ from .params import (  # noqa: F401
     INF,
     LambdaMembershipError,
     LorentzParams,
-    OuterExtension,
     RadialProfile,
     holder_conjugate,
     power_membership,
@@ -49,9 +48,7 @@ from .iterated import (  # noqa: F401
 from .semigroup import (  # noqa: F401
     ModeState,
     SchemeParams,
-    assemble_sum,
     build_test_family,
-    estimate_operator_norm,
     evolve_mode,
     operator_norm_sweep,
     radial_derivative,

@@ -135,6 +135,14 @@ def _validate_config(v):
         raise ConfigError(f"unknown potential.kind {v['potential.kind']!r}")
     if any(a < 0 for a in v["alphas"]):
         raise ConfigError("alphas must be nonnegative")
+    # dt_cap <= 0 or inf stalls the time schedule (dt = 0 at t = 0), and a
+    # theta above 1 would run backward Euler with a stretched step
+    if not 0.0 < v["scheme.dt_cap"] < math.inf:
+        raise ConfigError("scheme.dt_cap must be positive and finite")
+    if not 0.5 <= v["scheme.theta"] <= 1.0:
+        raise ConfigError("scheme.theta must lie in [0.5, 1]")
+    if v["scheme.rannacher"] < 0:
+        raise ConfigError("scheme.rannacher must be nonnegative")
     for key, ks in (("modes.scan", v["modes.scan"]), ("evolve.k", [v["evolve.k"]])):
         bad = [k for k in ks if not 0 <= k <= v["modes.k_max"]]
         if bad:
@@ -348,7 +356,7 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ps = build_profiles(cfg)
     ts = time_grid(cfg)
     hk, phi = _initial_datum(cfg, ps, ts[0])
-    states = semigroup.evolve_mode(ps.spec, hk, phi, list(ts), scheme_from(cfg))
+    states = semigroup.evolve_mode(hk, phi, list(ts), scheme_from(cfg))
     for st in states:
         path = out / f"evolve_k{hk.k}_t{st.t:.6g}.dat"
         write_columns(path, st.grid, st.v_values())
@@ -362,7 +370,7 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
 
 def _empirical_table(cfg, ps, k, alphas, lps, ts):
     """{(alpha, lp_idx): [estimate per t]} via the batched sweep."""
-    return semigroup.operator_norm_sweep(ps.spec, ps.h(k), alphas, lps, list(ts),
+    return semigroup.operator_norm_sweep(ps.h(k), alphas, lps, list(ts),
                                          scheme=scheme_from(cfg),
                                          j_max=cfg["family.j_max"])
 

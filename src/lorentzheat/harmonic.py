@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import spectral
-from .params import INF, RadialProfile, OuterExtension, power_membership
+from .params import INF, RadialProfile, power_membership
 from .quadrature import cumulative_integral, make_grid
 
 FIT_WINDOW_DECADES = 1.0
@@ -131,8 +131,7 @@ def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
 
     fitted = _fit_tail_exponent(grid, h)
     matched, logpow = _match_outer(spec, k, fitted)
-    profile = RadialProfile(grid, h, n, inner_exponent=a1,
-                            outer=OuterExtension("power", fitted))
+    profile = RadialProfile(grid, h, n, inner_exponent=a1, outer_exponent=fitted)
     hp = HarmonicProfile(k, spec, profile, hprime, a1, fitted, matched, logpow)
     try:
         hp.c, hp.fit_residual = fit_asymptotic_constant(hp)
@@ -202,6 +201,18 @@ def derivative_h(hp: HarmonicProfile, ell: int) -> RadialProfile:
         if j not in hp._derivs:
             hp._derivs[j] = RadialProfile(r, d[j], n)
     return hp._derivs[ell]
+
+
+def leibniz_h(hp: HarmonicProfile, g_deriv, order: int) -> np.ndarray:
+    """d^order (h_k g) = sum_j C(order, j) h_k^(j) g^(order-j), the h_k factors
+    from derivative_h; g_deriv(m) returns the m-th derivative of g on the grid."""
+    if order == 0:
+        return hp.values * g_deriv(0)
+    acc = np.zeros_like(hp.values)
+    for j in range(order + 1):
+        hj = hp.values if j == 0 else derivative_h(hp, j).values
+        acc += math.comb(order, j) * hj * g_deriv(order - j)
+    return acc
 
 
 def gamma_ratio(hp: HarmonicProfile, p: float, sigma: float, t: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonic import HarmonicProfile, derivative_h
+from .harmonic import HarmonicProfile, leibniz_h
 from .params import RadialProfile
 from .quadrature import (DivergentIntegralError, cumulative_integral,
                          radial_derivative_values, two_point_exponent,
@@ -160,18 +160,6 @@ def derivative_iterated(itg: IteratedIntegral, ell: int) -> np.ndarray:
     return out
 
 
-def derivative_weighted(hk: HarmonicProfile, itg: IteratedIntegral, order: int
-                        ) -> np.ndarray:
-    """d^order (h_k I_k^n) by Leibniz over the exact factor derivatives."""
-    if order == 0:
-        return hk.values * itg.values
-    acc = np.zeros_like(hk.values)
-    for j in range(order + 1):
-        hj = hk.values if j == 0 else derivative_h(hk, j).values
-        acc += math.comb(order, j) * hj * derivative_iterated(itg, order - j)
-    return acc
-
-
 def _radial_gradient_components(gd, r):
     """Elementary components P_i of the gradient tensors of a radial g.
 
@@ -220,7 +208,9 @@ def envelope_nabla_J(hk: HarmonicProfile, itg: IteratedIntegral, alpha: int
     """
     r = hk.grid
     k = hk.k
-    u = [derivative_weighted(hk, itg, j) for j in range(alpha + 1)]
+    # u[j] = d^j (h_k I_k^n), by Leibniz over the exact factor derivatives
+    u = [leibniz_h(hk, lambda m: derivative_iterated(itg, m), j)
+         for j in range(alpha + 1)]
     gd, gd_crude = [], []
     for i in range(alpha + 1):
         acc = np.zeros_like(r)

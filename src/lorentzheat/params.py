@@ -122,26 +122,6 @@ def validate_pair(p, sigma) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OuterExtension:
-    """Behaviour beyond the last grid node.
-
-    kind 'zero' truncates; kind 'power' continues the anchored law
-    v_M (r/r_M)^exponent (log r / log r_M)^log_power.
-    """
-
-    kind: str = "zero"
-    exponent: float = 0.0
-    log_power: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "power"):
-            raise ValueError(f"unknown outer extension kind {self.kind!r}")
-
-
-ZERO_OUTSIDE = OuterExtension("zero")
-
-
 class RadialProfile:
     """Sampled radial function on r > 0 with power-law extensions.
 
@@ -152,11 +132,12 @@ class RadialProfile:
     dimension : ambient dimension N >= 2
     inner_exponent : power a with phi ~ phi(r_0) (r/r_0)^a below the grid;
         None fits it from the first segment, INF_DECAY means zero there
-    outer : OuterExtension describing r > grid[-1]
+    outer_exponent : power b with phi = phi(r_M) (r/r_M)^b beyond the last
+        node r_M; None means zero there
     """
 
     def __init__(self, grid, values, dimension, inner_exponent=None,
-                 outer: OuterExtension = ZERO_OUTSIDE):
+                 outer_exponent=None):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
@@ -174,7 +155,7 @@ class RadialProfile:
         self.grid = grid
         self.values = values
         self.dimension = int(dimension)
-        self.outer = outer
+        self.outer_exponent = None if outer_exponent is None else float(outer_exponent)
         if inner_exponent is None:
             inner_exponent = INF_DECAY if values[0] == 0.0 \
                 else two_point_exponent(grid, values)
@@ -191,8 +172,8 @@ class RadialProfile:
             r_max = support
         grid = np.array([r_min, r_max])
         vals = coefficient * grid ** exponent
-        outer = ZERO_OUTSIDE if support is not None else OuterExtension("power", exponent)
-        return cls(grid, vals, dimension, inner_exponent=exponent, outer=outer)
+        return cls(grid, vals, dimension, inner_exponent=exponent,
+                   outer_exponent=exponent if support is None else None)
 
     @classmethod
     def indicator_ball(cls, radius, dimension, r_min=None):
@@ -209,10 +190,9 @@ class RadialProfile:
         return cls(np.array([r1, r2]), np.array([1.0, 1.0]), dimension,
                    inner_exponent=INF_DECAY)
 
-    def with_values(self, values, inner_exponent=None,
-                    outer: OuterExtension | None = None) -> "RadialProfile":
+    def with_values(self, values, inner_exponent=None) -> "RadialProfile":
         return RadialProfile(self.grid, values, self.dimension, inner_exponent,
-                             self.outer if outer is None else outer)
+                             self.outer_exponent)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -249,13 +229,10 @@ class RadialProfile:
             out[outerm & (r == g[-1])] = v[-1]
             beyond = outerm & (r > g[-1])
             if np.any(beyond):
-                if self.outer.kind == "zero" or v[-1] == 0.0:
+                if self.outer_exponent is None or v[-1] == 0.0:
                     out[beyond] = 0.0
                 else:
-                    val = v[-1] * (r[beyond] / g[-1]) ** self.outer.exponent
-                    if self.outer.log_power:
-                        val = val * (np.log(r[beyond]) / np.log(g[-1])) ** self.outer.log_power
-                    out[beyond] = val
+                    out[beyond] = v[-1] * (r[beyond] / g[-1]) ** self.outer_exponent
         return out[0] if scalar else out
 
     __call__ = eval
@@ -267,21 +244,14 @@ class RadialProfile:
             self._segments = _build_segments(self)
         return self._segments
 
-    def restrict(self, r_hi, r_lo=0.0) -> "RadialProfile":
-        """Zero-extended restriction to the annulus (r_lo, r_hi]."""
+    def restrict(self, r_hi) -> "RadialProfile":
+        """Zero-extended restriction to the ball B(0, r_hi)."""
         if r_hi <= self.grid[0]:
-            sub = np.array([max(r_lo, r_hi * 1e-6), r_hi])
-            inner = self.inner_exponent if r_lo == 0.0 else INF_DECAY
-            return RadialProfile(sub, self.eval(sub), self.dimension,
-                                 inner_exponent=inner)
-        mask = (self.grid < r_hi) & (self.grid > r_lo)
-        sub = self.grid[mask]
-        head = [r_lo] if r_lo > 0.0 else []
-        sub = np.concatenate((head, sub, [r_hi]))
-        vals = self.eval(sub)
-        inner = self.inner_exponent if r_lo == 0.0 else INF_DECAY
-        return RadialProfile(sub, vals, self.dimension, inner_exponent=inner,
-                             outer=ZERO_OUTSIDE)
+            sub = np.array([r_hi * 1e-6, r_hi])
+        else:
+            sub = np.append(self.grid[self.grid < r_hi], r_hi)
+        return RadialProfile(sub, self.eval(sub), self.dimension,
+                             inner_exponent=self.inner_exponent)
 
     # -- measure-theoretic operations ------------------------------------------------
 
@@ -704,11 +674,8 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     a_in = profile.inner_exponent
     if v[0] != 0.0 and a_in != INF_DECAY:
         head.append((0.0, g[0], _POWER, g[0], abs(v[0]), a_in, 0.0, 0.0))
-    if profile.outer.kind == "power" and v[-1] != 0.0:
-        if profile.outer.log_power != 0:
-            raise NotImplementedError(
-                "norms across log-power outer tails: restrict to a ball first")
-        tail.append((g[-1], INF, _POWER, g[-1], abs(v[-1]), profile.outer.exponent,
+    if profile.outer_exponent is not None and v[-1] != 0.0:
+        tail.append((g[-1], INF, _POWER, g[-1], abs(v[-1]), profile.outer_exponent,
                      0.0, 0.0))
     r0, r1, kind, ra, va, expo, slope, icpt = (
         np.concatenate(([h[j] for h in head], col[keep], [t[j] for t in tail]))

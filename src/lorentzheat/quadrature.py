@@ -66,7 +66,7 @@ def cumulative_integral(r, y, head_exponent=None):
         out[0] = y0 * r[0] / (head_exponent + 1.0)
 
     ratio = np.empty(n - 1)
-    powok = (y[:-1] * y[1:]) > 0.0
+    powok = np.sign(y[:-1]) * np.sign(y[1:]) > 0.0  # y[:-1] * y[1:] can underflow
     idx_pow = np.nonzero(powok)[0]
     if idx_pow.size:
         r0, r1 = r[idx_pow], r[idx_pow + 1]

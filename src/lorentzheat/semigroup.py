@@ -15,6 +15,11 @@ conductance Laplacian: symmetric positive definite and tridiagonal, one
 LDL^T factorization for all columns.  w == 1 is a discrete steady state to
 machine precision, which pins the harmonic profile as stationary.
 
+Three fixed constants shape every flow: the first step is
+t_first / (dt_cap * INIT_SCALE_STEPS), and at each target a dip of min w
+below min(0, min w0) by more than POSITIVITY_TOL max|w|, or an outer-zone
+value above CONTAMINATION_THRESHOLD max|w|, is reported as a warning.
+
 Operator norms between Lorentz spaces are estimated from below by flowing a
 family of concentrated data (dyadic balls, annuli, and an h_k-shaped bump at
 scale sqrt t) and taking the best norm ratio; the routine never claims more
@@ -29,21 +34,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .harmonic import HarmonicProfile, derivative_h
-from .params import INF, INF_DECAY, LorentzParams, RadialProfile
+from .harmonic import HarmonicProfile, leibniz_h
+from .params import INF_DECAY, RadialProfile
 from .quadrature import radial_derivative_values, windowed_exponent
+
+
+INIT_SCALE_STEPS = 4.0 ** 6       # first dt = t_first / (dt_cap * this)
+CONTAMINATION_THRESHOLD = 1e-9    # outer-zone |w| / max|w| that warns
+POSITIVITY_TOL = 1e-9             # dip below the initial floor, / max|w|
 
 
 @dataclass(frozen=True)
 class SchemeParams:
-    theta: float = 0.5
+    """Time-stepping knobs; the start step and the monitors' thresholds are
+    the module constants INIT_SCALE_STEPS, CONTAMINATION_THRESHOLD and
+    POSITIVITY_TOL."""
+
+    theta: float = 0.5              # in [0.5, 1]; 1 is backward Euler
     dt_cap: float = 64.0            # dt <= t / dt_cap once moving
-    init_scale_steps: float = 4.0 ** 6  # first dt = t_first/(dt_cap*this)
     rannacher_steps: int = 12       # backward-Euler start-up steps; enough to
     # damp indicator-edge modes that Crank-Nicolson would keep oscillating
     boundary: str = "absorbing"     # or "reflecting"
-    contamination_threshold: float = 1e-9
-    positivity_tol: float = 1e-9
 
 
 DEFAULT_SCHEME = SchemeParams()
@@ -57,7 +68,6 @@ class ModeState:
     t: float
     w: np.ndarray
     hk: HarmonicProfile
-    scheme: SchemeParams
     warnings: tuple = ()
 
     @property
@@ -186,7 +196,7 @@ def _time_schedule(t_targets, scheme: SchemeParams):
     targets = sorted(set(float(t) for t in t_targets))
     if targets[0] <= 0.0:
         raise ValueError("targets must be positive")
-    dt0 = targets[0] / (scheme.dt_cap * scheme.init_scale_steps)
+    dt0 = targets[0] / (scheme.dt_cap * INIT_SCALE_STEPS)
     steps = []  # (dt, emit_after_this_step)
     t = 0.0
     for target in targets:
@@ -230,23 +240,20 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
         if emit:
             t = targets[len(out)]
             wmax = float(np.max(np.abs(w)))
-            if min(0.0, init_floor) - float(np.min(w)) > \
-                    scheme.positivity_tol * wmax:
+            if min(0.0, init_floor) - float(np.min(w)) > POSITIVITY_TOL * wmax:
                 warnings.append(f"positivity dip at t={t:g}")
             contamination = float(np.max(np.abs(w[outer_zone]))) / max(wmax, 1e-300)
-            if contamination > scheme.contamination_threshold:
+            if contamination > CONTAMINATION_THRESHOLD:
                 warnings.append(
                     f"boundary contamination {contamination:.2e} at t={t:g}")
             out.append(w.copy())
     return out, warnings
 
 
-def evolve_mode(spec, hk: HarmonicProfile, phi: RadialProfile | np.ndarray,
+def evolve_mode(hk: HarmonicProfile, phi: RadialProfile | np.ndarray,
                 t_targets, scheme: SchemeParams = DEFAULT_SCHEME
                 ) -> list[ModeState]:
     """Evolve a single mode datum phi; returns states at the target times."""
-    if spec.label != hk.spec.label or spec.dimension != hk.spec.dimension:
-        raise ValueError("profile was solved for a different potential")
     phi_vals = phi.eval(hk.grid) if isinstance(phi, RadialProfile) \
         else np.asarray(phi, dtype=float)
     w0 = phi_vals / hk.values
@@ -254,7 +261,7 @@ def evolve_mode(spec, hk: HarmonicProfile, phi: RadialProfile | np.ndarray,
         raise ValueError("phi/h_k must be bounded on the grid")
     ws, warnings = evolve_modes(hk, w0[:, None], t_targets, scheme)
     targets = sorted(set(float(t) for t in t_targets))
-    return [ModeState(hk.k, t, w[:, 0], hk, scheme, tuple(warnings))
+    return [ModeState(hk.k, t, w[:, 0], hk, tuple(warnings))
             for t, w in zip(targets, ws)]
 
 
@@ -284,10 +291,7 @@ def radial_derivative(state: ModeState, alpha: int) -> RadialProfile:
         else:
             d[:cut] = d[cut]
         wd.append(d)
-    acc = np.zeros_like(r)
-    for j in range(alpha + 1):
-        hj = hk.values if j == 0 else derivative_h(hk, j).values
-        acc += math.comb(alpha, j) * hj * wd[alpha - j]
+    acc = leibniz_h(hk, wd.__getitem__, alpha)
     # deep sub-resolution cells carry a percent-level systematic tilt from
     # the quasi-static advance, so two-point fits are meaningless there: a
     # windowed fit averages the tilt, and slopes inside the snap band become
@@ -298,21 +302,6 @@ def radial_derivative(state: ModeState, alpha: int) -> RadialProfile:
                          inner_exponent=windowed_exponent(r, acc, 32, 0.15))
 
 
-def norm_on_region(profile: RadialProfile, q, theta, region) -> float:
-    """Lorentz norm of a profile over full space, a ball, or an annulus."""
-    if region == "full" or region is None:
-        return profile.lorentz_norm(q, theta)
-    kind = region[0]
-    if kind == "ball":
-        return profile.lorentz_norm_on_ball(q, theta, region[1])
-    if kind == "annulus":
-        _, r1, r2 = region
-        if r2 <= r1:
-            return 0.0
-        return profile.restrict(r2, r_lo=r1).lorentz_norm(q, theta)
-    raise ValueError(f"unknown region {region!r}")
-
-
 # ---------------------------------------------------------------------------
 # test families and operator-norm estimation
 # ---------------------------------------------------------------------------
@@ -321,11 +310,7 @@ def norm_on_region(profile: RadialProfile, q, theta, region) -> float:
 @dataclass
 class FamilyDatum:
     label: str
-    values: np.ndarray          # raw amplitude-1 samples on the grid
-    profile: RadialProfile
-
-    def source_norm(self, p, sigma) -> float:
-        return self.profile.lorentz_norm(p, sigma)
+    profile: RadialProfile      # raw amplitude-1 samples on the grid
 
 
 def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
@@ -334,7 +319,7 @@ def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
 
     Balls B(0, 2^-j sqrt t), annuli between consecutive radii, and the
     h_k-shaped bump on B(0, sqrt t); amplitudes are raw, callers normalize
-    through source_norm (the flow is linear).
+    by the profile's source norm (the flow is linear).
     """
     r = hk.grid
     n = hk.spec.dimension
@@ -346,20 +331,19 @@ def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
             break
         vals = np.where(r <= radius, 1.0, 0.0)
         prof = RadialProfile(r, vals, n, inner_exponent=0.0)
-        out.append(FamilyDatum(f"ball_j{j}", vals, prof))
+        out.append(FamilyDatum(f"ball_j{j}", prof))
         inner_radius = radius / 2.0
         if inner_radius > r[0] * 4.0:
             av = np.where((r > inner_radius) & (r <= radius), 1.0, 0.0)
             if np.any(av > 0.0):
                 aprof = RadialProfile(r, av, n, inner_exponent=INF_DECAY)
-                out.append(FamilyDatum(f"annulus_j{j}", av, aprof))
+                out.append(FamilyDatum(f"annulus_j{j}", aprof))
     bump = np.where(r <= root_t, hk.values, 0.0)
     scale = float(np.max(np.abs(bump)))
     if scale > 0.0:
         bump = bump / scale
-        out.append(FamilyDatum("hk_bump", bump,
-                               RadialProfile(r, bump, n,
-                                             inner_exponent=hk.inner_exponent)))
+        out.append(FamilyDatum("hk_bump", RadialProfile(
+            r, bump, n, inner_exponent=hk.inner_exponent)))
     return out
 
 
@@ -368,86 +352,45 @@ class OperatorNormEstimate:
     value: float
     datum: str
     t: float
-    alpha: int
-    params: LorentzParams
     warnings: tuple = ()
 
 
-def estimate_operator_norm(spec, hk: HarmonicProfile, alpha: int,
-                           lp: LorentzParams, t: float, region="full",
-                           scheme: SchemeParams = DEFAULT_SCHEME,
-                           family=None) -> OperatorNormEstimate:
-    """Best lower bound on ||d_r^alpha e^{-tH_k}||(L^{p,sigma} -> L^{q,theta}(region))
-    over the concentrated test family."""
-    sweep = operator_norm_sweep(spec, hk, [alpha], [lp], [t], region=region,
-                                scheme=scheme, family=family)
-    return sweep[(alpha, 0)][0]
+def operator_norm_sweep(hk: HarmonicProfile, alphas, lps, t_list,
+                        scheme: SchemeParams = DEFAULT_SCHEME, j_max=6):
+    """Best lower bounds on ||d_r^alpha e^{-tH_k}||(L^{p,sigma} -> L^{q,theta})
+    over the concentrated test family, for every (alpha, tuple, t); one
+    batched flow per t.
 
-
-def operator_norm_sweep(spec, hk: HarmonicProfile, alphas, lps, t_list,
-                        region="full", scheme: SchemeParams = DEFAULT_SCHEME,
-                        family=None, j_max=6):
-    """Estimates for every (alpha, tuple, t); one batched flow per t.
-
-    Returns {(alpha, lp_index): [OperatorNormEstimate per t]}.  Empty regions
-    yield zero estimates.
+    Returns {(alpha, lp_index): [OperatorNormEstimate per t]}.
     """
     results = {(a, i): [] for a in alphas for i in range(len(lps))}
     for t in t_list:
-        fam = family if family is not None else build_test_family(hk, t, j_max)
-        w0 = np.stack([d.values / hk.values for d in fam], axis=1)
+        fam = build_test_family(hk, t, j_max)
+        w0 = np.stack([d.profile.values / hk.values for d in fam], axis=1)
         ws, warnings = evolve_modes(hk, w0, [t], scheme)
         w_t = ws[0]
-        reg = region(t) if callable(region) else region
         deriv_profiles = {}
         for a in alphas:
             deriv_profiles[a] = []
             for col in range(len(fam)):
-                st = ModeState(hk.k, t, w_t[:, col], hk, scheme)
+                st = ModeState(hk.k, t, w_t[:, col], hk)
                 deriv_profiles[a].append(radial_derivative(st, a))
         for i, lp in enumerate(lps):
             p, sigma = lp.source_pair()
             q, th = lp.target_pair()
-            src = np.array([d.source_norm(p, sigma) for d in fam])
+            src = np.array([d.profile.lorentz_norm(p, sigma) for d in fam])
             for a in alphas:
                 best, who = 0.0, "none"
                 for col, d in enumerate(fam):
                     if not (src[col] > 0.0 and math.isfinite(src[col])):
                         continue
-                    val = norm_on_region(deriv_profiles[a][col], q, th, reg)
+                    val = deriv_profiles[a][col].lorentz_norm(q, th)
                     ratio = val / src[col]
                     if ratio > best:
                         best, who = ratio, d.label
                 results[(a, i)].append(OperatorNormEstimate(
-                    best, who, t, a, lp, tuple(warnings)))
+                    best, who, t, tuple(warnings)))
     return results
-
-
-def assemble_sum(states: list[tuple[ModeState, float]], t: float
-                 ) -> tuple[RadialProfile, float]:
-    """Pointwise envelope sum_k M_k |v_k(r, t)| with a geometric tail bound.
-
-    The tail estimate extrapolates the decay ratio of the last two included
-    modes; it is reported, not added to the envelope.
-    """
-    if not states:
-        raise ValueError("no states to assemble")
-    for st, _ in states:
-        if not math.isclose(st.t, t, rel_tol=1e-9):
-            raise ValueError(f"state at t={st.t} does not match requested {t}")
-    grid = states[0][0].grid
-    env = np.zeros_like(grid)
-    sups = []
-    for st, mult in states:
-        contrib = mult * np.abs(st.v_values())
-        env += contrib
-        sups.append(float(np.max(contrib)))
-    tail = 0.0
-    if len(sups) >= 2 and sups[-2] > 0.0:
-        q = sups[-1] / sups[-2]
-        tail = INF if q >= 1.0 else sups[-1] * q / (1.0 - q)
-    prof = RadialProfile(grid, env, states[0][0].hk.spec.dimension)
-    return prof, tail
 
 
 def gaussian_exact(dimension: int, width: float, r, t: float):

@@ -35,7 +35,6 @@ from lorentzheat.rates import (
 )
 from lorentzheat.semigroup import (
     SchemeParams,
-    estimate_operator_norm,
     evolve_mode,
     gaussian_exact,
     heat_kernel_sup,
@@ -71,19 +70,19 @@ def ps_t73():
 
 @pytest.fixture(scope="session")
 def hardy_sweep(ps_hardy):
-    return operator_norm_sweep(ps_hardy.spec, ps_hardy.h(0), [0, 1, 2],
+    return operator_norm_sweep(ps_hardy.h(0), [0, 1, 2],
                                [L1_TO_SUP, L1_TO_L2], list(T_MID))
 
 
 @pytest.fixture(scope="session")
 def t73_sweep_mid(ps_t73):
-    return operator_norm_sweep(ps_t73.spec, ps_t73.h(0), [0, 1, 2],
+    return operator_norm_sweep(ps_t73.h(0), [0, 1, 2],
                                [L1_TO_L2, L2_TO_SUP], list(T_MID))
 
 
 @pytest.fixture(scope="session")
 def t73_sweep_large(ps_t73):
-    return operator_norm_sweep(ps_t73.spec, ps_t73.h(0), [1],
+    return operator_norm_sweep(ps_t73.h(0), [1],
                                [L2_TO_SUP], list(T_LARGE))
 
 
@@ -178,7 +177,7 @@ class TestCriterion5:
         h0 = solve_h(spec, 0, GRID)
         phi = gaussian_exact(3, 1.0, GRID, 0.0)
         scheme = SchemeParams(dt_cap=256.0)
-        states = evolve_mode(spec, h0, phi, [0.1, 1.0, 10.0], scheme)
+        states = evolve_mode(h0, phi, [0.1, 1.0, 10.0], scheme)
         worst = 0.0
         for st in states:
             exact = gaussian_exact(3, 1.0, GRID, st.t)
@@ -187,7 +186,7 @@ class TestCriterion5:
         window_ok = True
         ratios = []
         for t in (0.5, 4.0):
-            est = estimate_operator_norm(spec, h0, 0, L1_TO_SUP, t)
+            est = operator_norm_sweep(h0, [0], [L1_TO_SUP], [t])[(0, 0)][0]
             ratio = est.value / heat_kernel_sup(3, t)
             ratios.append(ratio)
             window_ok = window_ok and 0.5 <= ratio <= 1.05
@@ -332,7 +331,6 @@ class TestCriterion9:
         # ball, so the constant is fitted on the resolvable band and the
         # deep interior is checked against the floor directly.
         delta = 0.25
-        spec = ps_hardy.spec
         flat_c = 0.0
         floor_dev = 0.0
         grad_c = 0.0
@@ -340,7 +338,7 @@ class TestCriterion9:
             hk = ps_hardy.h(k)
             phi = np.where(GRID <= 1.0, hk.values, 0.0)
             src_norm = hk.profile.with_values(phi).lorentz_norm(1.0, 1.0)
-            states = evolve_mode(spec, hk, phi, list(np.geomspace(1.0, 100.0, 5)))
+            states = evolve_mode(hk, phi, list(np.geomspace(1.0, 100.0, 5)))
             for st in states:
                 root_t = math.sqrt(st.t)
                 w0 = st.w[0]

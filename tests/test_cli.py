@@ -72,6 +72,27 @@ class TestConfig:
         assert "invalid input" in capsys.readouterr().err
         assert parse_config(f"{key} = 1\nmodes.k_max = 1")[key] in (1, [1])
 
+    @pytest.mark.parametrize("key, value", [("scheme.dt_cap", "-64"),
+                                            ("scheme.dt_cap", "0"),
+                                            ("scheme.dt_cap", "inf"),
+                                            ("scheme.theta", "2"),
+                                            ("scheme.theta", "0.4"),
+                                            ("scheme.theta", "nan"),
+                                            ("scheme.rannacher", "-1")])
+    def test_scheme_value_rejected(self, key, value, tmp_path, capsys):
+        # dt_cap <= 0 or inf never advances t (or divides by zero), and
+        # theta > 1 would silently run backward Euler with a longer step
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(f"{key} = {value}")
+        code, _ = run_cli(tmp_path, f"{key} = {value}\n", "evolve")
+        assert code == 1
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_scheme_range_ends_accepted(self):
+        cfg = parse_config("scheme.theta = 1\nscheme.rannacher = 0\nscheme.dt_cap = 1e-3")
+        assert (cfg["scheme.theta"], cfg["scheme.rannacher"]) == (1.0, 0)
+        assert parse_config("scheme.theta = 0.5")["scheme.theta"] == 0.5
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nseed = 7  # trailing\n")
         assert cfg["seed"] == 7

@@ -86,6 +86,23 @@ class TestApplyI:
         with pytest.raises(SingularSourceError):
             apply_I(hardy_hk[0], f)
 
+    def test_steep_mode_inner_integral(self):
+        # r^2 h_10^2 is about 1e-178 at r = 1e-8, so the product of two
+        # neighbouring samples underflows there; the inner integral must stay
+        # the panel-wise power-law integral, summed here apart from the code
+        grid = make_grid(1e-8, 1e4, 1024)
+        hk = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 10, grid)
+        y = grid ** 2 * hk.values ** 2
+        assert y[0] * y[1] == 0.0
+        inner = [y[0] * grid[0] / (2.0 * hk.inner_exponent + 3.0)]
+        for r0, r1, y0, y1 in zip(grid[:-1], grid[1:], y[:-1], y[1:]):
+            x = math.log(r1 / r0)
+            e1 = math.log(y1 / y0) / x + 1.0
+            inner.append(inner[-1] + y0 * r0 * math.expm1(e1 * x) / e1)
+        expect = np.array(inner) / (grid ** 2 * hk.values ** 2)
+        itg = apply_I(hk, np.ones_like(grid), f_inner_exponent=0.0)
+        np.testing.assert_allclose(itg.dI, expect, rtol=1e-12, atol=0.0)
+
     def test_hardy_scaling(self, hardy_hk):
         # I_k^n(lam r) = lam^(2n) I_k^n(r) for the scale-invariant potential
         itg = iterate_I(hardy_hk[1], 2)

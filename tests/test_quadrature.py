@@ -37,6 +37,19 @@ class TestTwoPointExponent:
         assert RadialProfile(GRID, GRID ** 2, 3).inner_exponent == pytest.approx(2.0)
 
 
+class TestCumulativeIntegral:
+    @pytest.mark.parametrize("e", [19.5, 21.0, 30.0, 40.0])
+    def test_exact_on_steep_powers(self, e):
+        # from e ~ 20 on, y[i] * y[i + 1] underflows on the first panels,
+        # which must still be integrated as power laws
+        r = np.geomspace(1e-8, 1.0, 400)
+        got = cumulative_integral(r, r ** e, head_exponent=e)
+        exact = r ** (e + 1.0) / (e + 1.0)
+        normal = exact > 1e-290
+        assert np.count_nonzero(normal) > 300
+        np.testing.assert_allclose(got[normal], exact[normal], rtol=1e-12, atol=0.0)
+
+
 class TestWindowedExponent:
     def test_slope_of_a_power_and_snap(self):
         assert windowed_exponent(GRID, GRID ** 0.5, 16, 0.02) == pytest.approx(0.5)

@@ -4,19 +4,18 @@ from scipy.linalg import solve_banded, solveh_banded
 
 from lorentzheat import spectral
 from lorentzheat.harmonic import solve_h
-from lorentzheat.params import INF, LorentzParams, RadialProfile, unit_ball_volume
+from lorentzheat.params import INF, LorentzParams
 from lorentzheat.quadrature import make_grid
 from lorentzheat.semigroup import (
+    CONTAMINATION_THRESHOLD,
     DEFAULT_SCHEME,
+    POSITIVITY_TOL,
     SchemeParams,
-    assemble_sum,
     build_test_family,
-    estimate_operator_norm,
     evolve_mode,
     evolve_modes,
     gaussian_exact,
     heat_kernel_sup,
-    norm_on_region,
     operator_norm_sweep,
     _Operator,
     _time_schedule,
@@ -84,7 +83,7 @@ class TestScheme:
         width = 1.0
         phi = gaussian_exact(3, width, GRID, 0.0)
         scheme = SchemeParams(dt_cap=256.0)
-        states = evolve_mode(h0_zero.spec, h0_zero, phi, [0.1, 1.0, 10.0], scheme)
+        states = evolve_mode(h0_zero, phi, [0.1, 1.0, 10.0], scheme)
         for st in states:
             exact = gaussian_exact(3, width, GRID, st.t)
             err = np.max(np.abs(st.v_values() - exact)) / np.max(exact)
@@ -95,8 +94,8 @@ class TestScheme:
         hk = h_hardy[0]
         phi = np.where(GRID < 1.0, hk.values, 0.0)
         phi_scaled = np.where(GRID < 2.0, hk.eval(GRID / 2.0), 0.0)
-        st = evolve_mode(hk.spec, hk, phi, [1.0])[0]
-        st_scaled = evolve_mode(hk.spec, hk, phi_scaled, [4.0])[0]
+        st = evolve_mode(hk, phi, [1.0])[0]
+        st_scaled = evolve_mode(hk, phi_scaled, [4.0])[0]
         mid = (GRID > 1e-3) & (GRID < 30.0)
         v1 = st.v_profile().eval(GRID[mid] / 2.0)
         v2 = st_scaled.v_values()[mid]
@@ -108,7 +107,7 @@ class TestScheme:
         # pushing heat to t with sqrt(t) ~ r_max trips the monitor
         phi = np.where(GRID < 1.0, 1.0, 0.0)
         t_big = (GRID[-1] / 3.0) ** 2
-        states = evolve_mode(h0_zero.spec, h0_zero, phi, [t_big])
+        states = evolve_mode(h0_zero, phi, [t_big])
         assert any("contamination" in msg for msg in states[0].warnings)
 
 
@@ -186,11 +185,10 @@ def _reference_evolve(hk, w0, t_targets, scheme, step=_symmetric_step):
         if emit:
             t = targets[len(out)]
             wmax = float(np.max(np.abs(w)))
-            if min(0.0, init_floor) - float(np.min(w)) > \
-                    scheme.positivity_tol * wmax:
+            if min(0.0, init_floor) - float(np.min(w)) > POSITIVITY_TOL * wmax:
                 warnings.append(f"positivity dip at t={t:g}")
             contamination = float(np.max(np.abs(w[outer_zone]))) / max(wmax, 1e-300)
-            if contamination > scheme.contamination_threshold:
+            if contamination > CONTAMINATION_THRESHOLD:
                 warnings.append(
                     f"boundary contamination {contamination:.2e} at t={t:g}")
             out.append(w.copy())
@@ -270,13 +268,13 @@ class TestStepper:
 class TestRadialDerivative:
     def test_alpha0_identity(self, h0_zero):
         phi = gaussian_exact(3, 1.0, GRID, 0.0)
-        st = evolve_mode(h0_zero.spec, h0_zero, phi, [1.0])[0]
+        st = evolve_mode(h0_zero, phi, [1.0])[0]
         assert np.allclose(radial_derivative(st, 0).values, st.v_values())
 
     def test_gaussian_first_derivative(self, h0_zero):
         phi = gaussian_exact(3, 1.0, GRID, 0.0)
         scheme = SchemeParams(dt_cap=256.0)
-        st = evolve_mode(h0_zero.spec, h0_zero, phi, [1.0], scheme)[0]
+        st = evolve_mode(h0_zero, phi, [1.0], scheme)[0]
         d1 = radial_derivative(st, 1).values
         s2 = 1.0 + 2.0 * st.t
         exact = -GRID / s2 * gaussian_exact(3, 1.0, GRID, st.t)
@@ -288,7 +286,7 @@ class TestRadialDerivative:
         # |d_r v| ~ r^(A_1 - 1) near the origin at fixed t
         hk = h_hardy[1]
         phi = np.where(GRID < 1.0, hk.values, 0.0)
-        st = evolve_mode(hk.spec, hk, phi, [1.0])[0]
+        st = evolve_mode(hk, phi, [1.0])[0]
         d1 = np.abs(radial_derivative(st, 1).values)
         small = (GRID > 1e-6) & (GRID < 1e-3)
         slope = np.polyfit(np.log(GRID[small]), np.log(d1[small]), 1)[0]
@@ -301,23 +299,14 @@ class TestFamilyAndNorms:
         labels = {d.label for d in fam}
         assert "ball_j0" in labels and "annulus_j3" in labels and "hk_bump" in labels
         for d in fam:
-            nrm = d.source_norm(2.0, 2.0)
+            nrm = d.profile.lorentz_norm(2.0, 2.0)
             assert 0.0 < nrm < INF
-
-    def test_region_norms(self, h0_zero):
-        prof = RadialProfile.indicator_ball(2.0, 3)
-        a3 = unit_ball_volume(3)
-        assert norm_on_region(prof, 1.0, 1.0, "full") == pytest.approx(8 * a3)
-        assert norm_on_region(prof, 1.0, 1.0, ("ball", 1.0)) == pytest.approx(a3)
-        assert norm_on_region(prof, 1.0, 1.0, ("annulus", 1.0, 2.0)) == \
-            pytest.approx(7 * a3, rel=1e-9)
-        assert norm_on_region(prof, 1.0, 1.0, ("annulus", 2.0, 1.0)) == 0.0
 
     def test_gaussian_operator_norm_window(self, h0_zero):
         # L^1 -> L^inf estimate must catch at least half the kernel sup
         lp = LorentzParams(1.0, INF, 1.0, INF)
         for t in (0.5, 4.0):
-            est = estimate_operator_norm(h0_zero.spec, h0_zero, 0, lp, t)
+            est = operator_norm_sweep(h0_zero, [0], [lp], [t])[(0, 0)][0]
             assert 0.5 * heat_kernel_sup(3, t) <= est.value \
                 <= 1.05 * heat_kernel_sup(3, t)
 
@@ -326,51 +315,19 @@ class TestFamilyAndNorms:
         hk = h_hardy[0]
         lp = LorentzParams(1.0, INF, 1.0, INF)
         ts = [0.25, 1.0, 4.0, 16.0]
-        sweep = operator_norm_sweep(hk.spec, hk, [0], [lp], ts)
+        sweep = operator_norm_sweep(hk, [0], [lp], ts)
         vals = [e.value * e.t ** 1.5 for e in sweep[(0, 0)]]
         assert max(vals) / min(vals) < 1.05
 
-    def test_empty_region_zero(self, h_hardy):
-        hk = h_hardy[0]
-        lp = LorentzParams(1.0, 2.0, 1.0, 2.0)
-        est = estimate_operator_norm(hk.spec, hk, 0, lp, 1.0,
-                                     region=("annulus", 3.0, 3.0))
-        assert est.value == 0.0
-
 
 class TestAssembly:
-    def test_single_mode(self, h_hardy):
-        hk = h_hardy[0]
-        phi = np.where(GRID < 1.0, hk.values, 0.0)
-        st = evolve_mode(hk.spec, hk, phi, [1.0])[0]
-        env, tail = assemble_sum([(st, 1.0)], 1.0)
-        assert np.allclose(env.values, np.abs(st.v_values()))
-        assert tail == 0.0
-
     def test_low_mode_dominates_near_origin(self, h_hardy):
         states = []
         for k in (0, 1):
             hk = h_hardy[k]
             phi = np.where(GRID < 1.0, hk.values, 0.0)
-            states.append((evolve_mode(hk.spec, hk, phi, [4.0])[0], 1.0))
+            states.append((evolve_mode(hk, phi, [4.0])[0], 1.0))
         v0 = np.abs(states[0][0].v_values())
         v1 = np.abs(states[1][0].v_values())
         small = (GRID > 1e-5) & (GRID < 1e-2)
         assert np.all(v0[small] > v1[small])
-
-    def test_time_mismatch_rejected(self, h_hardy):
-        hk = h_hardy[0]
-        phi = np.where(GRID < 1.0, hk.values, 0.0)
-        st = evolve_mode(hk.spec, hk, phi, [1.0])[0]
-        with pytest.raises(ValueError):
-            assemble_sum([(st, 1.0)], 2.0)
-
-    def test_geometric_tail_estimate(self, h_hardy):
-        states = []
-        for k in (0, 1):
-            hk = h_hardy[k]
-            phi = np.where(GRID < 1.0, hk.values, 0.0)
-            states.append((evolve_mode(hk.spec, hk, phi, [9.0])[0], 1.0))
-        _, tail = assemble_sum(states, 9.0)
-        sup1 = np.max(np.abs(states[1][0].v_values()))
-        assert 0.0 < tail < sup1  # higher modes decay geometrically
