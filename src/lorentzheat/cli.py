@@ -135,14 +135,19 @@ def _validate_config(v):
         raise ConfigError(f"unknown potential.kind {v['potential.kind']!r}")
     if any(a < 0 for a in v["alphas"]):
         raise ConfigError("alphas must be nonnegative")
-    # dt_cap <= 0 or inf stalls the time schedule (dt = 0 at t = 0), and a
-    # theta above 1 would run backward Euler with a stretched step
-    if not 0.0 < v["scheme.dt_cap"] < math.inf:
-        raise ConfigError("scheme.dt_cap must be positive and finite")
-    if not 0.5 <= v["scheme.theta"] <= 1.0:
-        raise ConfigError("scheme.theta must lie in [0.5, 1]")
-    if v["scheme.rannacher"] < 0:
-        raise ConfigError("scheme.rannacher must be nonnegative")
+    # these ran with exit 0 but read wrong: points_per_decade < 1 gives 2
+    # time points, j_max < 0 a family of the bump alone, and a delta that is
+    # not positive and finite an empty lower_env cell at every t
+    if v["time.points_per_decade"] < 1:
+        raise ConfigError("time.points_per_decade must be >= 1")
+    if v["family.j_max"] < 0:
+        raise ConfigError("family.j_max must be nonnegative")
+    if not 0.0 < v["delta"] < math.inf:
+        raise ConfigError("delta must be positive and finite")
+    try:
+        scheme_from(v)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for key, ks in (("modes.scan", v["modes.scan"]), ("evolve.k", [v["evolve.k"]])):
         bad = [k for k in ks if not 0 <= k <= v["modes.k_max"]]
         if bad:
@@ -176,7 +181,8 @@ def build_profiles(cfg: RunConfig) -> harmonic.ProfileSet:
     return harmonic.ProfileSet.build(spec, k_max=cfg["modes.k_max"], grid=grid)
 
 
-def scheme_from(cfg: RunConfig) -> SchemeParams:
+def scheme_from(cfg) -> SchemeParams:
+    """The config's SchemeParams (a RunConfig or its parsed values dict)."""
     return SchemeParams(theta=cfg["scheme.theta"], dt_cap=cfg["scheme.dt_cap"],
                         rannacher_steps=cfg["scheme.rannacher"])
 

@@ -28,6 +28,10 @@ from .params import INF, RadialProfile, power_membership
 from .quadrature import cumulative_integral, make_grid
 
 FIT_WINDOW_DECADES = 1.0
+# largest rms log-residual of an asymptotic far-field constant fit
+FIT_RESIDUAL_TOL = 0.05
+# dilation factors at which mode_ratio_decay compares the profile ratios
+MODE_RATIO_EPS = (0.5, 0.25, 0.125)
 # RK45 tolerances; the absolute one sits far below any profile value
 RTOL = 1e-11
 ATOL = 1e-250
@@ -140,8 +144,8 @@ def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
     return hp
 
 
-def _fit_tail_exponent(grid, h, decades=FIT_WINDOW_DECADES):
-    mask = grid >= grid[-1] / 10.0 ** decades
+def _fit_tail_exponent(grid, h):
+    mask = grid >= grid[-1] / 10.0 ** FIT_WINDOW_DECADES
     lr = np.log(grid[mask])
     lh = np.log(h[mask])
     slope = np.polyfit(lr, lh, 1)[0]
@@ -228,21 +232,20 @@ def gamma_ratio(hp: HarmonicProfile, p: float, sigma: float, t: float) -> float:
     return hp.profile.lorentz_norm_on_ball(p, sigma, root_t) / hp.eval(root_t)
 
 
-def fit_asymptotic_constant(hp: HarmonicProfile, decades=FIT_WINDOW_DECADES,
-                            tol=0.05) -> tuple[float, float]:
+def fit_asymptotic_constant(hp: HarmonicProfile) -> tuple[float, float]:
     """Least-squares constant c with h_k ~ c r^{A_2}(log r)^B on the last
     grid decade; raises when the window is not yet asymptotic."""
     grid, h = hp.grid, hp.values
-    mask = grid >= grid[-1] / 10.0 ** decades
+    mask = grid >= grid[-1] / 10.0 ** FIT_WINDOW_DECADES
     v = grid[mask] ** hp.outer_exponent
     if hp.outer_log_power:
         v = v * np.log(grid[mask]) ** hp.outer_log_power
     logratio = np.log(h[mask] / v)
     c = float(np.exp(np.mean(logratio)))
     residual = float(np.sqrt(np.mean((logratio - math.log(c)) ** 2)))
-    if residual > tol:
+    if residual > FIT_RESIDUAL_TOL:
         raise NonConvergedFitError(
-            f"far-field fit residual {residual:.3g} above {tol}")
+            f"far-field fit residual {residual:.3g} above {FIT_RESIDUAL_TOL}")
     return c, residual
 
 
@@ -312,16 +315,16 @@ def mass_bound_constant(hp: HarmonicProfile) -> float:
     return float(np.max(ratio))
 
 
-def mode_ratio_decay(hps: dict[int, HarmonicProfile], k: int, ell: int,
-                     eps_list=(0.5, 0.25, 0.125)) -> dict:
-    """sup_r of [h_k(eps r)/h_ell(eps r)] / [h_k(r)/h_ell(r)] per eps."""
+def mode_ratio_decay(hps: dict[int, HarmonicProfile], k: int, ell: int) -> dict:
+    """sup_r of [h_k(eps r)/h_ell(eps r)] / [h_k(r)/h_ell(r)] per eps in
+    MODE_RATIO_EPS."""
     hk, hl = hps[k], hps[ell]
     r = hk.grid
-    mask = (r >= r[0] / min(eps_list) * 8.0) & (r <= r[-1])
+    mask = (r >= r[0] / min(MODE_RATIO_EPS) * 8.0) & (r <= r[-1])
     rr = r[mask]
     base = hk.eval(rr) / hl.eval(rr)
     out = {}
-    for eps in eps_list:
+    for eps in MODE_RATIO_EPS:
         shifted = hk.eval(eps * rr) / hl.eval(eps * rr)
         out[eps] = float(np.max(shifted / base))
     return out

@@ -115,15 +115,13 @@ def laplacian_oracle_C(k: int, n: int, dimension: int) -> float:
     return c
 
 
-def j_envelope(hk: HarmonicProfile, n: int, itg: IteratedIntegral | None = None
-               ) -> RadialProfile:
+def j_envelope(hk: HarmonicProfile, n: int) -> RadialProfile:
     """Radial envelope h_k(r) I_k^n(r) of the weighted mode functions.
 
     The angular factor is a bounded multiplier and never evaluated pointwise;
     rates computed from this envelope are exact, constants envelope-level.
     """
-    if itg is None:
-        itg = iterate_I(hk, n)
+    itg = iterate_I(hk, n)
     vals = hk.values * itg.values
     return RadialProfile(hk.grid, vals, hk.spec.dimension,
                          inner_exponent=hk.inner_exponent + itg.profile.inner_exponent)
@@ -256,20 +254,20 @@ def envelope_nabla_J(hk: HarmonicProfile, itg: IteratedIntegral, alpha: int
                          inner_exponent=windowed_exponent(r, env, 16, 0.02))
 
 
-def mode_ode_residual(itg: IteratedIntegral, interior=(4, 4)) -> float:
-    """Max relative residual of L_k (h_k I_k[f]) = h_k f on the grid interior,
-    with all derivatives taken by independent finite differences."""
+def mode_ode_residual(itg: IteratedIntegral) -> float:
+    """Max relative residual of L_k (h_k I_k[f]) = h_k f on the grid interior
+    (4 nodes off each end), with all derivatives taken by independent finite
+    differences."""
     hk = itg.source
     r = hk.grid
     n = hk.spec.dimension
     u = hk.values * itg.values
-    lo, hi = interior
     u1 = radial_derivative_values(u, r, order=1)
     u2 = radial_derivative_values(u, r, order=2)
     vk = hk.spec.v_k(r, hk.k)
     lhs = u2 + (n - 1.0) / r * u1 - vk * u
     rhs = hk.values * itg.fvals
-    sl = slice(lo, -hi if hi else None)
+    sl = slice(4, -4)
     scale = (np.abs(u2) + (n - 1.0) / r * np.abs(u1)
              + np.abs(vk * u) + np.abs(rhs))[sl]
     return float(np.max(np.abs(lhs[sl] - rhs[sl]) / scale))

@@ -4,8 +4,8 @@ A radial function is stored as samples on a strictly increasing grid and
 interpreted as a piecewise power law between nodes (linear pieces where a
 power law is undefined, e.g. across sign changes or zeros).  Superlevel-set
 volumes are then available in closed form segment by segment, which makes
-distribution functions, rearrangements, and Lorentz norms exact on the
-power-function corpus that the rest of the package leans on.
+distribution functions and Lorentz norms exact on the power-function corpus
+that the rest of the package leans on.
 
 For sigma = p < inf the norm is the L^p norm (int |phi|^p dx)^(1/p), whose
 radial integral has a closed form on every segment.  Other norms are
@@ -25,7 +25,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import beta, comb
 
 from .quadrature import two_point_exponent
@@ -165,22 +164,20 @@ class RadialProfile:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def power(cls, exponent, dimension, r_min=1e-8, r_max=1e4, support=None,
-              coefficient=1.0):
-        """c r^exponent, optionally truncated to the ball B(0, support)."""
+    def power(cls, exponent, dimension, r_min=1e-8, r_max=1e4, support=None):
+        """r^exponent, optionally truncated to the ball B(0, support)."""
         if support is not None:
             r_max = support
         grid = np.array([r_min, r_max])
-        vals = coefficient * grid ** exponent
+        vals = grid ** exponent
         return cls(grid, vals, dimension, inner_exponent=exponent,
                    outer_exponent=exponent if support is None else None)
 
     @classmethod
-    def indicator_ball(cls, radius, dimension, r_min=None):
+    def indicator_ball(cls, radius, dimension):
         """Radial indicator of B(0, radius); exact two-node profile."""
-        r_min = radius * 1e-12 if r_min is None else r_min
-        return cls(np.array([r_min, radius]), np.array([1.0, 1.0]), dimension,
-                   inner_exponent=0.0)
+        return cls(np.array([radius * 1e-12, radius]), np.array([1.0, 1.0]),
+                   dimension, inner_exponent=0.0)
 
     @classmethod
     def indicator_annulus(cls, r1, r2, dimension):
@@ -190,9 +187,10 @@ class RadialProfile:
         return cls(np.array([r1, r2]), np.array([1.0, 1.0]), dimension,
                    inner_exponent=INF_DECAY)
 
-    def with_values(self, values, inner_exponent=None) -> "RadialProfile":
-        return RadialProfile(self.grid, values, self.dimension, inner_exponent,
-                             self.outer_exponent)
+    def with_values(self, values) -> "RadialProfile":
+        """Same grid and outer tail; the inner extension is fitted anew."""
+        return RadialProfile(self.grid, values, self.dimension,
+                             outer_exponent=self.outer_exponent)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -259,18 +257,7 @@ class RadialProfile:
         """Lebesgue measure of {x in R^N : |phi(x)| > lam}."""
         if lam <= 0.0:
             raise ValueError("lambda must be positive")
-        return self.segments().measure_above(lam)
-
-    def decreasing_rearrangement(self):
-        """The callable s -> phi*(s) = inf{lam > 0 : mu(lam) <= s}."""
-        segs = self.segments()
-
-        def phi_star(s):
-            s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-            out = np.array([segs.rearrangement_at(sv) for sv in s_arr])
-            return out[0] if np.ndim(s) == 0 else out
-
-        return phi_star
+        return float(self.segments().mu_batch(np.array([lam]))[0])
 
     def lorentz_norm(self, p, sigma) -> float:
         """||phi||_{L^{p,sigma}} of the zero/power-extended interpolant."""
@@ -376,37 +363,8 @@ class _SegmentSet:
             b0 = b1
         return mu
 
-    def measure_above(self, lam: float) -> float:
-        if np.any((self.r1 == INF) & ((self.vmax == INF) |
-                                      (self.vmax > lam) & (self.vmin >= lam))):
-            return INF
-        return float(self.mu_batch(np.array([lam]))[0])
-
     def sup_value(self) -> float:
         return float(np.max(self.vmax)) if self.vmax.size else 0.0
-
-    def rearrangement_at(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("s must be >= 0")
-        if self.ra.size == 0:
-            return 0.0
-        total = float(np.sum(self.vol))
-        if math.isfinite(total) and s >= total:
-            return 0.0
-        vmax = self.sup_value()
-        hi = vmax
-        if hi == INF:
-            hi = max(1.0, float(np.max(self.vmax[np.isfinite(self.vmax)], initial=1.0)))
-            while self.measure_above(hi) > s:
-                hi *= 4.0
-                if hi > 1e300:
-                    return INF
-        lo = hi
-        while self.measure_above(lo) <= s:
-            lo /= 4.0
-            if lo < 1e-300:
-                return 0.0
-        return brentq(lambda lam: self.measure_above(lam) - s, lo, hi, rtol=1e-13)
 
     # -- norms -----------------------------------------------------------------------
 
@@ -603,13 +561,18 @@ def _scalar_like_power(base, expo):
     return out
 
 
-def _log_gauss(u_hi, u_lo, n_gl, max_width=1.15):
+# widest piece of a _log_gauss rule in u = log(lam): half a decade in lambda
+_LOG_GAUSS_WIDTH = 1.15
+
+
+def _log_gauss(u_hi, u_lo, n_gl):
     """Gauss-Legendre rule, n_gl nodes per piece of u = log(lam), over the
     intervals [u_lo, u_hi] cut where np.linspace(u_hi, u_lo, n + 1) cuts them
-    into pieces no wider than max_width (half a decade in lambda).  Returns
-    the lam nodes, descending, and their u-weights."""
+    into pieces no wider than _LOG_GAUSS_WIDTH.  Returns the lam nodes,
+    descending, and their u-weights."""
     width = u_hi - u_lo
-    n = np.where(width > max_width, np.ceil(width / max_width), 1.0).astype(int)
+    n = np.where(width > _LOG_GAUSS_WIDTH, np.ceil(width / _LOG_GAUSS_WIDTH),
+                 1.0).astype(int)
     start = np.repeat(u_hi, n)
     step = np.repeat((u_lo - u_hi) / n, n)
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # piece within interval

@@ -34,7 +34,8 @@ def windowed_exponent(r, v, window, snap):
     """
     m = min(window, v.size // 4)
     head = v[:m]
-    if np.any(head == 0.0) or np.any(head * head[0] < 0.0):
+    # by sign: the product head * head[0] can underflow to 0
+    if not np.all(np.sign(head) * np.sign(head[0]) > 0.0):
         return None
     slope = np.polyfit(np.log(r[:m]), np.log(np.abs(head)), 1)[0]
     return 0.0 if abs(slope) < snap else float(slope)
@@ -85,10 +86,11 @@ def cumulative_integral(r, y, head_exponent=None):
     return out
 
 
-def is_log_uniform(r, tol=1e-8) -> bool:
+def is_log_uniform(r) -> bool:
+    """Whether log r is uniform to 1e-8 of its step."""
     u = np.log(r)
     h = np.diff(u)
-    return float(np.max(np.abs(h - h[0]))) <= tol * abs(h[0])
+    return float(np.max(np.abs(h - h[0]))) <= 1e-8 * abs(h[0])
 
 
 def _d_du(y, h, order):

@@ -29,6 +29,14 @@ from .params import INF, LorentzParams, RadialProfile, power_membership
 from .quadrature import cumulative_integral
 
 
+# an exponent within CASE_TOL of an integer is that integer; one within
+# CASE_BAND but not CASE_TOL is ambiguous
+CASE_TOL = 1e-9
+CASE_BAND = 1e-3
+# margin by which a fitted exponent must beat the free one to violate it
+FREE_RATE_TOL = 0.05
+
+
 class RateFitError(ValueError):
     pass
 
@@ -64,33 +72,32 @@ class CaseTag:
         return f"{z}/{i}"
 
 
-def _integer_membership(value, alpha, tol, band):
+def _integer_membership(value, alpha):
     nearest = round(value)
     dist = abs(value - nearest)
-    if dist <= tol:
+    if dist <= CASE_TOL:
         if 0 <= nearest <= alpha - 1:
             return True, int(nearest)
         return False, None
-    if dist <= band:
+    if dist <= CASE_BAND:
         raise AmbiguousCaseError(
-            f"exponent {value:.6g} within {band} of integer {nearest}; "
+            f"exponent {value:.6g} within {CASE_BAND} of integer {nearest}; "
             "assert the case explicitly")
     return False, None
 
 
-def classify_cases(table: spectral.ExponentTable, alpha: int,
-                   tol: float = 1e-9, band: float = 1e-3) -> CaseTag:
+def classify_cases(table: spectral.ExponentTable, alpha: int) -> CaseTag:
     """Near-origin and far-field case tags for derivative order alpha.
 
     The degenerate branch requires the profile to behave like an exact
     integer power r^A with A <= alpha - 1; a logarithmic far-field factor
     forces the non-degenerate branch regardless of the exponent.
     """
-    zero_b, zero_a = _integer_membership(float(table.A1[0]), alpha, tol, band)
+    zero_b, zero_a = _integer_membership(float(table.A1[0]), alpha)
     if table.B[0]:
         inf_b, inf_a = False, None
     else:
-        inf_b, inf_a = _integer_membership(float(table.A2[0]), alpha, tol, band)
+        inf_b, inf_a = _integer_membership(float(table.A2[0]), alpha)
     return CaseTag(alpha, "B" if zero_b else "A", zero_a,
                    "B" if inf_b else "A", inf_a)
 
@@ -469,8 +476,8 @@ def _lstsq(design, target):
     return coef, float(np.sqrt(np.mean(resid ** 2)))
 
 
-def consistency_check_free_rate(ps: ProfileSet, p: float, fits: dict,
-                                tol: float = 0.05) -> list[dict]:
+def consistency_check_free_rate(ps: ProfileSet, p: float, fits: dict
+                                ) -> list[dict]:
     """Contrapositive check of the free-rate characterization.
 
     For source exponent p and target L^inf, the free decay t^(-N/2p - alpha/2)
@@ -483,7 +490,7 @@ def consistency_check_free_rate(ps: ProfileSet, p: float, fits: dict,
     rows = []
     for alpha, fit in sorted(fits.items()):
         free = -n / (2.0 * p) - alpha / 2.0
-        violated = fit.exponent > free + tol
+        violated = fit.exponent > free + FREE_RATE_TOL
         w_alpha = spectral.omega(alpha, n)
         allows = (ps.criticality == spectral.SUBCRITICAL
                   and (spec.lambda1 >= w_alpha or spec.lambda1 == 0.0)

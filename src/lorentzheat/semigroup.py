@@ -46,15 +46,31 @@ POSITIVITY_TOL = 1e-9             # dip below the initial floor, / max|w|
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Time-stepping knobs; the start step and the monitors' thresholds are
-    the module constants INIT_SCALE_STEPS, CONTAMINATION_THRESHOLD and
-    POSITIVITY_TOL."""
+    """Time-stepping knobs, checked on construction (ValueError); the start
+    step and the monitors' thresholds are the module constants
+    INIT_SCALE_STEPS, CONTAMINATION_THRESHOLD and POSITIVITY_TOL."""
 
     theta: float = 0.5              # in [0.5, 1]; 1 is backward Euler
     dt_cap: float = 64.0            # dt <= t / dt_cap once moving
     rannacher_steps: int = 12       # backward-Euler start-up steps; enough to
     # damp indicator-edge modes that Crank-Nicolson would keep oscillating
     boundary: str = "absorbing"     # or "reflecting"
+
+    def __post_init__(self):
+        # dt_cap <= 0 or inf stalls the time schedule (dt = 0 at t = 0), a
+        # theta above 1 would run backward Euler with a stretched step, and
+        # any boundary but "absorbing" would run the reflecting scheme
+        if not 0.0 < self.dt_cap < math.inf:
+            raise ValueError("scheme.dt_cap must be positive and finite, "
+                             f"got {self.dt_cap}")
+        if not 0.5 <= self.theta <= 1.0:
+            raise ValueError(f"scheme.theta must lie in [0.5, 1], got {self.theta}")
+        if self.rannacher_steps < 0:
+            raise ValueError("scheme.rannacher_steps must be nonnegative, "
+                             f"got {self.rannacher_steps}")
+        if self.boundary not in ("absorbing", "reflecting"):
+            raise ValueError("scheme.boundary must be 'absorbing' or "
+                             f"'reflecting', got {self.boundary!r}")
 
 
 DEFAULT_SCHEME = SchemeParams()

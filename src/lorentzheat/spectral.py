@@ -29,6 +29,12 @@ ROOT_SEPARATION = 0.2
 # potential kinds whose criticality follows from lambda_2 alone
 ANALYTIC_KINDS = ("zero", "hardy")
 
+# nonnegativity evidence of a sign-changing V: the Dirichlet ball B(0, 60) on
+# 3000 interior nodes, and how far below 0 its lowest eigenvalue may sit
+NONNEG_R_MAX = 60.0
+NONNEG_POINTS = 3000
+NONNEG_TOL = 1e-3
+
 
 class SpectralError(ValueError):
     pass
@@ -273,8 +279,7 @@ def classify_criticality(spec: PotentialSpec,
     return UNKNOWN
 
 
-def check_nonnegativity(spec: PotentialSpec, r_max=60.0, n_points=3000,
-                        tol=1e-3) -> tuple[bool, dict]:
+def check_nonnegativity(spec: PotentialSpec) -> tuple[bool, dict]:
     """Evidence that the quadratic form of -Delta + V is nonnegative.
 
     Hardy potentials use the sharp inequality; pointwise nonnegative V is
@@ -292,23 +297,22 @@ def check_nonnegativity(spec: PotentialSpec, r_max=60.0, n_points=3000,
         return True, {"method": "pointwise-sign", "min_V": float(np.min(vp))}
     # symmetrized radial operator: u = r^((N-1)/2) h turns the radial
     # Laplacian into -u'' + [(N-1)(N-3)/(4 r^2)] u
-    h = r_max / (n_points + 1)
-    r = h * np.arange(1, n_points + 1)
+    h = NONNEG_R_MAX / (NONNEG_POINTS + 1)
+    r = h * np.arange(1, NONNEG_POINTS + 1)
     w = spec.V(r) + (n - 1) * (n - 3) / (4.0 * r ** 2)
     diag = 2.0 / h ** 2 + w
-    off = np.full(n_points - 1, -1.0 / h ** 2)
+    off = np.full(NONNEG_POINTS - 1, -1.0 / h ** 2)
     ev = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                           eigvals_only=True)[0]
-    return bool(ev >= -tol), {"method": "dirichlet-eigenvalue", "eigenvalue": float(ev),
-                              "r_max": r_max, "tol": tol}
+    return bool(ev >= -NONNEG_TOL), {"method": "dirichlet-eigenvalue",
+                                     "eigenvalue": float(ev),
+                                     "r_max": NONNEG_R_MAX, "tol": NONNEG_TOL}
 
 
-def check_inverse_square_smoothness(spec: PotentialSpec, ell_max=None,
-                                    r_lo=1e-6, r_hi=1e6, n_probe=241) -> dict:
-    """Numerical sup of |r^(l+2) V^(l)(r)| for l <= ell_max on a probe grid."""
-    if ell_max is None:
-        ell_max = min(spec.smoothness, 4)
-    r = np.geomspace(r_lo, r_hi, n_probe)
+def check_inverse_square_smoothness(spec: PotentialSpec, ell_max: int) -> dict:
+    """Numerical sup of |r^(l+2) V^(l)(r)| for l <= ell_max on a probe grid
+    over 1e-6 <= r <= 1e6."""
+    r = np.geomspace(1e-6, 1e6, 241)
     sups = {}
     for ell in range(0, ell_max + 1):
         vals = spec.V(r) if ell == 0 else spec.V_deriv(r, ell)

@@ -88,6 +88,23 @@ class TestConfig:
         assert code == 1
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("time.points_per_decade", "0"),
+                                            ("time.points_per_decade", "-4"),
+                                            ("family.j_max", "-1"),
+                                            ("delta", "0"),
+                                            ("delta", "-1"),
+                                            ("delta", "inf"),
+                                            ("delta", "nan")])
+    def test_scan_value_rejected(self, key, value, tmp_path, capsys):
+        # the finite values ran norm-scan with exit 0: 2 time points, a family
+        # of the bump alone, or an empty lower_env cell at every t
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(f"{key} = {value}")
+        code, _ = run_cli(tmp_path, f"grid.points = 256\n{key} = {value}\n",
+                          "norm-scan")
+        assert code == 1
+        assert "invalid input" in capsys.readouterr().err
+
     def test_scheme_range_ends_accepted(self):
         cfg = parse_config("scheme.theta = 1\nscheme.rannacher = 0\nscheme.dt_cap = 1e-3")
         assert (cfg["scheme.theta"], cfg["scheme.rannacher"]) == (1.0, 0)

@@ -91,46 +91,36 @@ class TestDistributionFunction:
         mus = [phi.distribution_function(l) for l in lams]
         assert all(a >= b for a, b in zip(mus, mus[1:]))
 
-
-class TestRearrangement:
-    def test_indicator_rearranges_to_interval(self):
-        phi = RadialProfile.indicator_ball(1.0, 3)
-        star = phi.decreasing_rearrangement()
-        assert star(0.5 * A3) == pytest.approx(1.0)
-        assert star(2.0 * A3) == 0.0
-
-    def test_power_function(self):
-        # phi = r^-1, N = 3: phi*(s) = (a_3 / s)^(1/3)
-        phi = RadialProfile.power(-1.0, 3)
-        star = phi.decreasing_rearrangement()
-        for s in (0.3, 1.0, 12.0):
-            assert star(s) == pytest.approx((A3 / s) ** (1 / 3), rel=1e-10)
-
-    def test_radial_nonincreasing_is_own_rearrangement(self):
+    def test_radial_nonincreasing_level_sets_are_balls(self):
+        # phi decreases, so {|phi| > phi(r)} is the ball B(0, r)
         grid = np.geomspace(1e-3, 20, 300)
         phi = RadialProfile(grid, 1.0 / (1.0 + grid ** 2), 3)
-        star = phi.decreasing_rearrangement()
         for r in (0.01, 0.5, 3.0):
-            s = A3 * r ** 3
-            assert star(s) == pytest.approx(phi.eval(r), rel=1e-6)
+            assert phi.distribution_function(phi.eval(r)) == pytest.approx(
+                A3 * r ** 3, rel=1e-10)
 
-    @given(st.lists(st.floats(0.05, 5.0), min_size=3, max_size=8))
-    @settings(max_examples=30, deadline=None)
-    def test_equimeasurability(self, raw):
-        grid = np.geomspace(0.1, 10, len(raw))
-        phi = RadialProfile(grid, np.array(raw), 3)
-        star = phi.decreasing_rearrangement()
-        for lam in np.linspace(0.06, max(raw) * 0.99, 7):
-            mu = phi.distribution_function(lam)
-            # measure of {s : phi*(s) > lam} for the non-increasing phi*
-            lo, hi = 0.0, mu + max(1.0, 2 * mu)
-            for _ in range(60):
-                midp = 0.5 * (lo + hi)
-                if star(midp) > lam:
-                    lo = midp
-                else:
-                    hi = midp
-            assert 0.5 * (lo + hi) == pytest.approx(mu, rel=1e-5, abs=1e-7)
+    @staticmethod
+    def _tailed(outer):
+        # 3 down to 2 on [0.1, 1], then 2 r^outer
+        grid = np.geomspace(0.1, 1.0, 5)
+        return RadialProfile(grid, np.linspace(3.0, 2.0, 5), 3, outer_exponent=outer)
+
+    @pytest.mark.parametrize("outer, lams", [
+        (0.0, (0.5, 1.0, 1.999)),       # flat tail, below its value
+        (1.0, (0.5, 2.0, 3.0, 1e6)),    # growing tail, any level
+    ])
+    def test_flat_or_growing_tail_measure_is_infinite(self, outer, lams):
+        phi = self._tailed(outer)
+        for lam in lams:
+            assert phi.distribution_function(lam) == INF, lam
+
+    def test_decaying_tail_measure_is_finite(self):
+        # 2 r^-2 beyond r = 1 in R^3: {|phi| > lam} = B(0, sqrt(2 / lam))
+        phi = self._tailed(-2.0)
+        for lam in (0.5, 1.0, 1.999):
+            assert phi.distribution_function(lam) == pytest.approx(
+                A3 * (2.0 / lam) ** 1.5, rel=1e-12)
+        assert math.isfinite(self._tailed(0.0).distribution_function(2.5))
 
 
 class TestLorentzNorm:

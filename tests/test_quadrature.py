@@ -67,6 +67,14 @@ class TestWindowedExponent:
         vals[20:] = 0.0
         assert windowed_exponent(GRID, vals, 16, 0.02) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e-170])
+    def test_sign_change_below_the_product_underflow(self, scale):
+        # at 1e-170 every product of two values underflows to -0.0 or 0.0
+        r = np.geomspace(1e-8, 1.0, 200)
+        vals = scale * r * np.where(np.arange(r.size) % 2, -1.0, 1.0)
+        assert windowed_exponent(r, vals, 16, 0.02) is None
+        assert windowed_exponent(r, np.abs(vals), 16, 0.02) == pytest.approx(1.0)
+
 
 class TestRadialDerivative:
     def test_fourth_order_in_log_r(self):

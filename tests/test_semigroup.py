@@ -37,6 +37,17 @@ def h_hardy():
 
 
 class TestScheme:
+    @pytest.mark.parametrize("field, value", [("dt_cap", -64.0), ("dt_cap", 0.0),
+                                              ("dt_cap", np.inf), ("theta", 2.0),
+                                              ("theta", 0.4), ("theta", np.nan),
+                                              ("rannacher_steps", -1),
+                                              ("boundary", "absorbng")])
+    def test_out_of_range_value_rejected(self, field, value):
+        # dt_cap <= 0 or inf never advances the time schedule, and any
+        # boundary but "absorbing" would run the reflecting scheme
+        with pytest.raises(ValueError, match=f"scheme.{field}"):
+            SchemeParams(**{field: value})
+
     def test_steady_state_exact(self, h_hardy):
         hk = h_hardy[0]
         scheme = SchemeParams(boundary="reflecting")
