@@ -47,7 +47,6 @@ from .iterated import (  # noqa: F401
 )
 from .semigroup import (  # noqa: F401
     ModeState,
-    SchemeParams,
     build_test_family,
     evolve_mode,
     operator_norm_sweep,

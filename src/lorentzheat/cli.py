@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__, harmonic, rates, semigroup, spectral
 from .params import INF, LambdaMembershipError, LorentzParams
 from .quadrature import make_grid
-from .semigroup import SchemeParams
 
 
 class ConfigError(ValueError):
@@ -76,9 +75,7 @@ DEFAULTS = {
     "lorentz": (_parse_lorentz_list, "1,inf,1,inf"),
     "alphas": (_parse_int_list, "0,1"),
     "family.j_max": (int, "6"),
-    "scheme.theta": (float, "0.5"),
     "scheme.dt_cap": (float, "64"),
-    "scheme.rannacher": (int, "12"),
     "delta": (float, "0.25"),
     "seed": (int, "0"),
     "evolve.data": (str, "gaussian"),
@@ -136,16 +133,19 @@ def _validate_config(v):
     if any(a < 0 for a in v["alphas"]):
         raise ConfigError("alphas must be nonnegative")
     # these ran with exit 0 but read wrong: points_per_decade < 1 gives 2
-    # time points, j_max < 0 a family of the bump alone, and a delta that is
-    # not positive and finite an empty lower_env cell at every t
+    # time points, j_max < 0 a family of the bump alone, a delta that is
+    # not positive and finite an empty lower_env cell at every t, and such an
+    # evolve.scale an all-zero evolve datum
     if v["time.points_per_decade"] < 1:
         raise ConfigError("time.points_per_decade must be >= 1")
     if v["family.j_max"] < 0:
         raise ConfigError("family.j_max must be nonnegative")
     if not 0.0 < v["delta"] < math.inf:
         raise ConfigError("delta must be positive and finite")
+    if not 0.0 < v["evolve.scale"] < math.inf:
+        raise ConfigError("evolve.scale must be positive and finite")
     try:
-        scheme_from(v)
+        semigroup.check_dt_cap(v["scheme.dt_cap"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for key, ks in (("modes.scan", v["modes.scan"]), ("evolve.k", [v["evolve.k"]])):
@@ -179,12 +179,6 @@ def build_profiles(cfg: RunConfig) -> harmonic.ProfileSet:
     spec = build_potential(cfg)
     grid = make_grid(cfg["grid.r_min"], cfg["grid.r_max"], cfg["grid.points"])
     return harmonic.ProfileSet.build(spec, k_max=cfg["modes.k_max"], grid=grid)
-
-
-def scheme_from(cfg) -> SchemeParams:
-    """The config's SchemeParams (a RunConfig or its parsed values dict)."""
-    return SchemeParams(theta=cfg["scheme.theta"], dt_cap=cfg["scheme.dt_cap"],
-                        rannacher_steps=cfg["scheme.rannacher"])
 
 
 def time_grid(cfg: RunConfig) -> np.ndarray:
@@ -362,7 +356,7 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ps = build_profiles(cfg)
     ts = time_grid(cfg)
     hk, phi = _initial_datum(cfg, ps, ts[0])
-    states = semigroup.evolve_mode(hk, phi, list(ts), scheme_from(cfg))
+    states = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
     for st in states:
         path = out / f"evolve_k{hk.k}_t{st.t:.6g}.dat"
         write_columns(path, st.grid, st.v_values())
@@ -377,7 +371,7 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
 def _empirical_table(cfg, ps, k, alphas, lps, ts):
     """{(alpha, lp_idx): [estimate per t]} via the batched sweep."""
     return semigroup.operator_norm_sweep(ps.h(k), alphas, lps, list(ts),
-                                         scheme=scheme_from(cfg),
+                                         dt_cap=cfg["scheme.dt_cap"],
                                          j_max=cfg["family.j_max"])
 
 

@@ -356,7 +356,10 @@ class _SegmentSet:
                 rstar = (lam_desc[level] - icpt[j]) / scale[j]
                 pw = power[j]
                 rstar[pw] = ra[j[pw]] * _scalar_like_power(rstar[pw], inv_a[j[pw]])
-                vol = fixed_N[j] - np.clip(rstar, r0[j], r1[j]) ** self.N
+                # a slowly decaying tail at a tiny lam puts rstar^N past the
+                # largest float: the measure is then inf, and rightly so
+                with np.errstate(over="ignore"):
+                    vol = fixed_N[j] - np.clip(rstar, r0[j], r1[j]) ** self.N
                 vol *= sign[j]
                 np.maximum(vol, 0.0, out=vol)
                 mu[b0:b1] += np.bincount(level - b0, weights=vol, minlength=b1 - b0)

@@ -483,18 +483,22 @@ def consistency_check_free_rate(ps: ProfileSet, p: float, fits: dict
     For source exponent p and target L^inf, the free decay t^(-N/2p - alpha/2)
     forces the couplings into [omega_alpha, inf) (with 0 allowed at the
     origin); couplings outside those ranges must show a strictly slower
-    fitted rate.  fits maps alpha -> RateEstimate of the empirical series.
+    fitted rate.  V == 0 is -Delta itself, whose rate is free at every
+    alpha.  fits maps alpha -> RateEstimate of the empirical series.
     """
     spec = ps.spec
     n = spec.dimension
+    # every kind vanishes on the grid only for a zero coupling or amplitude
+    free_operator = not np.any(spec.V(ps.grid))
     rows = []
     for alpha, fit in sorted(fits.items()):
         free = -n / (2.0 * p) - alpha / 2.0
         violated = fit.exponent > free + FREE_RATE_TOL
         w_alpha = spectral.omega(alpha, n)
-        allows = (ps.criticality == spectral.SUBCRITICAL
-                  and (spec.lambda1 >= w_alpha or spec.lambda1 == 0.0)
-                  and spec.lambda2 >= w_alpha)
+        allows = free_operator or (
+            ps.criticality == spectral.SUBCRITICAL
+            and (spec.lambda1 >= w_alpha or spec.lambda1 == 0.0)
+            and spec.lambda2 >= w_alpha)
         rows.append({
             "alpha": alpha,
             "free_exponent": free,

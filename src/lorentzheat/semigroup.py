@@ -8,14 +8,17 @@ equation
 
 regular at the origin.  Space is discretized by a conservative finite
 volume on the geometric grid (face weights by geometric means, cell masses
-by exact power panels), time by an implicit theta scheme with a
-backward-Euler start-up.  Each step solves the mass-weighted system
+by exact power panels), time by EULER_STEPS backward-Euler steps and then
+Crank-Nicolson (theta = 1/2), with w pinned to 0 at r_max (an absorbing
+boundary).  Each step solves the mass-weighted system
 (M + theta dt K) w' = M w - (1 - theta) dt K w, M the cell masses and K the
 conductance Laplacian: symmetric positive definite and tridiagonal, one
 LDL^T factorization for all columns.  w == 1 is a discrete steady state to
-machine precision, which pins the harmonic profile as stationary.
+machine precision away from r_max, which pins the harmonic profile as
+stationary.
 
-Three fixed constants shape every flow: the first step is
+The flow's one parameter is dt_cap: once moving, dt <= t / dt_cap.  Fixed
+constants shape the rest: the first step is
 t_first / (dt_cap * INIT_SCALE_STEPS), and at each target a dip of min w
 below min(0, min w0) by more than POSITIVITY_TOL max|w|, or an outer-zone
 value above CONTAMINATION_THRESHOLD max|w|, is reported as a warning.
@@ -40,40 +43,17 @@ from .quadrature import radial_derivative_values, windowed_exponent
 
 
 INIT_SCALE_STEPS = 4.0 ** 6       # first dt = t_first / (dt_cap * this)
+EULER_STEPS = 12                  # backward-Euler start-up steps: enough to
+# damp indicator-edge modes that Crank-Nicolson would keep oscillating
 CONTAMINATION_THRESHOLD = 1e-9    # outer-zone |w| / max|w| that warns
 POSITIVITY_TOL = 1e-9             # dip below the initial floor, / max|w|
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Time-stepping knobs, checked on construction (ValueError); the start
-    step and the monitors' thresholds are the module constants
-    INIT_SCALE_STEPS, CONTAMINATION_THRESHOLD and POSITIVITY_TOL."""
-
-    theta: float = 0.5              # in [0.5, 1]; 1 is backward Euler
-    dt_cap: float = 64.0            # dt <= t / dt_cap once moving
-    rannacher_steps: int = 12       # backward-Euler start-up steps; enough to
-    # damp indicator-edge modes that Crank-Nicolson would keep oscillating
-    boundary: str = "absorbing"     # or "reflecting"
-
-    def __post_init__(self):
-        # dt_cap <= 0 or inf stalls the time schedule (dt = 0 at t = 0), a
-        # theta above 1 would run backward Euler with a stretched step, and
-        # any boundary but "absorbing" would run the reflecting scheme
-        if not 0.0 < self.dt_cap < math.inf:
-            raise ValueError("scheme.dt_cap must be positive and finite, "
-                             f"got {self.dt_cap}")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ValueError(f"scheme.theta must lie in [0.5, 1], got {self.theta}")
-        if self.rannacher_steps < 0:
-            raise ValueError("scheme.rannacher_steps must be nonnegative, "
-                             f"got {self.rannacher_steps}")
-        if self.boundary not in ("absorbing", "reflecting"):
-            raise ValueError("scheme.boundary must be 'absorbing' or "
-                             f"'reflecting', got {self.boundary!r}")
-
-
-DEFAULT_SCHEME = SchemeParams()
+def check_dt_cap(dt_cap: float) -> None:
+    """ValueError unless dt_cap is positive and finite: at 0 or below, or at
+    inf, the time schedule never advances (dt = 0 at t = 0)."""
+    if not 0.0 < dt_cap < math.inf:
+        raise ValueError(f"scheme.dt_cap must be positive and finite, got {dt_cap}")
 
 
 @dataclass
@@ -101,10 +81,9 @@ class ModeState:
 class _Operator:
     """Precomputed conservative discretization of the weighted flow."""
 
-    def __init__(self, hk: HarmonicProfile, boundary: str):
+    def __init__(self, hk: HarmonicProfile):
         r = hk.grid
         n = hk.spec.dimension
-        self.boundary = boundary
         weight = hk.values ** 2 * r ** (n - 1)
         # face conductances: geometric-mean weight over node spacing
         self.cond = np.sqrt(weight[:-1] * weight[1:]) / np.diff(r)
@@ -120,9 +99,9 @@ class _ThetaStepper:
         (M + theta dt K) w' = M w - (1 - theta) dt K w,
 
     M the diagonal of cell masses and K the conductance Laplacian (off
-    diagonals -cond, zero row sums).  The matrix is symmetric positive
-    definite, so LAPACK's dptsv factors it once (LDL^T, no pivoting) for all
-    columns.  The band vectors and the Fortran-ordered w / rhs pair are
+    diagonals -cond, zero row sums), the last row replaced by w'[-1] = 0.
+    The matrix is symmetric positive definite, so LAPACK's dptsv factors it
+    once (LDL^T, no pivoting) for all columns.  The band vectors and the Fortran-ordered w / rhs pair are
     allocated once and refilled with out= ufuncs, in the operations and
     order of a fresh assembly, so the bits do not depend on the reuse.
     """
@@ -131,7 +110,6 @@ class _ThetaStepper:
         """w: the Fortran-ordered start columns, taken over as a buffer."""
         m, ncol = w.shape
         self.op, self.w = op, w
-        self.absorbing = op.boundary == "absorbing"
         self.rhs = np.empty_like(w, order="F")
         self.flux = np.empty((m - 1, ncol), order="F")
         self.d = np.empty(m)
@@ -148,10 +126,9 @@ class _ThetaStepper:
         np.add(op.mass[1:], sc, out=d[1:])
         np.add(d[:-1], sc, out=d[:-1])
         e = np.negative(sc, out=sc)
-        if self.absorbing:
-            # the pinned row decouples; its column multiplies w'[-1] = 0
-            d[-1] = 1.0
-            e[-1] = 0.0
+        # the pinned row decouples; its column multiplies w'[-1] = 0
+        d[-1] = 1.0
+        e[-1] = 0.0
         if theta >= 1.0:
             np.multiply(op.mass[:, None], w, out=rhs)
         else:
@@ -165,8 +142,7 @@ class _ThetaStepper:
             np.negative(flux[-1], out=rhs[-1])
             np.multiply((1.0 - theta) * dt, rhs, out=rhs)
             np.add(np.multiply(op.mass[:, None], w, out=w), rhs, out=rhs)
-        if self.absorbing:
-            rhs[-1] = 0.0
+        rhs[-1] = 0.0
         # every |e| is a term of d, so a finite d means a finite band
         if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
@@ -207,17 +183,18 @@ def _cell_masses(r, weight, head_exponent):
     return mass
 
 
-def _time_schedule(t_targets, scheme: SchemeParams):
+def _time_schedule(t_targets, dt_cap: float = 64.0):
     """Geometrically growing steps; emit flags mark target arrivals."""
+    check_dt_cap(dt_cap)
     targets = sorted(set(float(t) for t in t_targets))
     if targets[0] <= 0.0:
         raise ValueError("targets must be positive")
-    dt0 = targets[0] / (scheme.dt_cap * INIT_SCALE_STEPS)
+    dt0 = targets[0] / (dt_cap * INIT_SCALE_STEPS)
     steps = []  # (dt, emit_after_this_step)
     t = 0.0
     for target in targets:
         while True:
-            dt = max(dt0, t / scheme.dt_cap)
+            dt = max(dt0, t / dt_cap)
             last = t + dt >= target * (1.0 - 1e-14)
             if last:
                 dt = target - t
@@ -230,19 +207,18 @@ def _time_schedule(t_targets, scheme: SchemeParams):
 
 
 def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
-                 scheme: SchemeParams = DEFAULT_SCHEME):
+                 dt_cap: float = 64.0):
     """Flow one or more initial ratios w0 (columns) to the target times.
 
-    Returns (list over targets of w arrays, warnings).  Implicit theta
-    stepping; the first few steps run backward Euler to damp indicator
-    oscillations, and positivity / outer-boundary contamination are
+    Returns (list over targets of w arrays, warnings).  The first
+    EULER_STEPS steps run backward Euler to damp indicator oscillations, the
+    rest Crank-Nicolson; positivity / outer-boundary contamination are
     monitored rather than silently ignored.
     """
     w = np.array(np.atleast_2d(np.asarray(w0, dtype=float).T).T, order="F")
-    targets, steps = _time_schedule(t_targets, scheme)
-    if scheme.boundary == "absorbing":
-        w[-1] = 0.0
-    stepper = _ThetaStepper(_Operator(hk, scheme.boundary), w)
+    targets, steps = _time_schedule(t_targets, dt_cap)
+    w[-1] = 0.0
+    stepper = _ThetaStepper(_Operator(hk), w)
     out = []
     warnings = []
     r = hk.grid
@@ -250,7 +226,7 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
     init_floor = float(np.min(w))
     t = 0.0
     for step_index, (dt, emit) in enumerate(steps):
-        theta = 1.0 if step_index < scheme.rannacher_steps else scheme.theta
+        theta = 1.0 if step_index < EULER_STEPS else 0.5
         w = stepper.step(theta, dt)
         t += dt
         if emit:
@@ -267,15 +243,14 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
 
 
 def evolve_mode(hk: HarmonicProfile, phi: RadialProfile | np.ndarray,
-                t_targets, scheme: SchemeParams = DEFAULT_SCHEME
-                ) -> list[ModeState]:
+                t_targets, dt_cap: float = 64.0) -> list[ModeState]:
     """Evolve a single mode datum phi; returns states at the target times."""
     phi_vals = phi.eval(hk.grid) if isinstance(phi, RadialProfile) \
         else np.asarray(phi, dtype=float)
     w0 = phi_vals / hk.values
     if not np.all(np.isfinite(w0)):
         raise ValueError("phi/h_k must be bounded on the grid")
-    ws, warnings = evolve_modes(hk, w0[:, None], t_targets, scheme)
+    ws, warnings = evolve_modes(hk, w0[:, None], t_targets, dt_cap)
     targets = sorted(set(float(t) for t in t_targets))
     return [ModeState(hk.k, t, w[:, 0], hk, tuple(warnings))
             for t, w in zip(targets, ws)]
@@ -372,7 +347,7 @@ class OperatorNormEstimate:
 
 
 def operator_norm_sweep(hk: HarmonicProfile, alphas, lps, t_list,
-                        scheme: SchemeParams = DEFAULT_SCHEME, j_max=6):
+                        dt_cap: float = 64.0, j_max=6):
     """Best lower bounds on ||d_r^alpha e^{-tH_k}||(L^{p,sigma} -> L^{q,theta})
     over the concentrated test family, for every (alpha, tuple, t); one
     batched flow per t.
@@ -383,7 +358,7 @@ def operator_norm_sweep(hk: HarmonicProfile, alphas, lps, t_list,
     for t in t_list:
         fam = build_test_family(hk, t, j_max)
         w0 = np.stack([d.profile.values / hk.values for d in fam], axis=1)
-        ws, warnings = evolve_modes(hk, w0, [t], scheme)
+        ws, warnings = evolve_modes(hk, w0, [t], dt_cap)
         w_t = ws[0]
         deriv_profiles = {}
         for a in alphas:

@@ -34,7 +34,6 @@ from lorentzheat.rates import (
     upper_envelope_J,
 )
 from lorentzheat.semigroup import (
-    SchemeParams,
     evolve_mode,
     gaussian_exact,
     heat_kernel_sup,
@@ -176,8 +175,7 @@ class TestCriterion5:
         spec = spectral.PotentialSpec.zero(3)
         h0 = solve_h(spec, 0, GRID)
         phi = gaussian_exact(3, 1.0, GRID, 0.0)
-        scheme = SchemeParams(dt_cap=256.0)
-        states = evolve_mode(h0, phi, [0.1, 1.0, 10.0], scheme)
+        states = evolve_mode(h0, phi, [0.1, 1.0, 10.0], dt_cap=256.0)
         worst = 0.0
         for st in states:
             exact = gaussian_exact(3, 1.0, GRID, st.t)

@@ -122,6 +122,14 @@ class TestDistributionFunction:
                 A3 * (2.0 / lam) ** 1.5, rel=1e-12)
         assert math.isfinite(self._tailed(0.0).distribution_function(2.5))
 
+    def test_slow_tail_measure_overflows_to_inf_quietly(self):
+        # r^-0.2 beyond r = 2 in R^5: mu(1e-14) is about a_5 3.2e351, past the
+        # largest float, so inf with no overflow warning
+        phi = RadialProfile([1, 2], [1, 1], 5, inner_exponent=0.0,
+                            outer_exponent=-0.2)
+        assert phi.distribution_function(1e-14) == math.inf
+        assert phi.distribution_function(1e-3) == pytest.approx(1.68e77, rel=1e-2)
+
 
 class TestLorentzNorm:
     def test_indicator_lp(self):

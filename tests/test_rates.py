@@ -286,6 +286,20 @@ class TestConsistencyCheck:
         assert not by_alpha[1]["characterization_allows_free"]
         assert all(r["consistent"] for r in rows)
 
+    def test_zero_potential_allows_free_rate_at_every_order(self, ps_zero):
+        # V = 0 is -Delta itself: the free fit is consistent at every alpha
+        from lorentzheat.rates import RateEstimate
+        # exactly the free exponents -N/(2p) - alpha/2 of L^2 -> L^inf, N = 3
+        fits = {a: RateEstimate(1.0, -0.75 - a / 2.0, 0.0, 0.01, (10, 1000),
+                                "pure-power")
+                for a in (0, 1, 2)}
+        rows = consistency_check_free_rate(ps_zero, 2.0, fits)
+        assert [r["alpha"] for r in rows] == [0, 1, 2]
+        for r in rows:
+            assert not r["free_rate_violated"]
+            assert r["characterization_allows_free"]
+            assert r["consistent"]
+
     def test_hardy_free_rates_consistent(self, ps_hardy):
         from lorentzheat.rates import RateEstimate
         fits = {0: RateEstimate(1.0, -0.75, 0.0, 0.01, (10, 1000), "pure-power")}

@@ -8,9 +8,8 @@ from lorentzheat.params import INF, LorentzParams
 from lorentzheat.quadrature import make_grid
 from lorentzheat.semigroup import (
     CONTAMINATION_THRESHOLD,
-    DEFAULT_SCHEME,
+    EULER_STEPS,
     POSITIVITY_TOL,
-    SchemeParams,
     build_test_family,
     evolve_mode,
     evolve_modes,
@@ -23,6 +22,7 @@ from lorentzheat.semigroup import (
 )
 
 GRID = make_grid(1e-7, 2e3, 3072)
+INNER = GRID < GRID[-1] / 3.16  # below the monitors' outer zone
 
 
 @pytest.fixture(scope="module")
@@ -38,40 +38,33 @@ def h_hardy():
 
 class TestScheme:
     @pytest.mark.parametrize("field, value", [("dt_cap", -64.0), ("dt_cap", 0.0),
-                                              ("dt_cap", np.inf), ("theta", 2.0),
-                                              ("theta", 0.4), ("theta", np.nan),
-                                              ("rannacher_steps", -1),
-                                              ("boundary", "absorbng")])
-    def test_out_of_range_value_rejected(self, field, value):
-        # dt_cap <= 0 or inf never advances the time schedule, and any
-        # boundary but "absorbing" would run the reflecting scheme
+                                              ("dt_cap", np.inf)])
+    def test_out_of_range_value_rejected(self, h_hardy, field, value):
+        # dt_cap <= 0 or inf never advances the time schedule
         with pytest.raises(ValueError, match=f"scheme.{field}"):
-            SchemeParams(**{field: value})
+            evolve_modes(h_hardy[0], np.ones_like(GRID), [1.0], **{field: value})
 
     def test_steady_state_exact(self, h_hardy):
         hk = h_hardy[0]
-        scheme = SchemeParams(boundary="reflecting")
-        ws, _ = evolve_modes(hk, np.ones_like(GRID), [0.5, 2.0], scheme)
-        # ~2000 steps at <= 5e-15 drift per step
+        ws, _ = evolve_modes(hk, np.ones_like(GRID), [0.5, 2.0])
+        # ~2000 steps at <= 5e-15 drift per step; w is pinned to 0 at r_max
         for w in ws:
-            assert np.max(np.abs(w - 1.0)) < 1e-10
+            assert np.max(np.abs(w[INNER] - 1.0)) < 1e-10
 
-    def test_mass_conservation_reflecting(self, h0_zero):
-        from lorentzheat.semigroup import _Operator
-        scheme = SchemeParams(boundary="reflecting")
+    def test_mass_conservation(self, h0_zero):
+        # the heat is far from r_max through t = 10, so none is absorbed
         w0 = np.where(GRID < 1.0, 1.0, 0.0)
-        op = _Operator(h0_zero, "reflecting")
+        op = _Operator(h0_zero)
         m0 = float(op.mass @ w0)
-        ws, _ = evolve_modes(h0_zero, w0, [0.1, 1.0, 10.0], scheme)
+        ws, _ = evolve_modes(h0_zero, w0, [0.1, 1.0, 10.0])
         for w in ws:
             assert float(op.mass @ w[:, 0]) == pytest.approx(m0, rel=1e-10)
 
     def test_mass_monotone_absorbing(self, h0_zero):
-        from lorentzheat.semigroup import _Operator
         w0 = np.where(GRID < 1.0, 1.0, 0.0)
-        op = _Operator(h0_zero, "absorbing")
+        op = _Operator(h0_zero)
         t_far = (GRID[-1] / 4.0) ** 2  # heat genuinely reaches the boundary
-        ws, _ = evolve_modes(h0_zero, w0, [1.0, 100.0, t_far], DEFAULT_SCHEME)
+        ws, _ = evolve_modes(h0_zero, w0, [1.0, 100.0, t_far])
         m_init = float(op.mass @ w0)
         masses = [float(op.mass @ w[:, 0]) for w in ws]
         slack = 1e-12 * m_init
@@ -82,19 +75,17 @@ class TestScheme:
     def test_max_principle(self, h_hardy):
         hk = h_hardy[1]
         w0 = np.where(GRID < 0.5, 2.0, 0.5)
-        ws, warnings = evolve_modes(hk, w0, [0.2, 5.0],
-                                    SchemeParams(boundary="reflecting"))
+        ws, warnings = evolve_modes(hk, w0, [0.2, 5.0])
         for w in ws:
-            assert np.min(w) > 0.5 - 1e-8
-            assert np.max(w) < 2.0 + 1e-8
+            assert np.min(w[INNER]) > 0.5 - 1e-8
+            assert np.max(w[INNER]) < 2.0 + 1e-8
         assert not any("positivity" in msg for msg in warnings)
 
     def test_gaussian_oracle(self, h0_zero):
         # V = 0, k = 0: Gaussians evolve in closed form
         width = 1.0
         phi = gaussian_exact(3, width, GRID, 0.0)
-        scheme = SchemeParams(dt_cap=256.0)
-        states = evolve_mode(h0_zero, phi, [0.1, 1.0, 10.0], scheme)
+        states = evolve_mode(h0_zero, phi, [0.1, 1.0, 10.0], dt_cap=256.0)
         for st in states:
             exact = gaussian_exact(3, width, GRID, st.t)
             err = np.max(np.abs(st.v_values() - exact)) / np.max(exact)
@@ -132,7 +123,7 @@ def _divergence(op, w):
     return out
 
 
-def _symmetric_step(op, absorbing, theta, dt, w):
+def _symmetric_step(op, theta, dt, w):
     """A fresh assembly of (M + theta dt K) w' = M w - (1 - theta) dt K w,
     solved by solveh_banded on a 2-row band (LAPACK ?ptsv)."""
     m = op.mass.size
@@ -147,14 +138,13 @@ def _symmetric_step(op, absorbing, theta, dt, w):
     rhs = op.mass[:, None] * w
     if theta < 1.0:
         rhs = rhs + (1.0 - theta) * dt * _divergence(op, w)
-    if absorbing:
-        ab[1, -1] = 1.0
-        ab[0, -1] = 0.0
-        rhs[-1] = 0.0
+    ab[1, -1] = 1.0
+    ab[0, -1] = 0.0
+    rhs[-1] = 0.0
     return solveh_banded(ab, rhs)
 
 
-def _row_scaled_step(op, absorbing, theta, dt, w):
+def _row_scaled_step(op, theta, dt, w):
     """The earlier assembly, divided through by the cell masses:
     (I + theta dt M^-1 K) w' = w - (1 - theta) dt M^-1 K w, by solve_banded."""
     m = op.mass.size
@@ -171,28 +161,25 @@ def _row_scaled_step(op, absorbing, theta, dt, w):
     rhs = w.copy()
     if theta < 1.0:
         rhs = w + (1.0 - theta) * dt * (_divergence(op, w) / op.mass[:, None])
-    if absorbing:
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-        rhs[-1] = 0.0
+    ab[1, -1] = 1.0
+    ab[2, -2] = 0.0
+    rhs[-1] = 0.0
     return solve_banded((1, 1), ab, rhs)
 
 
-def _reference_evolve(hk, w0, t_targets, scheme, step=_symmetric_step):
+def _reference_evolve(hk, w0, t_targets, dt_cap=64.0, step=_symmetric_step):
     """evolve_modes with each step assembled afresh by `step`: with the
     default the stepper must reproduce it bit for bit."""
-    op = _Operator(hk, scheme.boundary)
-    absorbing = scheme.boundary == "absorbing"
+    op = _Operator(hk)
     w = np.atleast_2d(np.asarray(w0, dtype=float).T).T.copy()
-    targets, steps = _time_schedule(t_targets, scheme)
-    if absorbing:
-        w[-1] = 0.0
+    targets, steps = _time_schedule(t_targets, dt_cap)
+    w[-1] = 0.0
     out, warnings = [], []
     outer_zone = hk.grid >= hk.grid[-1] / 3.16
     init_floor = float(np.min(w))
     for step_index, (dt, emit) in enumerate(steps):
-        theta = 1.0 if step_index < scheme.rannacher_steps else scheme.theta
-        w = step(op, absorbing, theta, dt, w)
+        theta = 1.0 if step_index < EULER_STEPS else 0.5
+        w = step(op, theta, dt, w)
         if emit:
             t = targets[len(out)]
             wmax = float(np.max(np.abs(w)))
@@ -217,40 +204,30 @@ class TestStepper:
                 np.where(r < 1e-3, 5.0, -0.5)]
         return np.stack(cols[:ncol], axis=1)
 
-    @pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
-    # 1 - 0.6 is not a power of two, so the rounding order of the explicit
-    # part shows
-    @pytest.mark.parametrize("theta", [0.5, 0.6, 1.0])
     @pytest.mark.parametrize("ncol", [1, 5])
-    def test_matches_fresh_assembly(self, h_hardy, boundary, theta, ncol):
+    def test_matches_fresh_assembly(self, h_hardy, ncol):
         hk = h_hardy[1]
         w0 = self._data(hk, ncol)
         targets = [0.01, 0.3, (GRID[-1] / 3.0) ** 2]
-        seen = []
-        for rannacher in (12, 0):
-            scheme = SchemeParams(theta=theta, boundary=boundary,
-                                  rannacher_steps=rannacher)
-            ws, warnings = evolve_modes(hk, w0, targets, scheme)
-            ref, ref_warnings = _reference_evolve(hk, w0, targets, scheme)
-            old, _ = _reference_evolve(hk, w0, targets, scheme,
-                                       step=_row_scaled_step)
-            assert warnings == ref_warnings
-            seen += warnings
-            assert len(ws) == len(ref) == len(old) == len(targets)
-            for w, w_ref, w_old in zip(ws, ref, old):
-                assert w.shape == w_ref.shape == (GRID.size, ncol)
-                assert np.array_equal(w, w_ref)
-                # the same scheme up to rounding: the row-scaled system is
-                # the symmetric one divided through by the cell masses
-                assert np.max(np.abs(w - w_old)) <= 1e-10 * np.max(np.abs(w0))
-        # positivity and contamination warnings both fire over these cases
-        assert seen
+        ws, warnings = evolve_modes(hk, w0, targets)
+        ref, ref_warnings = _reference_evolve(hk, w0, targets)
+        old, _ = _reference_evolve(hk, w0, targets, step=_row_scaled_step)
+        assert warnings == ref_warnings
+        # the contamination warning fires at the last target
+        assert warnings
+        assert len(ws) == len(ref) == len(old) == len(targets)
+        for w, w_ref, w_old in zip(ws, ref, old):
+            assert w.shape == w_ref.shape == (GRID.size, ncol)
+            assert np.array_equal(w, w_ref)
+            # the same scheme up to rounding: the row-scaled system is the
+            # symmetric one divided through by the cell masses
+            assert np.max(np.abs(w - w_old)) <= 1e-10 * np.max(np.abs(w0))
 
     def test_one_dimensional_datum(self, h_hardy):
         hk = h_hardy[0]
         w0 = self._data(hk, 1)[:, 0]
-        ws, _ = evolve_modes(hk, w0, [0.1], DEFAULT_SCHEME)
-        ref, _ = _reference_evolve(hk, w0, [0.1], DEFAULT_SCHEME)
+        ws, _ = evolve_modes(hk, w0, [0.1])
+        ref, _ = _reference_evolve(hk, w0, [0.1])
         assert np.array_equal(ws[0], ref[0])
 
     def test_no_positivity_dip_on_hk_bump(self):
@@ -260,20 +237,17 @@ class TestStepper:
         hk = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 1, grid)
         w0 = np.where(grid <= np.sqrt(0.1), 1.0, 0.0)
         targets = 0.1 * 10.0 ** (np.arange(13) / 4.0)
-        scheme = SchemeParams(dt_cap=256.0)
-        _, warnings = evolve_modes(hk, w0, targets, scheme)
-        _, old_warnings = _reference_evolve(hk, w0, targets, scheme,
+        _, warnings = evolve_modes(hk, w0, targets, dt_cap=256.0)
+        _, old_warnings = _reference_evolve(hk, w0, targets, dt_cap=256.0,
                                             step=_row_scaled_step)
         assert not any("positivity" in msg for msg in warnings)
         assert "positivity dip at t=100" in old_warnings
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_nonfinite_datum_raises(self, h_hardy, theta):
+    def test_nonfinite_datum_raises(self, h_hardy):
         w0 = self._data(h_hardy[0], 5)
         w0[10, 2] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            evolve_modes(h_hardy[0], w0, [0.1], SchemeParams(theta=theta,
-                                                             rannacher_steps=0))
+            evolve_modes(h_hardy[0], w0, [0.1])
 
 
 class TestRadialDerivative:
@@ -284,8 +258,7 @@ class TestRadialDerivative:
 
     def test_gaussian_first_derivative(self, h0_zero):
         phi = gaussian_exact(3, 1.0, GRID, 0.0)
-        scheme = SchemeParams(dt_cap=256.0)
-        st = evolve_mode(h0_zero, phi, [1.0], scheme)[0]
+        st = evolve_mode(h0_zero, phi, [1.0], dt_cap=256.0)[0]
         d1 = radial_derivative(st, 1).values
         s2 = 1.0 + 2.0 * st.t
         exact = -GRID / s2 * gaussian_exact(3, 1.0, GRID, st.t)
