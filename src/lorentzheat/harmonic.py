@@ -10,8 +10,10 @@ exactly (A(A+N-2) = lambda_1 + omega_k), leaving
     g'' + (2 A_{1,k} + N - 1)/r g' = (V - lambda_1 r^-2) g,
 
 which is integrated in x = log r with an adaptive embedded Runge-Kutta
-pair.  Far-field exponents are fitted on the last grid decade and matched
-against the characteristic roots; the match of h_0 is what
+pair.  For the Hardy and zero potentials the right-hand side vanishes, so
+g = 1 and h_k = r^{A_{1,k}} in closed form, with no solve.  Far-field
+exponents are fitted on the last grid decade and matched against the
+characteristic roots; the match of h_0 is what
 `spectral.classify_criticality` reads.
 """
 
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import spectral
 from .params import INF, RadialProfile, power_membership
@@ -83,6 +84,14 @@ class HarmonicProfile:
     __call__ = eval
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: only an RK45
+    profile solve needs scipy.integrate, which loads scipy.optimize,
+    scipy.sparse and scipy.special with it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _g_reaches_zero(xv, y):
     """Terminal solve_ivp event: g, and with it h, falls to zero."""
     return y[0]
@@ -93,15 +102,41 @@ _g_reaches_zero.direction = -1
 
 
 def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
-    """Integrate the regularized profile equation for mode k on the grid."""
+    """h_k on the grid: r^{A_{1,k}} for the Hardy and zero potentials, else
+    the regularized profile equation integrated by RK45."""
     if grid is None:
         grid = make_grid()
     grid = np.asarray(grid, dtype=float)
     n = spec.dimension
     a1 = spectral.a_exponents(spec.lambda1 + spectral.omega(k, n), n)[0]
-    b = 2.0 * a1 + n - 2.0
     x = np.log(grid)
+    if spec.kind in spectral.ANALYTIC_KINDS:
+        g, gdot = 1.0, 0.0  # the remainder is zero: RK45 returns these exactly
+    else:
+        g, gdot = _solve_g(spec, k, a1, grid, x)
+    # a zero of g stops the solve short (g is None); h can also underflow
+    # to zero while g > 0
+    h = None if g is None else np.exp(a1 * x) * g
+    if h is None or np.any(h <= 0.0):
+        raise NonpositiveSolutionError(
+            f"h_{k} nonpositive on the grid; check nonnegativity/criticality")
+    hprime = np.exp((a1 - 1.0) * x) * (a1 * g + gdot)
 
+    fitted = _fit_tail_exponent(grid, h)
+    matched, logpow = _match_outer(spec, k, fitted)
+    profile = RadialProfile(grid, h, n, inner_exponent=a1, outer_exponent=fitted)
+    hp = HarmonicProfile(k, spec, profile, hprime, a1, fitted, matched, logpow)
+    try:
+        hp.c, hp.fit_residual = fit_asymptotic_constant(hp)
+    except NonConvergedFitError:
+        hp.c, hp.fit_residual = None, None
+    return hp
+
+
+def _solve_g(spec, k, a1, grid, x):
+    """g and dg/dx on the grid from RK45 in x = log r, or (None, None) when
+    g reaches zero first."""
+    b = 2.0 * a1 + spec.dimension - 2.0
     remainder = spec.remainder
 
     def rhs(xv, y):
@@ -124,24 +159,7 @@ def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
                     first_step=min(1e-3, (x[-1] - x[0]) / 10.0))
     if not sol.success:
         raise HarmonicSolveError(f"mode {k} integration failed: {sol.message}")
-    g, gdot = sol.y
-    # a zero of g stops the solve short (status 1); h can also underflow
-    # to zero while g > 0
-    h = np.exp(a1 * x) * g if sol.status == 0 else None
-    if h is None or np.any(h <= 0.0):
-        raise NonpositiveSolutionError(
-            f"h_{k} nonpositive on the grid; check nonnegativity/criticality")
-    hprime = np.exp((a1 - 1.0) * x) * (a1 * g + gdot)
-
-    fitted = _fit_tail_exponent(grid, h)
-    matched, logpow = _match_outer(spec, k, fitted)
-    profile = RadialProfile(grid, h, n, inner_exponent=a1, outer_exponent=fitted)
-    hp = HarmonicProfile(k, spec, profile, hprime, a1, fitted, matched, logpow)
-    try:
-        hp.c, hp.fit_residual = fit_asymptotic_constant(hp)
-    except NonConvergedFitError:
-        hp.c, hp.fit_residual = None, None
-    return hp
+    return sol.y if sol.status == 0 else (None, None)
 
 
 def _fit_tail_exponent(grid, h):

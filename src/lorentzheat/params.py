@@ -25,7 +25,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, comb
 
 from .quadrature import two_point_exponent
 
@@ -421,9 +420,9 @@ class _SegmentSet:
         r0 = self.r0[lin]
         length = self.r1[lin] - r0
         k = np.arange(N)
-        coef = np.where(self.slope[lin][:, None] > 0, 1.0 / (p + k + 1.0),
-                        beta(k + 1.0, p + 1.0))
-        terms = comb(N - 1, k) * r0[:, None] ** (N - 1 - k) * \
+        binom, zero_at_r0, zero_at_r1 = _linear_piece_coefficients(N, p)
+        coef = np.where(self.slope[lin][:, None] > 0, zero_at_r0, zero_at_r1)
+        terms = binom * r0[:, None] ** (N - 1 - k) * \
             length[:, None] ** (k + 1) * coef
         total += np.sum((self.va[lin] / scale) ** p * terms.sum(axis=1))
         return scale * float(N * self.alpha_N * total) ** (1.0 / p)
@@ -545,6 +544,15 @@ class _SegmentSet:
         lam = np.unique(np.concatenate(cand))[::-1]
         mu = self.mu_batch(lam)
         return float(np.max(lam * (mu / self.alpha_N) ** (1.0 / p)))
+
+
+def _linear_piece_coefficients(N, p):
+    """C(N-1, k), 1/(p+k+1) and B(k+1, p+1) = k!/((p+1)(p+2)...(p+k+1)) for
+    k < N: the factors of _lp_norm's linear pieces."""
+    k = np.arange(N)
+    binom = np.array([math.comb(N - 1, j) for j in range(N)], dtype=float)
+    factorial = np.array([math.factorial(j) for j in range(N)], dtype=float)
+    return binom, 1.0 / (p + k + 1.0), factorial / np.cumprod(p + k + 1.0)
 
 
 def _libm(fn, *arrays):

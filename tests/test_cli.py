@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +113,17 @@ class TestConfig:
         code, _ = run_cli(tmp_path, f"grid.points = 256\n{text}", "evolve")
         assert code == 1
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["potential.lambda", "potential.amplitude",
+                                     "potential.kappa", "grid.r_min", "grid.r_max",
+                                     "time.t_min", "time.t_max", "scheme.dt_cap",
+                                     "delta", "evolve.scale"])
+    def test_nonfinite_float_rejected(self, key, value):
+        # nan passed `r_min <= 0 or r_max <= r_min` and hung `harmonic`;
+        # other keys failed later with exit 2 or a traceback
+        with pytest.raises(ConfigError, match=re.escape(key) + ".*not a finite"):
+            parse_config(f"{key} = {value}")
 
     def test_scheme_range_ends_accepted(self):
         cfg = parse_config("scheme.dt_cap = 1e-3")
@@ -466,3 +480,35 @@ class TestWriteColumns:
             new = (tmp_path / "new.dat").read_bytes()
             assert new == (tmp_path / "old.dat").read_bytes()
             assert new == (tmp_path / "row.dat").read_bytes()
+
+
+class TestImports:
+    def test_hardy_run_loads_only_scipy_linalg(self):
+        # scipy.integrate (with scipy.optimize, .sparse and .special) loads
+        # only for an RK45 profile solve; Hardy profiles are closed form
+        code = """
+import sys
+import numpy as np
+import lorentzheat.cli
+from lorentzheat import harmonic, spectral
+from lorentzheat.params import RadialProfile
+from lorentzheat.quadrature import make_grid
+ps = harmonic.ProfileSet.build(spectral.PotentialSpec.hardy(3, 2.0), k_max=2,
+                               grid=make_grid(1e-6, 1e3, 256))
+for k in range(3):
+    ps.h(k)
+grid = np.geomspace(0.01, 10.0, 64)
+assert 0.0 < RadialProfile(grid, np.cos(grid), 3).lorentz_norm(2, 2) < np.inf
+print(" ".join(sorted(sys.modules)))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        loaded = done.stdout.split()
+        assert "scipy.linalg" in loaded
+        for package in ("scipy.integrate", "scipy.special", "scipy.optimize",
+                        "scipy.sparse"):
+            assert not [m for m in loaded
+                        if m == package or m.startswith(package + ".")], package

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -310,3 +312,47 @@ class TestLazyProfiles:
             assert np.array_equal(hp.hprime, eager.hprime)
             assert hp.c == eager.c and hp.fit_residual == eager.fit_residual
             assert hp.fitted_outer_exponent == eager.fitted_outer_exponent
+
+
+class TestClosedForm:
+    """Hardy and zero profiles are r^{A_1k} in closed form; a "table" spec
+    with the same exponents and zero remainder takes the RK45 branch."""
+
+    SPECS = [spectral.PotentialSpec.hardy(3, 2.0),
+             spectral.PotentialSpec.hardy(5, -1.0),
+             spectral.PotentialSpec.zero(3)]
+
+    @pytest.fixture
+    def rk45_calls(self, monkeypatch):
+        calls = []
+        eager = harmonic.solve_ivp
+
+        def recording(*args, **kwargs):
+            calls.append(eager(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(harmonic, "solve_ivp", recording)
+        return calls
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
+    def test_equals_rk45_bit_for_bit(self, spec, n, rk45_calls):
+        grid = make_grid(1e-8, 1e4, n)
+        table = dataclasses.replace(spec, kind="table")
+        for k in range(7):
+            closed, solved = solve_h(spec, k, grid), solve_h(table, k, grid)
+            assert np.array_equal(closed.values, solved.values)
+            assert np.array_equal(closed.hprime, solved.hprime)
+            assert (closed.c, closed.fit_residual, closed.outer_exponent) == \
+                (solved.c, solved.fit_residual, solved.outer_exponent)
+        assert len(rk45_calls) == 7
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
+    def test_analytic_kinds_skip_rk45(self, spec, rk45_calls):
+        for k in range(3):
+            solve_h(spec, k, GRID)
+        assert rk45_calls == []
+
+    def test_inverse_power_solves_once(self, rk45_calls):
+        solve_h(spectral.PotentialSpec.inverse_power(3, 1.0, 4.0), 0, GRID)
+        assert len(rk45_calls) == 1

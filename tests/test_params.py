@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -603,3 +604,24 @@ class TestExactLpNorm:
                              (2.0, INF), (4.0, 2.0)]:
                 assert phi.lorentz_norm(p, sigma) == INF, (p, sigma)
             assert phi.lorentz_norm(INF, INF) == 1.0
+
+
+class TestLinearPieceCoefficients:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])
+    def test_match_exact_arithmetic(self, n, p):
+        # C(N-1, k), 1/(p+k+1) and B(k+1, p+1) = k! p! / (p+k+1)! in rationals
+        binom, zero_at_r0, zero_at_r1 = params._linear_piece_coefficients(n, p)
+        q = int(p)
+        for k in range(n):
+            exact = {
+                "binom": Fraction(math.comb(n - 1, k)),
+                "zero_at_r0": Fraction(1, q + k + 1),
+                "zero_at_r1": Fraction(math.factorial(k) * math.factorial(q),
+                                       math.factorial(q + k + 1)),
+            }
+            got = {"binom": binom[k], "zero_at_r0": zero_at_r0[k],
+                   "zero_at_r1": zero_at_r1[k]}
+            for name, value in exact.items():
+                err = abs(Fraction(float(got[name])) - value)
+                assert err <= 2 * Fraction(math.ulp(float(value))), (name, k)
