@@ -390,12 +390,7 @@ def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     lps = cfg["lorentz"]
     alphas = cfg["alphas"]
     for k in cfg["modes.scan"]:
-        ps.h(k)  # a failed profile solve fails the command, not just this scan
-        try:
-            table = _empirical_table(cfg, ps, k, alphas, lps, ts)
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:
-            manifest.add_warning(f"mode k={k} scan failed: {exc}")
-            continue
+        table = _empirical_table(cfg, ps, k, alphas, lps, ts)
         for i, lp in enumerate(lps):
             for alpha in alphas:
                 try:

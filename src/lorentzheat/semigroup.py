@@ -8,20 +8,17 @@ equation
 
 regular at the origin.  Space is discretized by a conservative finite
 volume on the geometric grid (face weights by geometric means, cell masses
-by exact power panels), time by EULER_STEPS backward-Euler steps and then
-Crank-Nicolson (theta = 1/2), with w pinned to 0 at r_max (an absorbing
-boundary).  Each step solves the mass-weighted system
-(M + theta dt K) w' = M w - (1 - theta) dt K w, M the cell masses and K the
-conductance Laplacian: symmetric positive definite and tridiagonal, one
-LDL^T factorization for all columns.  w == 1 is a discrete steady state to
-machine precision away from r_max, which pins the harmonic profile as
-stationary.
+by exact power panels), time by TR-BDF2 (second order and L-stable; see
+_Stepper), with w pinned to 0 at r_max (an absorbing boundary).  w == 1 is
+a discrete steady state to machine precision away from r_max, which pins
+the harmonic profile as stationary.
 
-The flow's one parameter is dt_cap: once moving, dt <= t / dt_cap.  Fixed
-constants shape the rest: the first step is
-t_first / (dt_cap * INIT_SCALE_STEPS), and at each target a dip of min w
-below min(0, min w0) by more than POSITIVITY_TOL max|w|, or an outer-zone
-value above CONTAMINATION_THRESHOLD max|w|, is reported as a warning.
+The flow's one parameter is dt_cap, at most DT_CAP_MAX: once moving, a step
+of two solves covers dt <= 2 t / dt_cap.  Fixed constants shape the rest:
+the first step is 2 t_first / (dt_cap * INIT_SCALE_STEPS), and at each
+target a dip of min w below min(0, min w0) by more than POSITIVITY_TOL
+max|w|, or an outer-zone value above CONTAMINATION_THRESHOLD max|w|, is
+reported as a warning.
 
 Operator norms between Lorentz spaces are estimated from below by flowing a
 family of concentrated data (dyadic balls, annuli, and an h_k-shaped bump at
@@ -35,25 +32,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .harmonic import HarmonicProfile, leibniz_h
 from .params import INF_DECAY, RadialProfile
 from .quadrature import radial_derivative_values, windowed_exponent
 
 
-INIT_SCALE_STEPS = 4.0 ** 6       # first dt = t_first / (dt_cap * this)
-EULER_STEPS = 12                  # backward-Euler start-up steps: enough to
-# damp indicator-edge modes that Crank-Nicolson would keep oscillating
+INIT_SCALE_STEPS = 4.0 ** 6       # first dt = 2 t_first / (dt_cap * this)
+DT_CAP_MAX = 1e4                  # steps listed up front: ~ dt_cap/2 per e-fold of t
 CONTAMINATION_THRESHOLD = 1e-9    # outer-zone |w| / max|w| that warns
 POSITIVITY_TOL = 1e-9             # dip below the initial floor, / max|w|
 
 
 def check_dt_cap(dt_cap: float) -> None:
-    """ValueError unless dt_cap is positive and finite: at 0 or below, or at
-    inf, the time schedule never advances (dt = 0 at t = 0)."""
-    if not 0.0 < dt_cap < math.inf:
-        raise ValueError(f"scheme.dt_cap must be positive and finite, got {dt_cap}")
+    """ValueError unless 0 < dt_cap <= DT_CAP_MAX: at 0 or below, or at inf,
+    the time schedule never advances (dt = 0 at t = 0), and above the limit
+    the listed steps exhaust memory long before the flow would end."""
+    if not 0.0 < dt_cap <= DT_CAP_MAX:
+        raise ValueError(
+            f"scheme.dt_cap must be in (0, {DT_CAP_MAX:g}], got {dt_cap}")
 
 
 @dataclass
@@ -91,20 +89,27 @@ class _Operator:
                                  head_exponent=2.0 * hk.inner_exponent + n - 1.0)
 
 
-class _ThetaStepper:
-    """Implicit theta steps of the columns of w, in reused buffers.
+class _Stepper:
+    """TR-BDF2 steps of the columns of w, in reused buffers.
 
-    A step solves the mass-weighted system
+    With gamma = 2 - sqrt 2 and s = gamma dt / 2, a trapezoid stage over
+    gamma dt and a BDF2 stage over the rest solve
 
-        (M + theta dt K) w' = M w - (1 - theta) dt K w,
+        (M + s K) w_g = M w - s K w,    (M + s K) w' = c1 M w_g - c0 M w,
 
-    M the diagonal of cell masses and K the conductance Laplacian (off
-    diagonals -cond, zero row sums), the last row replaced by w'[-1] = 0.
-    The matrix is symmetric positive definite, so LAPACK's dptsv factors it
-    once (LDL^T, no pivoting) for all columns.  The band vectors and the Fortran-ordered w / rhs pair are
-    allocated once and refilled with out= ufuncs, in the operations and
-    order of a fresh assembly, so the bits do not depend on the reuse.
+    c1 = 1 / (gamma (2 - gamma)), c0 = (1 - gamma)^2 c1, M the diagonal of
+    cell masses and K the conductance Laplacian (off diagonals -cond, zero
+    row sums), the last row replaced by w'[-1] = 0.  The shared matrix is
+    symmetric positive definite: LAPACK's dpttrf factors it once (LDL^T, no
+    pivoting) and dpttrs solves both stages for all columns.  The band
+    vectors and the Fortran-ordered w / rhs pair are allocated once and
+    refilled with out= ufuncs, in the operations and order of a fresh
+    assembly, so the bits do not depend on the reuse.
     """
+
+    GAMMA = 2.0 - math.sqrt(2.0)
+    C1 = 1.0 / (GAMMA * (2.0 - GAMMA))
+    C0 = (1.0 - GAMMA) ** 2 * C1
 
     def __init__(self, op: _Operator, w: np.ndarray):
         """w: the Fortran-ordered start columns, taken over as a buffer."""
@@ -115,10 +120,10 @@ class _ThetaStepper:
         self.d = np.empty(m)
         self.e = np.empty(m - 1)
 
-    def step(self, theta: float, dt: float) -> np.ndarray:
+    def step(self, dt: float) -> np.ndarray:
         """Advance w by one step; returns the new w (a buffer: copy to keep)."""
         op, w, rhs = self.op, self.w, self.rhs
-        s = theta * dt
+        s = 0.5 * self.GAMMA * dt
         # d = (mass + s cl) + s cr, cl / cr the conductance of each cell's
         # left / right face (none at the ends); e = -s cond
         sc, d = np.multiply(s, op.cond, out=self.e), self.d
@@ -129,26 +134,29 @@ class _ThetaStepper:
         # the pinned row decouples; its column multiplies w'[-1] = 0
         d[-1] = 1.0
         e[-1] = 0.0
-        if theta >= 1.0:
-            np.multiply(op.mass[:, None], w, out=rhs)
-        else:
-            # rhs = M w + ((1 - theta) dt) div(flux), the divergence assembled
-            # in place in rhs and M w in w's buffer, which is dead afterwards
-            flux = np.multiply(op.cond[:, None],
-                               np.subtract(w[1:], w[:-1], out=self.flux),
-                               out=self.flux)
-            rhs[0] = flux[0]
-            np.subtract(flux[1:], flux[:-1], out=rhs[1:-1])
-            np.negative(flux[-1], out=rhs[-1])
-            np.multiply((1.0 - theta) * dt, rhs, out=rhs)
-            np.add(np.multiply(op.mass[:, None], w, out=w), rhs, out=rhs)
+        # stage 1: rhs = M w + s div(flux), the divergence assembled in place
+        # in rhs and M w in w's buffer, which stage 2 reads as such
+        flux = np.multiply(op.cond[:, None],
+                           np.subtract(w[1:], w[:-1], out=self.flux),
+                           out=self.flux)
+        rhs[0] = flux[0]
+        np.subtract(flux[1:], flux[:-1], out=rhs[1:-1])
+        np.negative(flux[-1], out=rhs[-1])
+        np.multiply(s, rhs, out=rhs)
+        np.add(np.multiply(op.mass[:, None], w, out=w), rhs, out=rhs)
         rhs[-1] = 0.0
         # every |e| is a term of d, so a finite d means a finite band
         if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
-        *_, x, info = dptsv(d, e, rhs, 1, 1, 1)
+        d, e, info = dpttrf(d, e, 1, 1)
         if info > 0:
             raise np.linalg.LinAlgError("matrix not positive definite")
+        wg, _ = dpttrs(d, e, rhs, 1)
+        # stage 2: rhs = c1 (M w_g) - c0 (M w), in w_g's buffer
+        np.multiply(self.C1, np.multiply(op.mass[:, None], wg, out=wg), out=wg)
+        np.subtract(wg, np.multiply(self.C0, w, out=w), out=wg)
+        wg[-1] = 0.0
+        x, _ = dpttrs(d, e, wg, 1)
         self.w, self.rhs = x, w
         return x
 
@@ -184,17 +192,19 @@ def _cell_masses(r, weight, head_exponent):
 
 
 def _time_schedule(t_targets, dt_cap: float = 64.0):
-    """Geometrically growing steps; emit flags mark target arrivals."""
+    """Geometric steps of dt <= 2 t / dt_cap (two solves each) once moving;
+    emit flags mark target arrivals."""
     check_dt_cap(dt_cap)
     targets = sorted(set(float(t) for t in t_targets))
     if targets[0] <= 0.0:
         raise ValueError("targets must be positive")
-    dt0 = targets[0] / (dt_cap * INIT_SCALE_STEPS)
+    cap = 0.5 * dt_cap
+    dt0 = targets[0] / (cap * INIT_SCALE_STEPS)
     steps = []  # (dt, emit_after_this_step)
     t = 0.0
     for target in targets:
         while True:
-            dt = max(dt0, t / dt_cap)
+            dt = max(dt0, t / cap)
             last = t + dt >= target * (1.0 - 1e-14)
             if last:
                 dt = target - t
@@ -210,24 +220,22 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
                  dt_cap: float = 64.0):
     """Flow one or more initial ratios w0 (columns) to the target times.
 
-    Returns (list over targets of w arrays, warnings).  The first
-    EULER_STEPS steps run backward Euler to damp indicator oscillations, the
-    rest Crank-Nicolson; positivity / outer-boundary contamination are
-    monitored rather than silently ignored.
+    Returns (list over targets of w arrays, warnings).  Positivity /
+    outer-boundary contamination are monitored rather than silently
+    ignored.
     """
     w = np.array(np.atleast_2d(np.asarray(w0, dtype=float).T).T, order="F")
     targets, steps = _time_schedule(t_targets, dt_cap)
     w[-1] = 0.0
-    stepper = _ThetaStepper(_Operator(hk), w)
+    stepper = _Stepper(_Operator(hk), w)
     out = []
     warnings = []
     r = hk.grid
     outer_zone = r >= r[-1] / 3.16
     init_floor = float(np.min(w))
     t = 0.0
-    for step_index, (dt, emit) in enumerate(steps):
-        theta = 1.0 if step_index < EULER_STEPS else 0.5
-        w = stepper.step(theta, dt)
+    for dt, emit in steps:
+        w = stepper.step(dt)
         t += dt
         if emit:
             t = targets[len(out)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorentzheat import cli, harmonic
+from lorentzheat import cli, harmonic, semigroup
 from lorentzheat.cli import ConfigError, parse_config
 from lorentzheat.params import INF
 
@@ -128,6 +128,15 @@ class TestConfig:
     def test_scheme_range_ends_accepted(self):
         cfg = parse_config("scheme.dt_cap = 1e-3")
         assert cfg["scheme.dt_cap"] == 1e-3
+        cfg = parse_config(f"scheme.dt_cap = {semigroup.DT_CAP_MAX!r}")
+        assert cfg["scheme.dt_cap"] == semigroup.DT_CAP_MAX
+
+    @pytest.mark.parametrize("value", ["1e8", "10000.000000000002"])
+    def test_dt_cap_above_limit_rejected(self, value):
+        # the time schedule is listed up front, ~9 dt_cap steps on evolve_flow's
+        # window: 1e8 would ask for ~1e9 of them
+        with pytest.raises(ConfigError, match=r"scheme\.dt_cap must be in"):
+            parse_config(f"scheme.dt_cap = {value}")
 
     @pytest.mark.parametrize("line", ["scheme.theta = 0.5", "scheme.rannacher = 12"])
     def test_deleted_scheme_key_rejected(self, line, tmp_path, capsys):
@@ -338,6 +347,17 @@ class TestDeterminism:
         code, out = run_cli(tmp_path / "b", self.CFG + "modes.scan = 1\n",
                             "norm-scan")
         assert code == 2 and not list(out.glob("norm_scan_*.csv"))
+
+    def test_failed_sweep_fails_the_command(self, tmp_path, monkeypatch, capsys):
+        # a numerical failure in a mode's sweep maps to exit 2, as in every
+        # other command, rather than a warning and missing CSVs
+        def failing_sweep(*args, **kwargs):
+            raise np.linalg.LinAlgError("matrix not positive definite")
+
+        monkeypatch.setattr(semigroup, "operator_norm_sweep", failing_sweep)
+        code, out = run_cli(tmp_path, self.CFG, "norm-scan")
+        assert code == 2 and not list(out.glob("norm_scan_*.csv"))
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_csv_schema(self, tmp_path):
         _, out = run_cli(tmp_path, self.CFG, "norm-scan")
