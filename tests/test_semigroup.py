@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
@@ -53,6 +55,14 @@ class TestScheme:
         for value in (np.nextafter(DT_CAP_MAX, np.inf), 1e8):
             with pytest.raises(ValueError, match=r"scheme\.dt_cap must be in"):
                 check_dt_cap(value)
+
+    @pytest.mark.parametrize("dt_cap", [64.0, 256.0])
+    def test_graded_start_length(self, dt_cap):
+        # dt_cap/2 steps of the first length, then growth by 1 + 2/dt_cap a
+        # step over the factor 8 that the first step is graded down by
+        _, steps = _time_schedule([1.0], dt_cap)
+        bound = dt_cap / 2 + math.ceil(math.log(8.0) / math.log1p(2.0 / dt_cap)) + 1
+        assert len(steps) <= bound
 
     def test_steady_state_exact(self, h_hardy):
         hk = h_hardy[0]
@@ -295,6 +305,20 @@ class TestFamilyAndNorms:
             est = operator_norm_sweep(h0_zero, [0], [lp], [t])[(0, 0)][0]
             assert 0.5 * heat_kernel_sup(3, t) <= est.value \
                 <= 1.05 * heat_kernel_sup(3, t)
+
+    def test_time_error_of_the_sweep(self):
+        # scan_hardy's sweep at the default dt_cap against dt_cap 2048: the
+        # graded start must not be cut below what the time error allows
+        # (5.30e-4 with INIT_SCALE_STEPS = 8, 5.62e-4 with 4)
+        grid = make_grid(1e-8, 1e4, 1024)
+        hk = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 0, grid)
+        lps = [LorentzParams(1.0, INF, 1.0, INF), LorentzParams(1.0, 2.0, 1.0, 2.0)]
+        coarse, fine = (operator_norm_sweep(hk, [0, 1, 2], lps, [0.1, 1.0],
+                                            dt_cap=dt_cap)
+                        for dt_cap in (64.0, 2048.0))
+        for key, series in coarse.items():
+            for est, ref in zip(series, fine[key]):
+                assert est.value == pytest.approx(ref.value, rel=5.4e-4), key
 
     def test_hardy_scale_invariance_of_estimates(self, h_hardy):
         # estimate(t) * t^(N/2 (1/p - 1/q) + alpha/2) constant within 5%
