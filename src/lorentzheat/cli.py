@@ -96,7 +96,6 @@ DEFAULTS = {
 @dataclass
 class RunConfig:
     values: dict
-    raw_text: str
 
     def __getitem__(self, key):
         return self.values[key]
@@ -127,7 +126,7 @@ def parse_config(text: str) -> RunConfig:
     for key, (parser, default) in DEFAULTS.items():
         values.setdefault(key, parser(default))
     _validate_config(values)
-    return RunConfig(values, text)
+    return RunConfig(values)
 
 
 def _validate_config(v):
@@ -139,6 +138,8 @@ def _validate_config(v):
         raise ConfigError("grid.points too small")
     if v["potential.kind"] not in ("hardy", "zero", "inverse_power"):
         raise ConfigError(f"unknown potential.kind {v['potential.kind']!r}")
+    if v["evolve.data"] not in ("gaussian", "ball", "annulus", "hk_bump"):
+        raise ConfigError(f"unknown evolve.data {v['evolve.data']!r}")
     if any(a < 0 for a in v["alphas"]):
         raise ConfigError("alphas must be nonnegative")
     # these ran with exit 0 but read wrong: points_per_decade < 1 gives 2
@@ -356,9 +357,7 @@ def _initial_datum(cfg: RunConfig, ps: harmonic.ProfileSet, t_ref: float):
         return hk, np.where(r <= scale, 1.0, 0.0)
     if kind == "annulus":
         return hk, np.where((r > scale / 2.0) & (r <= scale), 1.0, 0.0)
-    if kind == "hk_bump":
-        return hk, np.where(r <= scale, hk.values, 0.0)
-    raise ConfigError(f"unknown evolve.data {kind!r}")
+    return hk, np.where(r <= scale, hk.values, 0.0)  # hk_bump
 
 
 def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
@@ -377,11 +376,17 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     return 0
 
 
-def _empirical_table(cfg, ps, k, alphas, lps, ts):
-    """{(alpha, lp_idx): [estimate per t]} via the batched sweep."""
-    return semigroup.operator_norm_sweep(ps.h(k), alphas, lps, list(ts),
-                                         dt_cap=cfg["scheme.dt_cap"],
-                                         j_max=cfg["family.j_max"])
+def _empirical_table(cfg, ps, k, alphas, lps, ts, manifest):
+    """{(alpha, lp_idx): [estimate per t]} via the batched sweep; the flow's
+    warnings go to the manifest."""
+    table = semigroup.operator_norm_sweep(ps.h(k), alphas, lps, list(ts),
+                                          dt_cap=cfg["scheme.dt_cap"],
+                                          j_max=cfg["family.j_max"])
+    for series in table.values():
+        for est in series:
+            for w in est.warnings:
+                manifest.add_warning(w)
+    return table
 
 
 def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
@@ -390,7 +395,7 @@ def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     lps = cfg["lorentz"]
     alphas = cfg["alphas"]
     for k in cfg["modes.scan"]:
-        table = _empirical_table(cfg, ps, k, alphas, lps, ts)
+        table = _empirical_table(cfg, ps, k, alphas, lps, ts, manifest)
         for i, lp in enumerate(lps):
             for alpha in alphas:
                 try:
@@ -399,8 +404,6 @@ def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
                     tag = "ambiguous"
                 rows = []
                 for est in table[(alpha, i)]:
-                    for w in est.warnings:
-                        manifest.add_warning(w)
                     # per-row prediction failures are recorded, not fatal
                     try:
                         upper = rates.upper_envelope_J(ps, lp, alpha, est.t)
@@ -466,7 +469,7 @@ def _judge_floor(ps, lp, alpha, ts, vals):
 
 
 def _judge_family_rates(theorem, ps, lp, alpha, ts, vals):
-    pred = rates.closed_form_rate(ps, lp, alpha, regime="large-t")
+    pred = rates.closed_form_rate(ps, lp, alpha)
     if pred.theorem != theorem:
         return f"potential routes to {pred.theorem}"
     if not pred.applicable:
@@ -499,7 +502,7 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest: Manifest, theorem: str) -> i
     ts = time_grid(cfg)
     lps = cfg["lorentz"]
     alphas = [a for a in cfg["alphas"] if a <= alpha_max]
-    table = _empirical_table(cfg, ps, 0, alphas, lps, ts)
+    table = _empirical_table(cfg, ps, 0, alphas, lps, ts, manifest)
     verdicts = []
     for i, lp in enumerate(lps):
         slug = _tuple_slug(lp)

@@ -81,8 +81,6 @@ class HarmonicProfile:
     def eval(self, r):
         return self.profile.eval(r)
 
-    __call__ = eval
-
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call: only an RK45

@@ -46,10 +46,6 @@ class IteratedIntegral:
     def values(self) -> np.ndarray:
         return self.profile.values
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.profile.grid
-
 
 def apply_I(hk: HarmonicProfile, f, f_inner_exponent=None) -> IteratedIntegral:
     """One application of I_k to f (an array on the grid or a RadialProfile)."""

@@ -232,8 +232,6 @@ class RadialProfile:
                     out[beyond] = v[-1] * (r[beyond] / g[-1]) ** self.outer_exponent
         return out[0] if scalar else out
 
-    __call__ = eval
-
     # -- derived profiles ---------------------------------------------------------
 
     def segments(self) -> "_SegmentSet":

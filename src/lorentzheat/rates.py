@@ -117,11 +117,6 @@ def _hessian_envelope(hp: HarmonicProfile) -> RadialProfile:
     return RadialProfile(r, vals, n)
 
 
-def _mode_hessian_envelope(ps: ProfileSet) -> RadialProfile:
-    """Envelope of |grad^2 (h_1 Q)|, sharp through the polynomial split."""
-    return envelope_nabla_J(ps.h(1), ps.iterated(1, 0), 2)
-
-
 def phi_alpha(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float) -> float:
     """Two-sided rate envelope for alpha in {0, 1, 2}.
 
@@ -150,10 +145,11 @@ def phi_alpha(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float) -> float:
         return t ** (-n / 2.0) * gam_dual * (term + t ** (n2q - 0.5))
     hess0 = _hessian_envelope(h0)
     term0 = hess0.lorentz_norm_on_ball(q, th, root_t) / h0.eval(root_t)
+    # envelope of |grad^2 (h_1 Q)|, sharp through the polynomial split
     h1 = ps.h(1)
     d1 = spectral.eigenspace_dimension(1, n)
-    term1 = d1 * _mode_hessian_envelope(ps).lorentz_norm_on_ball(q, th, root_t) \
-        / h1.eval(root_t)
+    hess1 = envelope_nabla_J(h1, ps.iterated(1, 0), 2)
+    term1 = d1 * hess1.lorentz_norm_on_ball(q, th, root_t) / h1.eval(root_t)
     return t ** (-n / 2.0) * gam_dual * (term0 + term1 + t ** (n2q - 1.0))
 
 
@@ -219,7 +215,6 @@ class RatePrediction:
     applicable: bool
     exponent: float | None
     log_power: float | None
-    regime: str                      # 'all-t' | 'large-t' | 'small-t'
     hypotheses: list = field(default_factory=list)  # (clause, ok, detail)
 
 
@@ -266,10 +261,11 @@ def _lex_max(a, b):
     return a if a[1] >= b[1] else b
 
 
-def closed_form_rate(ps: ProfileSet, lp: LorentzParams, alpha: int,
-                  regime: str = "large-t") -> RatePrediction:
+def closed_form_rate(ps: ProfileSet, lp: LorentzParams, alpha: int
+                     ) -> RatePrediction:
     """Predicted decay exponent of the operator norm for the potential's
-    potential family, with hypothesis checks reported."""
+    family (the large-time one for a bounded potential), with hypothesis
+    checks reported."""
     spec = ps.spec
     kind = spec.kind
     n = spec.dimension
@@ -277,10 +273,10 @@ def closed_form_rate(ps: ProfileSet, lp: LorentzParams, alpha: int,
         return _rate_scale_invariant(ps, lp, alpha)
     if kind == "zero":
         return RatePrediction("T7.2", True, free_exponent(lp, alpha, n), 0.0,
-                              "all-t", [("V == 0", True, "free flow")])
+                              [("V == 0", True, "free flow")])
     if spec.lambda1 == 0.0 and spec.lambda2 == 0.0:
-        return _rate_bounded(ps, lp, alpha, regime)
-    return RatePrediction("none", False, None, None, regime,
+        return _rate_bounded(ps, lp, alpha)
+    return RatePrediction("none", False, None, None,
                           [("recognized family", False, kind)])
 
 
@@ -307,65 +303,28 @@ def _rate_scale_invariant(ps, lp, alpha):
         ok = c1
     ok = ok and lam != 0.0
     expo = free_exponent(lp, alpha, n) if ok else None
-    return RatePrediction("T7.1", ok, expo, 0.0 if ok else None, "all-t", hyp)
+    return RatePrediction("T7.1", ok, expo, 0.0 if ok else None, hyp)
 
 
-def _rate_bounded(ps, lp, alpha, regime):
+def _rate_bounded(ps, lp, alpha):
     spec = ps.spec
     n = spec.dimension
     table = ps.table
-    if regime == "small-t":
-        return RatePrediction("T7.2", True, free_exponent(lp, alpha, n), 0.0,
-                              "small-t", [("bounded potential", True, "")])
     a20 = float(table.A2[0])
     b0 = int(table.B[0])
     hyp = [("bounded potential", True, spec.label)]
-    even_int = a20 >= -1e-9 and abs(a20 - round(a20)) < 1e-9 \
-        and round(a20) % 2 == 0
-    if even_int and round(a20) == 0 and alpha >= 1:
+    # lambda_2 = 0 leaves A_20 = 0 (subcritical) or 2 - N < 0 (critical)
+    if a20 == 0.0 and alpha >= 1:
         # flat far field: the large-time rate is set by the integrable
         # perturbation itself, not by the exponent table
         return _rate_flat_far_field(ps, lp, alpha, hyp)
     g = _gamma_dual_growth(table, lp)
     n2q = 0.0 if lp.q == INF else n / (2.0 * lp.q)
-    if (not even_int) or a20 >= alpha:
-        hyp.append(("non-degenerate far field", True, f"A_20={a20:.6g}"))
-        h = _ball_norm_growth(a20 - alpha, b0, lp.q, lp.theta, n)
-        h = (h[0] - a20 / 2.0, h[1] - float(b0))   # ratio to h_0(sqrt t)
-        h = _lex_max(h, (n2q - alpha / 2.0, 0.0))
-        return RatePrediction("T7.2", True, -n / 2.0 + g[0] + h[0],
-                              g[1] + h[1], "large-t", hyp)
-    # degenerate even exponent below alpha: the polynomial part of the
-    # profile loses its alpha-th gradient, so the first excited mode and
-    # the fitted gradient term of the solved profile set the rate
-    hyp.append(("degenerate even far field", True,
-                f"A_20={a20:.6g} < alpha={alpha}"))
-    a21 = float(table.A2[1])
-    h1 = _ball_norm_growth(a21 - alpha, 0, lp.q, lp.theta, n)
-    h1 = (h1[0] - a21 / 2.0, h1[1])
-    grad = _numeric_gradient_growth(ps, lp, alpha)
-    hyp.append(("gradient term fitted from the solved profile", True,
-                f"slope={grad[0]:.4g}"))
-    h = _lex_max(_lex_max(h1, grad), (n2q - alpha / 2.0, 0.0))
-    return RatePrediction("T7.2", True, -n / 2.0 + g[0] + h[0], g[1] + h[1],
-                          "large-t", hyp)
-
-
-def _numeric_gradient_growth(ps, lp, alpha):
-    """Large-t slope of || grad^alpha h_0 ||_{q,theta}(B(0,sqrt t)) / h_0(sqrt t)."""
-    h0 = ps.h(0)
-    q, th = lp.target_pair()
-    r_max = ps.grid[-1]
-    t_hi = (r_max / 30.0) ** 2
-    t_lo = t_hi / 100.0
-    d = derivative_h(h0, alpha)
-    vals = []
-    for t in (t_lo, t_hi):
-        root = math.sqrt(t)
-        vals.append(d.lorentz_norm_on_ball(q, th, root) / h0.eval(root))
-    if not all(math.isfinite(v) and v > 0.0 for v in vals):
-        return (INF, 0.0) if not math.isfinite(vals[-1]) else (-INF, 0.0)
-    return (math.log(vals[1] / vals[0]) / math.log(t_hi / t_lo), 0.0)
+    hyp.append(("non-degenerate far field", True, f"A_20={a20:.6g}"))
+    h = _ball_norm_growth(a20 - alpha, b0, lp.q, lp.theta, n)
+    h = (h[0] - a20 / 2.0, h[1] - float(b0))   # ratio to h_0(sqrt t)
+    h = _lex_max(h, (n2q - alpha / 2.0, 0.0))
+    return RatePrediction("T7.2", True, -n / 2.0 + g[0] + h[0], g[1] + h[1], hyp)
 
 
 def _rate_flat_far_field(ps, lp, alpha, hyp):
@@ -397,14 +356,14 @@ def _rate_flat_far_field(ps, lp, alpha, hyp):
         hyp.append(("nonzero pairing with the profile", abs(pairing) > 1e-12,
                     f"pairing={pairing:.4g}"))
         if not (math.isfinite(mass) and abs(pairing) > 1e-12):
-            return RatePrediction(theorem, False, None, None, "large-t", hyp)
+            return RatePrediction(theorem, False, None, None, hyp)
         e, b = 2.0 - n - alpha, 0
     growth = _ball_norm_growth(e, b, lp.q, lp.theta, n)
     n2q = 0.0 if lp.q == INF else n / (2.0 * lp.q)
     growth = _lex_max(growth, (n2q - alpha / 2.0, 0.0))
     p_inv = 0.0 if lp.p == INF else 1.0 / lp.p
     expo = -n / 2.0 * p_inv + growth[0]
-    return RatePrediction(theorem, True, expo, growth[1], "large-t", hyp)
+    return RatePrediction(theorem, True, expo, growth[1], hyp)
 
 
 # ---------------------------------------------------------------------------

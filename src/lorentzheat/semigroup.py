@@ -366,7 +366,6 @@ def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
 @dataclass
 class OperatorNormEstimate:
     value: float
-    datum: str
     t: float
     warnings: tuple = ()
 
@@ -396,16 +395,14 @@ def operator_norm_sweep(hk: HarmonicProfile, alphas, lps, t_list,
             q, th = lp.target_pair()
             src = np.array([d.profile.lorentz_norm(p, sigma) for d in fam])
             for a in alphas:
-                best, who = 0.0, "none"
-                for col, d in enumerate(fam):
+                best = 0.0
+                for col in range(len(fam)):
                     if not (src[col] > 0.0 and math.isfinite(src[col])):
                         continue
                     val = deriv_profiles[a][col].lorentz_norm(q, th)
-                    ratio = val / src[col]
-                    if ratio > best:
-                        best, who = ratio, d.label
+                    best = max(best, val / src[col])
                 results[(a, i)].append(OperatorNormEstimate(
-                    best, who, t, tuple(warnings)))
+                    best, t, tuple(warnings)))
     return results
 
 

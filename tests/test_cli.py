@@ -114,6 +114,18 @@ class TestConfig:
         assert code == 1
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "evolve"])
+    def test_unknown_evolve_data_rejected(self, command, tmp_path, capsys):
+        # the typo passed every command but evolve, which failed it only
+        # after the profile build
+        with pytest.raises(ConfigError, match=r"unknown evolve\.data 'gausian'"):
+            parse_config("evolve.data = gausian")
+        code, out = run_cli(tmp_path, "grid.points = 256\nevolve.data = gausian\n",
+                            command)
+        assert code == 1
+        assert "unknown evolve.data" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["potential.lambda", "potential.amplitude",
                                      "potential.kappa", "grid.r_min", "grid.r_max",
@@ -230,6 +242,18 @@ class TestCommands:
         r, v = np.loadtxt(files[0]).T
         assert np.all(np.isfinite(v)) and v.max() > 0
 
+    @pytest.mark.parametrize("data", ["ball", "annulus"])
+    def test_evolve_indicator_data(self, data, tmp_path):
+        cfgtext = FAST_COMMON + "potential.kind = zero\ntime.t_max = 10\n" \
+            f"time.points_per_decade = 1\nevolve.data = {data}\n"
+        code, out = run_cli(tmp_path, cfgtext, "evolve")
+        assert code == 0
+        files = sorted(out.glob("evolve_k0_t*.dat"))
+        assert len(files) == 3
+        for path in files:
+            r, v = np.loadtxt(path).T
+            assert np.all(np.isfinite(v)) and v.max() > 0
+
     def test_invalid_config_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "nonsense = 1\n", "classify")
         assert code == 1
@@ -259,6 +283,29 @@ class TestCommands:
         assert code == 0
         assert calls == [0]
 
+    def test_verify_records_the_flow_warnings(self, tmp_path):
+        # r_max = 20 sqrt(t_max): the widest test data reach the absorbing
+        # boundary at the last times, and the flow says so
+        cfgtext = """
+dimension = 3
+potential.lambda = 2.0
+grid.r_max = 1e2
+grid.points = 512
+time.t_min = 0.25
+time.t_max = 25
+time.points_per_decade = 4
+lorentz = 1,inf,1,inf
+alphas = 0
+"""
+        warned = {}
+        for argv in (["norm-scan"], ["verify", "T4.2"]):
+            code, out = run_cli(tmp_path / argv[0], cfgtext, *argv)
+            assert code == 0
+            warned[argv[0]] = [line for line in
+                               (out / "manifest.txt").read_text().splitlines()
+                               if line.startswith("warning ")]
+        assert any("boundary contamination" in w for w in warned["norm-scan"])
+        assert warned["verify"] == warned["norm-scan"]
 
     def test_verify_two_sided_writes_four_columns(self, tmp_path):
         cfgtext = FAST_COMMON + "potential.kind = zero\nalphas = 0,1,3\n" \

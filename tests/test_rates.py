@@ -10,6 +10,8 @@ from lorentzheat.quadrature import make_grid
 from lorentzheat.rates import (
     AmbiguousCaseError,
     RateFitError,
+    _ball_norm_growth,
+    _gamma_dual_growth,
     classify_cases,
     consistency_check_free_rate,
     fit_rate,
@@ -222,12 +224,6 @@ class TestSection7:
         assert pred.applicable
         assert pred.exponent == pytest.approx(free_exponent(lp, 3, 3))
 
-    def test_bounded_small_time_free(self, ps_bounded):
-        lp = LorentzParams(2.0, INF, 2.0, INF)
-        pred = closed_form_rate(ps_bounded, lp, 1, regime="small-t")
-        assert pred.applicable
-        assert pred.exponent == pytest.approx(free_exponent(lp, 1, 3))
-
     def test_bounded_alpha0_large_time_free(self, ps_bounded):
         # A_20 = 0 >= alpha = 0: table branch reduces to the free rate
         lp = LorentzParams(2.0, INF, 2.0, INF)
@@ -267,6 +263,105 @@ class TestSection7:
         pred = closed_form_rate(ps2, lp, 1)
         assert pred.theorem == "T7.4" and pred.applicable
         assert pred.exponent == pytest.approx(-0.75)
+
+
+class TestClosedFormBranches:
+    """The theta, sigma' and degenerate branches of the closed-form rates,
+    each against a value derived by hand from the stated asymptotics."""
+
+    @pytest.mark.parametrize("e, b, q, theta, expected", [
+        # q < inf, q e + N > 0: ||(1+r)^-1||_2 on B(0, R) in N = 3 grows
+        # like R^(1/2) = t^(1/4)
+        (-1.0, 0, 2.0, 2.0, (0.25, 0.0)),
+        # q e + N = 0: (1+r)^(-3/2) has f*(s) ~ s^(-1/2), so the L^{2,4}
+        # norm on the ball is (int ds/s)^(1/4) ~ (log t)^(1/4)
+        (-1.5, 0, 2.0, 4.0, (0.0, 0.25)),
+        # ... and r^(-N/q) lies in L^{q,inf}: bounded
+        (-1.5, 0, 2.0, INF, (0.0, 0.0)),
+        # q e + N < 0: integrable at infinity, bounded
+        (-2.0, 0, 2.0, 2.0, (0.0, 0.0)),
+        # q = inf, e > 0: the sup (1+sqrt t)^e log^b grows like t^(e/2)
+        (1.0, 0, INF, INF, (0.5, 0.0)),
+        (1.0, 1, INF, INF, (0.5, 1.0)),
+    ])
+    def test_ball_norm_growth(self, e, b, q, theta, expected):
+        assert _ball_norm_growth(e, b, q, theta, 3) == pytest.approx(expected)
+
+    @staticmethod
+    def _table(a20, b0):
+        return spectral.ExponentTable(
+            3, 0, spectral.NULL_CRITICAL, np.array([0.0]), np.array([1]),
+            np.array([0.0]), np.array([a20]), np.array([b0]))
+
+    @pytest.mark.parametrize("p, sigma, expected", [
+        # p > p_* = N / (N + A_20) = 3/2: ||r^-1||_{3/2'} on B(0, sqrt t)
+        # over h_0(sqrt t) grows like t^(N/2p')
+        (2.0, 2.0, (0.75, 0.0)),
+        # p = p_*: r^-1 sits at the L^{3,sigma'} endpoint, so the norm is
+        # (log t)^(1/sigma'); the quotient by h_0(sqrt t) gives t^(1/2)
+        (1.5, 2.0, (0.5, 0.5)),
+        (1.5, 1.0, (0.5, 0.0)),        # sigma' = inf: no log factor
+        # p < p_*: h_0 lies in L^{p'} at infinity, only the quotient grows
+        (1.2, 1.2, (0.5, 0.0)),
+    ])
+    def test_gamma_dual_growth(self, p, sigma, expected):
+        lp = LorentzParams(p, INF, sigma, INF)
+        assert _gamma_dual_growth(self._table(-1.0, 0), lp) \
+            == pytest.approx(expected)
+
+    def test_gamma_dual_growth_log_profile(self):
+        # h_0 ~ r^-1/2 log r at lambda_2 = lambda_*: p_* = 3/2.5 = 1.2, and
+        # below it the quotient by h_0(sqrt t) loses one log power
+        lp = LorentzParams(1.1, INF, 1.1, INF)
+        assert _gamma_dual_growth(self._table(-0.5, 1), lp) \
+            == pytest.approx((0.25, -1.0))
+
+    def test_scale_invariant_even_degree(self):
+        # lambda = 6, N = 3: A_0 = 2 solves A(A + 1) = 6, an even degree;
+        # A_1 = (sqrt 33 - 1)/2 ~ 2.37 solves A(A + 1) = 6 + omega_1 = 8.
+        # Into L^inf: alpha <= A_0 passes the clause, and at alpha = 3 the
+        # first mode r^(A_1 - 3) is unbounded at the origin
+        ps = ProfileSet.build(spectral.PotentialSpec.hardy(3, 6.0), k_max=1,
+                              grid=GRID)
+        lp = LorentzParams(1.0, INF, 1.0, INF)
+        for alpha in (0, 1, 2):
+            pred = closed_form_rate(ps, lp, alpha)
+            assert pred.theorem == "T7.1" and pred.applicable
+            assert pred.exponent == pytest.approx(-1.5 - alpha / 2.0)
+            assert [c for c, _, _ in pred.hypotheses][-1] \
+                == "even-degree degenerate clause"
+        pred = closed_form_rate(ps, lp, 3)
+        assert not pred.applicable and pred.exponent is None
+        assert ("even-degree degenerate clause", False) in \
+            [(c, ok) for c, ok, _ in pred.hypotheses]
+
+    def test_flat_far_field_kappa_equal_dimension(self):
+        # kappa = N = 3: eta_1 = (1+r)^(2-N-1) log r = (1+r)^-2 log r.
+        # Into L^inf it is bounded, so the rate is -N/2p = -3/4 at p = 2.
+        # Into L^{3/2,2} (q e + N = 0) it grows like (log t)^(1 + 1/2),
+        # below the free term t^(N/2q - 1/2) = t^(1/2): -3/2 + 1/2 = -1.
+        # For N >= 3 the log factor never outgrows the free term.
+        ps = ProfileSet.build(spectral.PotentialSpec.inverse_power(3, 1.0, 3.0),
+                              k_max=1, grid=GRID)
+        for lp, expo in ((LorentzParams(2.0, INF, 2.0, INF), -0.75),
+                         (LorentzParams(1.0, 1.5, 1.0, 2.0), -1.0)):
+            pred = closed_form_rate(ps, lp, 1)
+            assert pred.theorem == "T7.3" and pred.applicable
+            assert pred.exponent == pytest.approx(expo)
+            assert pred.log_power == 0.0
+
+    def test_unrecognized_family(self, ps_hardy):
+        # lambda_1 = 1 at the origin, r^-4 at infinity: neither Hardy nor
+        # zero nor bounded, so no closed form applies
+        import copy
+        ps2 = copy.copy(ps_hardy)
+        ps2.spec = spectral.PotentialSpec(
+            3, "custom", 1.0, 2.0, 0.0, 2.0, 2,
+            lambda r: 1.0 / (r * r * (1.0 + r * r)))
+        pred = closed_form_rate(ps2, LorentzParams(1.0, INF, 1.0, INF), 0)
+        assert pred.theorem == "none" and not pred.applicable
+        assert pred.exponent is None and pred.log_power is None
+        assert pred.hypotheses == [("recognized family", False, "custom")]
 
 
 class TestConsistencyCheck:
