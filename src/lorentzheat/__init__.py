@@ -15,7 +15,6 @@ from .params import (  # noqa: F401
     RadialProfile,
     holder_conjugate,
     power_membership,
-    power_norm_asymptotic,
     unit_ball_volume,
 )
 from .spectral import (  # noqa: F401
@@ -42,8 +41,6 @@ from .iterated import (  # noqa: F401
     apply_I,
     envelope_nabla_J,
     iterate_I,
-    j_envelope,
-    laplacian_oracle_C,
 )
 from .semigroup import (  # noqa: F401
     ModeState,

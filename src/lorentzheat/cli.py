@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harmonic, rates, semigroup, spectral
+from . import __version__, harmonic, iterated, rates, semigroup, spectral
 from .params import INF, LambdaMembershipError, LorentzParams
 from .quadrature import make_grid
 
@@ -485,10 +485,11 @@ def _judge_family_rates(theorem, ps, lp, alpha, ts, vals):
             f"vs predicted {pred.exponent:+.4f} (log {pred.log_power:+.2f})")
 
 
-# theorem -> (judge, largest derivative order it covers)
+# theorem -> (judge, largest derivative order it covers): phi_alpha stops at
+# 2, and upper_envelope_J at the derivative orders of the iterated kernels
 RECIPES = {
     "T1.1": (_judge_two_sided, 2),
-    "T3.1": (_judge_upper, INF),
+    "T3.1": (_judge_upper, iterated.DERIVATIVE_ORDER_MAX),
     "T4.2": (_judge_floor, INF),
     **{tid: (partial(_judge_family_rates, tid), INF)
        for tid in ("T7.1", "T7.2", "T7.3", "T7.4")},
@@ -498,10 +499,14 @@ THEOREM_IDS = tuple(RECIPES)
 
 def cmd_verify(cfg: RunConfig, out: Path, manifest: Manifest, theorem: str) -> int:
     judge, alpha_max = RECIPES[theorem]
+    alphas = [a for a in cfg["alphas"] if a <= alpha_max]
+    if not alphas:
+        # a verify that judged nothing must not read as a pass
+        raise ConfigError(f"{theorem} covers derivative orders up to {alpha_max}: "
+                          f"alphas = {cfg['alphas']} leaves none to judge")
     ps = build_profiles(cfg)
     ts = time_grid(cfg)
     lps = cfg["lorentz"]
-    alphas = [a for a in cfg["alphas"] if a <= alpha_max]
     table = _empirical_table(cfg, ps, 0, alphas, lps, ts, manifest)
     verdicts = []
     for i, lp in enumerate(lps):

@@ -26,13 +26,11 @@ import numpy as np
 
 from . import spectral
 from .params import INF, RadialProfile, power_membership
-from .quadrature import cumulative_integral, make_grid
+from .quadrature import make_grid
 
 FIT_WINDOW_DECADES = 1.0
 # largest rms log-residual of an asymptotic far-field constant fit
 FIT_RESIDUAL_TOL = 0.05
-# dilation factors at which mode_ratio_decay compares the profile ratios
-MODE_RATIO_EPS = (0.5, 0.25, 0.125)
 # RK45 tolerances; the absolute one sits far below any profile value
 RTOL = 1e-11
 ATOL = 1e-250
@@ -265,96 +263,6 @@ def fit_asymptotic_constant(hp: HarmonicProfile) -> tuple[float, float]:
     return c, residual
 
 
-def integral_representation(spec: spectral.PotentialSpec, k: int, grid=None,
-                            max_iter=60, tol=1e-13) -> np.ndarray:
-    """Fixed point of h = r^k [1 + II(V h)] for bounded potentials.
-
-    Independent of the ODE solver; the bracket at infinity is the far-field
-    constant when r^(N-1) V is integrable.
-    """
-    if spec.lambda1 != 0.0:
-        raise ValueError("integral representation requires a bounded potential")
-    if grid is None:
-        grid = make_grid()
-    grid = np.asarray(grid, dtype=float)
-    n = spec.dimension
-    v = spec.V(grid)
-    h = grid ** k
-    for _ in range(max_iter):
-        inner = cumulative_integral(grid, grid ** (k + n - 1) * v * (h / grid ** k))
-        outer = cumulative_integral(grid, grid ** (-2 * k - n + 1) * inner)
-        h_new = grid ** k * (1.0 + outer)
-        delta = np.max(np.abs(h_new - h) / np.maximum(np.abs(h_new), 1e-300))
-        h = h_new
-        if delta < tol:
-            break
-    return h
-
-
-# ---------------------------------------------------------------------------
-# fitted constants for the profile-comparison invariants
-# ---------------------------------------------------------------------------
-
-
-def derivative_bound_constant(hp: HarmonicProfile, ell: int) -> float:
-    """Smallest C with |d^ell h_k| <= C (k+1)^(ell-1) r^-ell h_k on the grid."""
-    d = derivative_h(hp, ell).values
-    r, h = hp.grid, hp.values
-    ratio = np.abs(d) * r ** ell / ((hp.k + 1.0) ** (ell - 1) * h)
-    return float(np.max(ratio))
-
-
-def sandwich_constants(hp: HarmonicProfile) -> dict:
-    """Two-sided comparison of h_k with its model powers on (0,1] and (1,inf)."""
-    r, h = hp.grid, hp.values
-    inner = r <= 1.0
-    vin = r[inner] ** hp.inner_exponent
-    ratio_in = h[inner] / vin
-    outer = r > 1.0
-    vout = r[outer] ** hp.outer_exponent
-    if hp.outer_log_power:
-        vout = vout * np.log(np.maximum(r[outer], 1.0 + 1e-9)) ** hp.outer_log_power
-    ratio_out = h[outer] / vout
-    return {
-        "inner_max": float(np.max(ratio_in)), "inner_min": float(np.min(ratio_in)),
-        "outer_max": float(np.max(ratio_out)), "outer_min": float(np.min(ratio_out)),
-    }
-
-
-def mass_bound_constant(hp: HarmonicProfile) -> float:
-    """Smallest C with int_0^r s^(N-1) h_k^2 ds <= C (k+1)^-1 r^N h_k(r)^2."""
-    r, h = hp.grid, hp.values
-    n = hp.spec.dimension
-    head = 2.0 * hp.inner_exponent + n - 1.0
-    mass = cumulative_integral(r, r ** (n - 1) * h * h, head_exponent=head)
-    ratio = (hp.k + 1.0) * mass / (r ** n * h * h)
-    return float(np.max(ratio))
-
-
-def mode_ratio_decay(hps: dict[int, HarmonicProfile], k: int, ell: int) -> dict:
-    """sup_r of [h_k(eps r)/h_ell(eps r)] / [h_k(r)/h_ell(r)] per eps in
-    MODE_RATIO_EPS."""
-    hk, hl = hps[k], hps[ell]
-    r = hk.grid
-    mask = (r >= r[0] / min(MODE_RATIO_EPS) * 8.0) & (r <= r[-1])
-    rr = r[mask]
-    base = hk.eval(rr) / hl.eval(rr)
-    out = {}
-    for eps in MODE_RATIO_EPS:
-        shifted = hk.eval(eps * rr) / hl.eval(eps * rr)
-        out[eps] = float(np.max(shifted / base))
-    return out
-
-
-def doubling_constant(hp: HarmonicProfile) -> float:
-    """sup of h(2r)/h(r) and h(r)/h(2r) over the grid interior."""
-    r = hp.grid
-    mask = (r >= r[0] * 4.0) & (r <= r[-1] / 4.0)
-    rr = r[mask]
-    ratio = hp.eval(2.0 * rr) / hp.eval(rr)
-    return float(max(np.max(ratio), np.max(1.0 / ratio)))
-
-
 # ---------------------------------------------------------------------------
 # solved-profile bundles
 # ---------------------------------------------------------------------------
@@ -377,21 +285,20 @@ class ProfileSet:
     _iterated: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, spec: spectral.PotentialSpec, k_max=6, grid=None,
-              criticality=None) -> "ProfileSet":
+    def build(cls, spec: spectral.PotentialSpec, k_max=6, grid=None
+              ) -> "ProfileSet":
         """Exponent table and criticality; other than for Hardy and zero
         potentials, classifying solves h_0 on the grid and keeps it."""
         grid = np.asarray(make_grid() if grid is None else grid, dtype=float)
         hks = {}
-        if criticality is None:
-            outer = None
-            if spec.kind not in spectral.ANALYTIC_KINDS:
-                hks[0] = solve_h(spec, 0, grid)
-                outer = hks[0].outer_exponent
-            criticality = spectral.classify_criticality(spec, outer)
+        outer = None
+        if spec.kind not in spectral.ANALYTIC_KINDS:
+            hks[0] = solve_h(spec, 0, grid)
+            outer = hks[0].outer_exponent
+        criticality = spectral.classify_criticality(spec, outer)
         if criticality == spectral.UNKNOWN:
             raise spectral.AmbiguousClassificationError(
-                "criticality could not be resolved; pass it explicitly")
+                "criticality could not be resolved from the far-field fit")
         if criticality == spectral.POSITIVE_CRITICAL:
             raise spectral.SpectralError(
                 "positive-critical operators are rejected by the semigroup layer")

@@ -26,6 +26,11 @@ from .quadrature import (DivergentIntegralError, cumulative_integral,
                          windowed_exponent)
 
 
+# highest order of derivative_iterated: I'' is exact, two finite differences
+# of it give the orders 3 and 4
+DERIVATIVE_ORDER_MAX = 4
+
+
 class SingularSourceError(ValueError):
     """f too singular at the origin for the inner integral to converge."""
 
@@ -99,30 +104,6 @@ def iterate_I(hk: HarmonicProfile, n: int) -> IteratedIntegral:
     return cur
 
 
-def laplacian_oracle_C(k: int, n: int, dimension: int) -> float:
-    """Closed-form C_{k,n} with I_k^n(r) = C_{k,n} r^(2n) for V == 0.
-
-    Integrating s^(2j) against the V == 0 weights gives the recursion
-    C_{k,0} = 1, C_{k,j+1} = C_{k,j} / ((2j+2)(2j+2k+N)).
-    """
-    c = 1.0
-    for j in range(n):
-        c /= (2.0 * j + 2.0) * (2.0 * j + 2.0 * k + dimension)
-    return c
-
-
-def j_envelope(hk: HarmonicProfile, n: int) -> RadialProfile:
-    """Radial envelope h_k(r) I_k^n(r) of the weighted mode functions.
-
-    The angular factor is a bounded multiplier and never evaluated pointwise;
-    rates computed from this envelope are exact, constants envelope-level.
-    """
-    itg = iterate_I(hk, n)
-    vals = hk.values * itg.values
-    return RadialProfile(hk.grid, vals, hk.spec.dimension,
-                         inner_exponent=hk.inner_exponent + itg.profile.inner_exponent)
-
-
 def derivative_iterated(itg: IteratedIntegral, ell: int) -> np.ndarray:
     """d^ell I_k^n / dr^ell, exact for ell <= 2 via the inversion identity.
 
@@ -144,12 +125,13 @@ def derivative_iterated(itg: IteratedIntegral, ell: int) -> np.ndarray:
     elif ell == 2:
         out = itg.fvals - ((n - 1.0) / r) * itg.dI \
             - 2.0 * (hk.hprime / hk.values) * itg.dI
+    elif ell > DERIVATIVE_ORDER_MAX:
+        raise ValueError("iterated-integral derivatives supported to order "
+                         f"{DERIVATIVE_ORDER_MAX}")
     else:
         base = derivative_iterated(itg, 2)
         out = radial_derivative_values(base, r, order=1) if ell == 3 else \
             radial_derivative_values(base, r, order=2)
-        if ell > 4:
-            raise ValueError("iterated-integral derivatives supported to order 4")
     itg._derivs[ell] = out
     return out
 
@@ -248,22 +230,3 @@ def envelope_nabla_J(hk: HarmonicProfile, itg: IteratedIntegral, alpha: int
     # read off the computed values rather than declared (None: default fit)
     return RadialProfile(r, env, hk.spec.dimension,
                          inner_exponent=windowed_exponent(r, env, 16, 0.02))
-
-
-def mode_ode_residual(itg: IteratedIntegral) -> float:
-    """Max relative residual of L_k (h_k I_k[f]) = h_k f on the grid interior
-    (4 nodes off each end), with all derivatives taken by independent finite
-    differences."""
-    hk = itg.source
-    r = hk.grid
-    n = hk.spec.dimension
-    u = hk.values * itg.values
-    u1 = radial_derivative_values(u, r, order=1)
-    u2 = radial_derivative_values(u, r, order=2)
-    vk = hk.spec.v_k(r, hk.k)
-    lhs = u2 + (n - 1.0) / r * u1 - vk * u
-    rhs = hk.values * itg.fvals
-    sl = slice(4, -4)
-    scale = (np.abs(u2) + (n - 1.0) / r * np.abs(u1)
-             + np.abs(vk * u) + np.abs(rhs))[sl]
-    return float(np.max(np.abs(lhs[sl] - rhs[sl]) / scale))

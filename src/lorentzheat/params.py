@@ -21,7 +21,6 @@ sup_lam lam (mu(lam)/a_N)^(1/p) is used instead.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,8 +302,8 @@ class _SegmentSet:
         for r in (self.r0, self.r1):
             with np.errstate(divide="ignore", invalid="ignore"):
                 end = self.icpt + self.slope * r
-                end[power] = self.va[power] * _libm(operator.pow, r[power] / self.ra[power],
-                                                    self.expo[power])
+                end[power] = self.va[power] * np.power(r[power] / self.ra[power],
+                                                       self.expo[power])
             ends.append(end)
         return np.minimum(*ends), np.maximum(*ends)
 
@@ -352,7 +351,7 @@ class _SegmentSet:
                 j = np.repeat(np.nonzero(take)[0], count)
                 rstar = (lam_desc[level] - icpt[j]) / scale[j]
                 pw = power[j]
-                rstar[pw] = ra[j[pw]] * _scalar_like_power(rstar[pw], inv_a[j[pw]])
+                rstar[pw] = ra[j[pw]] * np.power(rstar[pw], inv_a[j[pw]])
                 # a slowly decaying tail at a tiny lam puts rstar^N past the
                 # largest float: the measure is then inf, and rightly so
                 with np.errstate(over="ignore"):
@@ -533,7 +532,7 @@ class _SegmentSet:
             return INF  # decaying tail too heavy for weak-L^p
         # mu jumps at the levels; sample just below each to capture the sup,
         # and between levels at the inner points of linspace(log hi, log lo, 10)
-        u = _libm(math.log, levels)
+        u = np.log(levels)
         step = (u[1:] - u[:-1]) / 9
         between = np.exp((np.arange(1.0, 9.0) * step[:, None] + u[:-1, None]).ravel())
         cand = [levels, levels * (1.0 - 1e-12), between]
@@ -551,23 +550,6 @@ def _linear_piece_coefficients(N, p):
     binom = np.array([math.comb(N - 1, j) for j in range(N)], dtype=float)
     factorial = np.array([math.factorial(j) for j in range(N)], dtype=float)
     return binom, 1.0 / (p + k + 1.0), factorial / np.cumprod(p + k + 1.0)
-
-
-def _libm(fn, *arrays):
-    """fn elementwise over float64 scalars, whose log and ** are the C library's
-    (numpy's SIMD loops differ in the last bit, which moves quadrature levels)."""
-    return np.fromiter(map(fn, *arrays), float, arrays[0].size)
-
-
-def _scalar_like_power(base, expo):
-    """base ** expo elementwise, rounded as `base ** e` with a scalar e is:
-    numpy takes square, sqrt and reciprocal for e = 2, 0.5 and -1."""
-    out = np.power(base, expo)
-    for e, fn in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
-        hit = expo == e
-        if hit.any():
-            out[hit] = fn(base[hit])
-    return out
 
 
 # widest piece of a _log_gauss rule in u = log(lam): half a decade in lambda
@@ -614,8 +596,7 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     same = np.sign(v0) * np.sign(v1)  # v0 * v1 can underflow
     power, cross = same > 0.0, same < 0.0
     a = np.zeros(r0.size)
-    a[power] = _libm(math.log, np.abs(v1[power] / v0[power])) / \
-        _libm(math.log, r1[power] / r0[power])
+    a[power] = np.log(np.abs(v1[power] / v0[power])) / np.log(r1[power] / r0[power])
     a[np.abs(a) < _FLAT_EPS] = 0.0
     rc = r0.copy()
     span, va, vb = r1[cross] - r0[cross], v0[cross], v1[cross]
@@ -663,13 +644,3 @@ def power_membership(exponent: float, p: float, sigma: float, dimension: int) ->
         return exponent >= 0.0
     s = p * exponent + dimension
     return s > 0.0 if sigma < INF else s >= 0.0
-
-
-def power_norm_asymptotic(exponent, p, sigma, t, dimension) -> float:
-    """Reference envelope t^(A/2 + N/(2p)) for ||r^A||_{L^{p,sigma}(B(0,sqrt t))}."""
-    p, sigma = validate_pair(p, sigma)
-    if not power_membership(exponent, p, sigma, dimension):
-        raise LambdaMembershipError(
-            f"r^{exponent} not in L^({p},{sigma}) near the origin in dimension {dimension}")
-    np_over = 0.0 if p == INF else dimension / (2.0 * p)
-    return t ** (exponent / 2.0 + np_over)

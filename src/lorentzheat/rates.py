@@ -265,7 +265,8 @@ def closed_form_rate(ps: ProfileSet, lp: LorentzParams, alpha: int
                      ) -> RatePrediction:
     """Predicted decay exponent of the operator norm for the potential's
     family (the large-time one for a bounded potential), with hypothesis
-    checks reported."""
+    checks reported; ValueError for a kind outside hardy, zero and
+    inverse_power."""
     spec = ps.spec
     kind = spec.kind
     n = spec.dimension
@@ -274,10 +275,9 @@ def closed_form_rate(ps: ProfileSet, lp: LorentzParams, alpha: int
     if kind == "zero":
         return RatePrediction("T7.2", True, free_exponent(lp, alpha, n), 0.0,
                               [("V == 0", True, "free flow")])
-    if spec.lambda1 == 0.0 and spec.lambda2 == 0.0:
+    if kind == "inverse_power":
         return _rate_bounded(ps, lp, alpha)
-    return RatePrediction("none", False, None, None,
-                          [("recognized family", False, kind)])
+    raise ValueError(f"no closed-form rate for potential kind {kind!r}")
 
 
 def _rate_scale_invariant(ps, lp, alpha):
@@ -340,12 +340,9 @@ def _rate_flat_far_field(ps, lp, alpha, hyp):
                     f"a={spec.params['amplitude']:g}"))
         hyp.append(("far field a r^-kappa, kappa > 2", kappa > 2.0,
                     f"kappa={kappa:g}"))
-        if kappa < n:
-            e, b = 2.0 - kappa - alpha, 0
-        elif kappa == n:
-            e, b = 2.0 - n - alpha, 1
-        else:
-            e, b = 2.0 - n - alpha, 0
+        # at kappa = N, eta carries a log factor that never outgrows the free
+        # term t^(N/2q - alpha/2) taken below, so it predicts what kappa > N does
+        e, b = 2.0 - min(kappa, n) - alpha, 0
     else:
         theorem = "T7.4"
         v = spec.V(grid)

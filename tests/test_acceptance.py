@@ -15,13 +15,9 @@ from lorentzheat import spectral
 from lorentzheat.harmonic import (
     ProfileSet,
     gamma_ratio,
-    mass_bound_constant,
-    mode_ratio_decay,
-    sandwich_constants,
     solve_h,
 )
-from lorentzheat.iterated import apply_I, iterate_I, laplacian_oracle_C, \
-    mode_ode_residual
+from lorentzheat.iterated import apply_I, iterate_I
 from lorentzheat.params import INF, LorentzParams
 from lorentzheat.quadrature import make_grid
 from lorentzheat.rates import (
@@ -35,11 +31,13 @@ from lorentzheat.rates import (
 )
 from lorentzheat.semigroup import (
     evolve_mode,
-    gaussian_exact,
-    heat_kernel_sup,
     operator_norm_sweep,
     radial_derivative,
 )
+
+from oracles import (gaussian_exact, heat_kernel_sup, laplacian_oracle_C,
+                     mass_bound_constant, mode_ode_residual, mode_ratio_decay,
+                     sandwich_constants)
 
 GRID = make_grid(1e-8, 1e4, 4096)
 

@@ -1,15 +1,17 @@
 import csv
 import hashlib
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lorentzheat import cli, harmonic, semigroup
+from lorentzheat import cli, harmonic, iterated, semigroup, spectral
 from lorentzheat.cli import ConfigError, parse_config
 from lorentzheat.params import INF
 
@@ -364,6 +366,75 @@ alphas = 1
             rows = list(csv.reader(fh))[1:]
         assert len(rows) == 1 and rows[0][2] == "PASS"
         assert "(log +0.00) vs predicted -0.7500" in rows[0][3]
+
+    @pytest.mark.parametrize("theorem, cfgtext", [
+        ("T1.1", "alphas = 3\nmodes.k_max = 3\n"),
+        ("T3.1", "potential.kind = zero\nalphas = 5\nmodes.k_max = 5\n"),
+    ], ids=["T1.1", "T3.1"])
+    def test_verify_with_no_order_to_judge_exits_1(self, theorem, cfgtext, tmp_path,
+                                                   monkeypatch, capsys):
+        # the recipe's order cut leaves nothing: refused before any profile or
+        # flow, not a pass with a header-only verdicts file
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran")
+
+        monkeypatch.setattr(semigroup, "operator_norm_sweep", no_flow)
+        code, out = run_cli(tmp_path, "grid.points = 512\n" + cfgtext, "verify", theorem)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "leaves none to judge" in err
+        assert not (out / f"verdicts_{theorem}.csv").exists()
+
+    def test_verify_upper_cut_is_the_iterated_derivative_limit(self):
+        # T3.1's envelopes take derivative_iterated up to the judged order
+        assert cli.RECIPES["T3.1"][1] == iterated.DERIVATIVE_ORDER_MAX
+        ps = harmonic.ProfileSet.build(spectral.PotentialSpec.zero(3),
+                                       k_max=0, grid=np.geomspace(1e-4, 1e2, 128))
+        itg = ps.iterated(0, 1)
+        assert np.all(np.isfinite(iterated.derivative_iterated(
+            itg, iterated.DERIVATIVE_ORDER_MAX)))
+        with pytest.raises(ValueError, match="supported to order"):
+            iterated.derivative_iterated(itg, iterated.DERIVATIVE_ORDER_MAX + 1)
+
+    @pytest.mark.parametrize("command, key", [("evolve", "evolve.k"),
+                                              ("norm-scan", "modes.scan")])
+    def test_nonfinite_start_ratio_exits_2(self, command, key, tmp_path, capsys):
+        # h_6(1e-51) ~ 1e-314 is subnormal, so the start ratio 1/h_6 overflows
+        cfgtext = ("potential.lambda = 2.0\ngrid.r_min = 1e-51\ngrid.points = 512\n"
+                   f"modes.k_max = 6\ntime.points_per_decade = 1\n{key} = 6\n")
+        code, out = run_cli(tmp_path, cfgtext, command)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "phi/h_6" in err
+        assert not list(out.iterdir())
+
+    def test_norm_scan_off_diagonal_tuples(self, tmp_path):
+        # sigma != p and theta = inf with q < inf: the layer-cake and weak norms
+        cfgtext = """
+dimension = 3
+potential.lambda = 2.0
+grid.points = 512
+modes.k_max = 2
+time.t_min = 0.1
+time.t_max = 1
+time.points_per_decade = 1
+alphas = 0,1,2
+lorentz = 1,2,1,inf; 2,4,1,inf; 2,4,2,4
+"""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(tmp_path, cfgtext, "norm-scan")
+        assert code == 0
+        paths = sorted(out.glob("norm_scan_k0_*.csv"))
+        assert len(paths) == 9
+        for path in paths:
+            with path.open(newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert len(header) == 6 and len(rows) == 2
+            for row in rows:
+                assert len(row) == 6
+                value = float(row[1])
+                assert math.isfinite(value) and value > 0.0, path.name
 
 
 class TestDeterminism:

@@ -6,19 +6,17 @@ import pytest
 from lorentzheat import harmonic, spectral
 from lorentzheat.harmonic import (
     ProfileSet,
-    derivative_bound_constant,
     derivative_h,
-    doubling_constant,
     fit_asymptotic_constant,
     gamma_ratio,
-    integral_representation,
-    mass_bound_constant,
-    mode_ratio_decay,
-    sandwich_constants,
     solve_h,
 )
 from lorentzheat.params import INF, unit_ball_volume
 from lorentzheat.quadrature import make_grid, radial_derivative_values
+
+from oracles import (derivative_bound_constant, doubling_constant,
+                     integral_representation, mass_bound_constant,
+                     mode_ratio_decay, sandwich_constants)
 
 GRID = make_grid(1e-8, 1e4, 2048)
 
@@ -281,12 +279,6 @@ class TestLazyProfiles:
         assert solved == [0]
         assert np.array_equal(h0.grid, self.SMALL)
         assert np.array_equal(h0.values, solve_h(spec, 0, self.SMALL).values)
-
-    def test_given_criticality_solves_nothing(self, solved):
-        spec = spectral.PotentialSpec.inverse_power(3, 1.0, 4.0)
-        ps = ProfileSet.build(spec, k_max=2, grid=self.SMALL,
-                              criticality=spectral.SUBCRITICAL)
-        assert solved == [] and ps.criticality == spectral.SUBCRITICAL
 
     def test_mode_solved_once(self, solved):
         ps = ProfileSet.build(self.SPEC, k_max=6, grid=self.SMALL)

@@ -11,12 +11,11 @@ from lorentzheat.iterated import (
     derivative_iterated,
     envelope_nabla_J,
     iterate_I,
-    j_envelope,
-    laplacian_oracle_C,
-    mode_ode_residual,
 )
 from lorentzheat.params import RadialProfile
 from lorentzheat.quadrature import make_grid
+
+from oracles import j_envelope, laplacian_oracle_C, mode_ode_residual
 
 GRID = make_grid(1e-8, 1e4, 2048)
 

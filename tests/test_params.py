@@ -16,9 +16,10 @@ from lorentzheat.params import (
     RadialProfile,
     holder_conjugate,
     power_membership,
-    power_norm_asymptotic,
     unit_ball_volume,
 )
+
+from oracles import power_norm_asymptotic
 
 A3 = unit_ball_volume(3)
 
@@ -312,7 +313,10 @@ def _mu_oracle(segs, lam_desc):
         if lam.size:
             if segs.kind[i] == params._POWER:
                 a = segs.expo[i]
-                rstar = segs.ra[i] * (lam / segs.va[i]) ** (1.0 / a)
+                # an array exponent, as in mu_batch: for a scalar 2, 0.5 or -1
+                # numpy takes other loops (square, sqrt, reciprocal)
+                rstar = segs.ra[i] * np.power(lam / segs.va[i],
+                                              np.full(lam.size, 1.0 / a))
                 increasing = a > 0
             else:
                 rstar = (lam - segs.icpt[i]) / segs.slope[i]
@@ -327,8 +331,8 @@ def _mu_oracle(segs, lam_desc):
 
 
 def _segments_oracle(phi):
-    """Segment fields of phi built one grid interval at a time with scalar
-    math (the C library's log and pow), plus each segment's value range."""
+    """Segment fields of phi built one grid interval at a time, with numpy's
+    log and power as the program uses them, plus each segment's value range."""
     g, v = phi.grid, phi.values
     rows = []  # (r0, r1, kind, ra, va, expo, slope, icpt)
 
@@ -341,7 +345,7 @@ def _segments_oracle(phi):
                      0.0, 0.0))
     for r0, r1, v0, v1 in zip(g[:-1], g[1:], v[:-1], v[1:]):
         if v0 * v1 > 0.0:
-            a = math.log(abs(v1 / v0)) / math.log(r1 / r0)
+            a = np.log(abs(v1 / v0)) / np.log(r1 / r0)
             a = 0.0 if abs(a) < params._FLAT_EPS else a
             rows.append((r0, r1, params._POWER, r0, abs(v0), a, 0.0, 0.0))
         elif v0 * v1 < 0.0:
@@ -361,7 +365,7 @@ def _segments_oracle(phi):
         if r == 0.0 or r == INF:
             grows = a < 0 if r == 0.0 else a > 0
             return INF if grows else (va if a == 0 else 0.0)
-        return va * (r / ra) ** a
+        return va * np.power(r / ra, a)
 
     ends = [(value(row, row[0]), value(row, row[1])) for row in rows]
     return rows, [min(e) for e in ends], [max(e) for e in ends]

@@ -352,16 +352,14 @@ class TestClosedFormBranches:
 
     def test_unrecognized_family(self, ps_hardy):
         # lambda_1 = 1 at the origin, r^-4 at infinity: neither Hardy nor
-        # zero nor bounded, so no closed form applies
+        # zero nor inverse_power, so no closed form applies and none is made up
         import copy
         ps2 = copy.copy(ps_hardy)
         ps2.spec = spectral.PotentialSpec(
             3, "custom", 1.0, 2.0, 0.0, 2.0, 2,
             lambda r: 1.0 / (r * r * (1.0 + r * r)))
-        pred = closed_form_rate(ps2, LorentzParams(1.0, INF, 1.0, INF), 0)
-        assert pred.theorem == "none" and not pred.applicable
-        assert pred.exponent is None and pred.log_power is None
-        assert pred.hypotheses == [("recognized family", False, "custom")]
+        with pytest.raises(ValueError, match="'custom'"):
+            closed_form_rate(ps2, LorentzParams(1.0, INF, 1.0, INF), 0)
 
 
 class TestConsistencyCheck:

@@ -16,13 +16,13 @@ from lorentzheat.semigroup import (
     check_dt_cap,
     evolve_mode,
     evolve_modes,
-    gaussian_exact,
-    heat_kernel_sup,
     operator_norm_sweep,
     _Operator,
     _time_schedule,
     radial_derivative,
 )
+
+from oracles import gaussian_exact, heat_kernel_sup
 
 GRID = make_grid(1e-7, 2e3, 3072)
 INNER = GRID < GRID[-1] / 3.16  # below the monitors' outer zone

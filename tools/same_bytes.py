@@ -1,0 +1,149 @@
+"""Check that the working tree's CLI writes the same bytes as another revision.
+
+    python tools/same_bytes.py <rev>
+
+Unpacks `git archive <rev>` into a temporary directory, then runs the fixed
+list of CLI invocations in RUNS once with that tree's `src/` and once with
+the working tree's.  For every run it compares the exit code, stdout,
+stderr and every file written to the output directory; `manifest.txt` is
+compared without its `wall_clock_seconds` line.  Every difference is
+listed, and the script exits 1 if there is any, else 0 (2 on a usage
+error or a revision that git cannot archive).
+
+The runs are the three benchmark workloads (their configs imported from
+`bench/workloads.py`) at seeds 0 and 5; `classify` and `verify` for every
+theorem on a Hardy, a zero and an inverse-power config at 768 nodes; and
+one `norm-scan` on off-diagonal Lorentz tuples, which takes the weak-norm
+and layer-cake paths.  Each run gets its own working directory, so the
+paths in stdout and stderr read the same in both trees.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+SMALL_COMMON = """\
+dimension = 3
+grid.r_min = 1e-6
+grid.r_max = 1e3
+grid.points = 768
+modes.k_max = 2
+time.t_min = 0.5
+time.t_max = 200
+time.points_per_decade = 4
+family.j_max = 3
+alphas = 0,1,2
+lorentz = 1,inf,1,inf; 2,inf,2,inf; 1,2,1,2
+"""
+
+SMALL_POTENTIALS = {
+    "hardy": "potential.kind = hardy\npotential.lambda = 2.0\n",
+    "zero": "potential.kind = zero\n",
+    "kappa4": "potential.kind = inverse_power\npotential.amplitude = 1.0\n"
+              "potential.kappa = 4.0\n",
+}
+
+# the keys of a run's result that are not output files
+STREAMS = ("exit", "stdout", "stderr")
+
+THEOREMS = ("T1.1", "T3.1", "T4.2", "T7.1", "T7.2", "T7.3", "T7.4")
+
+OFF_DIAGONAL = "lorentz = 1,2,1,inf; 2,4,1,inf; 2,4,2,4; 1.5,3,1.5,3\n"
+
+
+def _runs() -> list[tuple[str, str, list[str]]]:
+    """(name, config text, CLI arguments) of every compared run."""
+    runs = []
+    for name, (inputs, _, _) in workloads.WORKLOADS.items():
+        for seed in (0, 5):
+            inp = inputs(seed)
+            runs.append((f"{name}_seed{seed}", inp.config, list(inp.command)))
+    for pot, lines in SMALL_POTENTIALS.items():
+        config = SMALL_COMMON + lines
+        runs.append((f"{pot}_classify", config, ["classify"]))
+        runs += [(f"{pot}_verify_{tid}", config, ["verify", tid]) for tid in THEOREMS]
+    scan = "".join(line + "\n" for line in workloads.scan_hardy_inputs(0).config
+                   .splitlines() if not line.startswith("lorentz"))
+    runs.append(("norm_scan_off_diagonal", scan + OFF_DIAGONAL, ["norm-scan"]))
+    return runs
+
+
+RUNS = _runs()
+
+
+def run_tree(src: Path, work: Path) -> dict:
+    """Run every entry of RUNS with `src` first on the import path; returns
+    {run name: {"exit": ..., "stdout": ..., "stderr": ..., file name: bytes}}."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    results = {}
+    for name, config, argv in RUNS:
+        cwd = work / name
+        cwd.mkdir(parents=True)
+        (cwd / "run.cfg").write_text(config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lorentzheat.cli", "--config", "run.cfg",
+             "--out", "out", *argv], cwd=cwd, env=env, capture_output=True)
+        got = dict(zip(STREAMS, (proc.returncode, proc.stdout, proc.stderr)))
+        out = cwd / "out"
+        for path in sorted(out.iterdir()) if out.is_dir() else ():
+            data = path.read_bytes()
+            if path.name == "manifest.txt":
+                data = b"".join(line for line in data.splitlines(keepends=True)
+                                if not line.startswith(b"wall_clock_seconds = "))
+            got[path.name] = data
+        results[name] = got
+    return results
+
+
+def differences(before: dict, after: dict) -> list[str]:
+    """One line per run item that is missing on one side or differs."""
+    lines = []
+    for name, _, _ in RUNS:
+        a, b = before[name], after[name]
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                side = "working tree" if key not in b else "revision"
+                lines.append(f"{name}: {key} missing in the {side}")
+            elif a[key] != b[key]:
+                lines.append(f"{name}: {key} differs")
+    return lines
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[0], file=sys.stderr)
+        return 2
+    rev = argv[0]
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(archive.stderr.decode(), end="", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        before = run_tree(tmp / "rev" / "src", tmp / "before")
+        after = run_tree(ROOT / "src", tmp / "after")
+    diff = differences(before, after)
+    files = sum(len(r) - len(STREAMS) for r in after.values())
+    for line in diff:
+        print(line)
+    verdict = f"{len(diff)} differences" if diff else "all identical"
+    print(f"{len(RUNS)} runs, {files} output files against {rev}: {verdict}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
