@@ -80,21 +80,131 @@ class HarmonicProfile:
         return self.profile.eval(r)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: only an RK45
-    profile solve needs scipy.integrate, which loads scipy.optimize,
-    scipy.sparse and scipy.special with it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with Shampine's
+# quartic dense output (Math. Comp. 46, 1986).  The tableau, the order of
+# every sum and the step control are scipy.integrate's RK45, so a profile
+# is the same to the last bit as one solved by scipy.integrate.solve_ivp.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_STAGES = [(_A[s, :s], _C[s]) for s in range(1, 6)]
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+ERROR_EXPONENT = -1 / 5
+_MESSAGES = {
+    -1: "Required step size is less than spacing between numbers.",
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+}
 
 
-def _g_reaches_zero(xv, y):
-    """Terminal solve_ivp event: g, and with it h, falls to zero."""
-    return y[0]
+@dataclass
+class IvpResult:
+    """Grid points passed (t), the solution there (y, shape (2, len(t))),
+    status 0 (end reached), 1 (g fell to zero) or -1 (step too small), and
+    the number of right-hand-side evaluations."""
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    nfev: int
+
+    @property
+    def success(self) -> bool:
+        return self.status >= 0
+
+    @property
+    def message(self) -> str:
+        return _MESSAGES[self.status]
 
 
-_g_reaches_zero.terminal = True
-_g_reaches_zero.direction = -1
+def solve_ivp(fun, x, y0, first_step) -> IvpResult:
+    """RK45 for y' = fun(t, y), y = (g, dg/dx), from x[0] to x[-1] with
+    outputs at the increasing points x.  The solve stops (status 1) after the
+    first step on which g goes from >= 0 to <= 0; the points of that step
+    are not output."""
+    t, t_bound = float(x[0]), float(x[-1])
+    y = np.asarray(y0, dtype=float)
+    f = np.asarray(fun(t, y), dtype=float)
+    nfev = 1
+    K = np.empty((7, 2))
+    h_abs = first_step
+    ts, ys = [], []
+    i = 0
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return _ivp_result(ts, ys, -1, nfev)
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(_STAGES, start=1):
+                dy = np.dot(K[:s].T, a) * h
+                K[s] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = np.asarray(fun(t + h, y_new), dtype=float)
+            K[-1] = f_new
+            nfev += 6
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            error_norm = np.linalg.norm(np.dot(K.T, _E) * h / scale) / 2 ** 0.5
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if y_old[0] >= 0 and y[0] <= 0:
+            return _ivp_result(ts, ys, 1, nfev)
+        i_new = np.searchsorted(x, t, side="right")
+        if i_new > i:
+            step = t - t_old
+            p = np.cumprod(np.tile((x[i:i_new] - t_old) / step, (4, 1)), axis=0)
+            out = step * np.dot(K.T.dot(_P), p)
+            out += y_old[:, None]
+            ts.append(x[i:i_new])
+            ys.append(out)
+            i = i_new
+        if t - t_bound >= 0:
+            return _ivp_result(ts, ys, 0, nfev)
+
+
+def _ivp_result(ts, ys, status, nfev) -> IvpResult:
+    if ts:
+        return IvpResult(np.hstack(ts), np.hstack(ys), status, nfev)
+    return IvpResult(np.empty(0), np.empty((2, 0)), status, nfev)
 
 
 def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
@@ -149,10 +259,7 @@ def _solve_g(spec, k, a1, grid, x):
         g0 = 1.0 + coef * grid[0] ** spec.rho1
         gd0 = coef * spec.rho1 * grid[0] ** spec.rho1
 
-    sol = solve_ivp(rhs, (x[0], x[-1]), [g0, gd0], method="RK45",
-                    t_eval=x, rtol=RTOL, atol=ATOL, dense_output=False,
-                    events=_g_reaches_zero,
-                    first_step=min(1e-3, (x[-1] - x[0]) / 10.0))
+    sol = solve_ivp(rhs, x, [g0, gd0], min(1e-3, (x[-1] - x[0]) / 10.0))
     if not sol.success:
         raise HarmonicSolveError(f"mode {k} integration failed: {sol.message}")
     return sol.y if sol.status == 0 else (None, None)

@@ -231,7 +231,7 @@ def exponent_table(spec: PotentialSpec, criticality: str, k_max: int
     if criticality not in (SUBCRITICAL, NULL_CRITICAL, POSITIVE_CRITICAL):
         raise SpectralError(f"criticality must be resolved first, got {criticality!r}")
     n = spec.dimension
-    ks = np.arange(k_max + 1)
+    ks = range(k_max + 1)  # Python ints: the dimensions outgrow int64
     om = np.array([omega(k, n) for k in ks])
     dims = np.array([eigenspace_dimension(k, n) for k in ks], dtype=object)
     a1 = np.array([a_exponents(spec.lambda1 + w, n)[0] for w in om])

@@ -621,17 +621,19 @@ class TestWriteColumns:
 
 
 class TestImports:
-    def test_hardy_run_loads_only_scipy_linalg(self):
-        # scipy.integrate (with scipy.optimize, .sparse and .special) loads
-        # only for an RK45 profile solve; Hardy profiles are closed form
-        code = """
+    @pytest.mark.parametrize("spec", ["hardy(3, 2.0)", "inverse_power(3, 1.0, 4.0)"],
+                             ids=["hardy", "inverse_power"])
+    def test_profiles_load_only_scipy_linalg(self, spec):
+        # Hardy profiles are closed form and others come from the built-in
+        # RK45: neither loads scipy.integrate, .optimize, .sparse or .special
+        code = f"""
 import sys
 import numpy as np
 import lorentzheat.cli
 from lorentzheat import harmonic, spectral
 from lorentzheat.params import RadialProfile
 from lorentzheat.quadrature import make_grid
-ps = harmonic.ProfileSet.build(spectral.PotentialSpec.hardy(3, 2.0), k_max=2,
+ps = harmonic.ProfileSet.build(spectral.PotentialSpec.{spec}, k_max=2,
                                grid=make_grid(1e-6, 1e3, 256))
 for k in range(3):
     ps.h(k)

@@ -348,3 +348,67 @@ class TestClosedForm:
     def test_inverse_power_solves_once(self, rk45_calls):
         solve_h(spectral.PotentialSpec.inverse_power(3, 1.0, 4.0), 0, GRID)
         assert len(rk45_calls) == 1
+
+
+class TestScipyOracle:
+    """The built-in RK45 against scipy.integrate.solve_ivp on the call that
+    `_solve_g` makes: the same steps, evaluations and output bits."""
+
+    GRID = make_grid(1e-4, 1e3, 1024)
+    NEGATIVE = spectral.PotentialSpec(
+        3, "table", 0.0, 2.0, 0.0, 2.0, 1,
+        lambda r: np.full_like(np.asarray(r, float), -40.0))
+
+    @staticmethod
+    def _both(spec, k, grid):
+        """(built-in result, scipy result) of the solve behind
+        solve_h(spec, k, grid)."""
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+        calls = []
+        eager = harmonic.solve_ivp
+
+        def recording(*args):
+            calls.append((args, eager(*args)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harmonic, "solve_ivp", recording)
+            try:
+                solve_h(spec, k, grid)
+            except harmonic.NonpositiveSolutionError:
+                pass
+        ((fun, x, y0, first_step), ours), = calls
+
+        def g_reaches_zero(xv, y):
+            return y[0]
+
+        g_reaches_zero.terminal = True
+        g_reaches_zero.direction = -1
+        ref = scipy_solve_ivp(fun, (x[0], x[-1]), y0, method="RK45", t_eval=x,
+                              rtol=harmonic.RTOL, atol=harmonic.ATOL,
+                              dense_output=False, events=g_reaches_zero,
+                              first_step=first_step)
+        return ours, ref
+
+    @pytest.mark.parametrize("k", [0, 6])
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("a,kappa", [(1.0, 4.0), (-0.05, 3.0)])
+    def test_inverse_power_bit_for_bit(self, a, kappa, n, k):
+        spec = spectral.PotentialSpec.inverse_power(n, a, kappa)
+        ours, ref = self._both(spec, k, self.GRID)
+        assert ours.status == ref.status == 0 and ours.success
+        assert ours.nfev == ref.nfev
+        assert np.array_equal(ours.t, ref.t)
+        assert np.array_equal(ours.y, ref.y)
+
+    def test_stops_at_the_same_step(self):
+        ours, ref = self._both(self.NEGATIVE, 0, self.GRID)
+        assert ours.status == ref.status == 1 and ours.success
+        assert ours.nfev == ref.nfev
+        # scipy also outputs the points of the last step up to its root of
+        # g; the built-in solver outputs none of that step
+        m = ours.t.size
+        assert 0 < m <= ref.t.size
+        assert np.array_equal(ours.t, ref.t[:m])
+        assert np.array_equal(ours.y, ref.y[:, :m])
+        assert ours.t[-1] < ref.t_events[0][0]

@@ -98,6 +98,16 @@ class TestExponentTable:
         assert tbl.A1[0] == pytest.approx(1.0)
         assert np.all(tbl.B == 0)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_dimensions_exact_past_int64(self, n):
+        # from k = 20 on in N = 3, (N+k-3)! no longer fits an int64
+        tbl = exponent_table(PotentialSpec.hardy(n, 2.0), SUBCRITICAL, 50)
+        assert len(tbl.d) == 51
+        for k, d in enumerate(tbl.d):
+            num = (n + 2 * k - 2) * math.factorial(n + k - 3)
+            den = math.factorial(k) * math.factorial(n - 2)
+            assert num % den == 0 and d == num // den, k
+
     def test_zero_potential_gives_k(self):
         spec = PotentialSpec.zero(4)
         tbl = exponent_table(spec, SUBCRITICAL, 8)

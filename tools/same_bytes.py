@@ -12,10 +12,12 @@ error or a revision that git cannot archive).
 
 The runs are the three benchmark workloads (their configs imported from
 `bench/workloads.py`) at seeds 0 and 5; `classify` and `verify` for every
-theorem on a Hardy, a zero and an inverse-power config at 768 nodes; and
-one `norm-scan` on off-diagonal Lorentz tuples, which takes the weak-norm
-and layer-cake paths.  Each run gets its own working directory, so the
-paths in stdout and stderr read the same in both trees.
+theorem on a Hardy, a zero and an inverse-power config at 768 nodes;
+`harmonic` on that inverse-power config with `modes.k_max = 6`, which
+writes all seven RK45 profiles; and one `norm-scan` on off-diagonal
+Lorentz tuples, which takes the weak-norm and layer-cake paths.  Each run
+gets its own working directory, so the paths in stdout and stderr read the
+same in both trees.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ def _runs() -> list[tuple[str, str, list[str]]]:
         config = SMALL_COMMON + lines
         runs.append((f"{pot}_classify", config, ["classify"]))
         runs += [(f"{pot}_verify_{tid}", config, ["verify", tid]) for tid in THEOREMS]
+    runs.append(("kappa4_harmonic", SMALL_COMMON.replace(
+        "modes.k_max = 2", "modes.k_max = 6") + SMALL_POTENTIALS["kappa4"],
+        ["harmonic"]))
     scan = "".join(line + "\n" for line in workloads.scan_hardy_inputs(0).config
                    .splitlines() if not line.startswith("lorentz"))
     runs.append(("norm_scan_off_diagonal", scan + OFF_DIAGONAL, ["norm-scan"]))
