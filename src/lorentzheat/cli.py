@@ -274,14 +274,29 @@ def write_csv(path: Path, header: str, rows) -> None:
             [c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
 
 
-def write_columns(path: Path, *columns) -> None:
+def write_columns(path: Path, *columns, grid_rows: str | None = None) -> None:
     """Space-separated float columns, one row per line.  '%.10e' renders
     inf, -inf and nan as _fmt does; the whole file is one % on the row
-    template repeated per row."""
+    template repeated per row.  `grid_rows`, from grid_rows(grid), is the
+    text of a grid column formatted once for many files: then the one
+    column given is written after it."""
+    if grid_rows is None:
+        text = _format_rows(" ".join([_FMT] * len(columns)), columns)
+    else:
+        text = grid_rows % tuple(np.asarray(columns[0], dtype=float).tolist())
+    path.write_text(text)
+
+
+def grid_rows(grid) -> str:
+    """The text of write_columns(path, grid, values) with a '%.10e' slot
+    left for each value."""
+    return _format_rows(f"{_FMT} %{_FMT}", (grid,))
+
+
+def _format_rows(row: str, columns) -> str:
+    """The row template once per row, filled with the columns' values."""
     values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = " ".join([_FMT] * len(columns))
-    path.write_text(("\n".join([row] * len(values)) + "\n")
-                    % tuple(values.ravel().tolist()))
+    return ("\n".join([row] * len(values)) + "\n") % tuple(values.ravel().tolist())
 
 
 def _tuple_slug(lp: LorentzParams) -> str:
@@ -331,9 +346,10 @@ def cmd_classify(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
 
 def cmd_harmonic(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ps = build_profiles(cfg)
+    rows = grid_rows(ps.grid)
     for k, hp in sorted(ps.hks.items()):
         path = out / f"harmonic_k{k}.dat"
-        write_columns(path, hp.grid, hp.values)
+        write_columns(path, hp.values, grid_rows=rows)
         manifest.add_file(path)
         if hp.c is not None:
             manifest.add_constant(f"c_{k}", hp.c)
@@ -365,9 +381,10 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ts = time_grid(cfg)
     hk, phi = _initial_datum(cfg, ps, ts[0])
     states = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
+    rows = grid_rows(hk.grid)
     for st in states:
         path = out / f"evolve_k{hk.k}_t{st.t:.6g}.dat"
-        write_columns(path, st.grid, st.v_values())
+        write_columns(path, st.v_values(), grid_rows=rows)
         manifest.add_file(path)
         for w in st.warnings:
             manifest.add_warning(w)

@@ -606,23 +606,29 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     # first there (an ulp apart from the product form, kept where it is finite)
     rc[cross] = r0[cross] + np.where(np.isfinite(prod), prod / (va - vb),
                                      span * (va / (va - vb)))
-    # two slots per interval: the first piece, and the second linear piece
-    # of a sign change (rc, r1, 0, |v1|); row-major order is segment order
+    # the rows of fields are (r0, r1, kind, ra, va, expo, slope, icpt); each
+    # interval has two slots, its first piece and the second piece of a sign
+    # change, so row-major order within a row is segment order
     y0, y1 = np.abs(v0), np.abs(v1)
-    x0 = np.stack((r0, rc), axis=1)
-    x1 = np.stack((np.where(cross, rc, r1), r1), axis=1)
-    f0 = np.stack((y0, np.zeros_like(y0)), axis=1)
-    f1 = np.stack((np.where(cross, 0.0, y1), y1), axis=1)
-    slope = (f1 - f0) / (x1 - x0)
-    is_pow = np.stack((power, np.zeros_like(power)), axis=1)
+    fields = np.empty((8, r0.size, 2))
+    # the first piece: a power law, or linear from (r0, |v0|) to the zero
+    # of a sign change or to (r1, |v1|)
+    x1, f1 = np.where(cross, rc, r1), np.where(cross, 0.0, y1)
+    slope = (f1 - y0) / (x1 - r0)
+    first = fields[:, :, 0]
+    first[0], first[1], first[3], first[5] = r0, x1, r0, a
+    first[2] = np.where(power, _POWER, _LINEAR)
+    first[4] = np.where(power, y0, np.maximum(y0, f1))
+    first[6] = np.where(power, 0.0, slope)
+    first[7] = np.where(power, 0.0, y0 - slope * r0)
+    # the second linear piece of a sign change, (rc, 0) to (r1, |v1|)
+    slope = y1 / (r1 - rc)
+    second = fields[:, :, 1]
+    second[0], second[1], second[2], second[3] = rc, r1, _LINEAR, rc
+    second[4], second[5], second[6], second[7] = y1, 0.0, slope, 0.0 - slope * rc
     keep = np.stack(((v0 != 0.0) | (v1 != 0.0), cross), axis=1)
-    columns = (x0, x1, np.where(is_pow, _POWER, _LINEAR), x0,
-               np.where(is_pow, f0, np.maximum(f0, f1)),
-               np.where(is_pow, a[:, None], 0.0),
-               np.where(is_pow, 0.0, slope),
-               np.where(is_pow, 0.0, f0 - slope * x0))
 
-    # the power-law extensions, as (r0, r1, kind, ra, va, expo, slope, icpt)
+    # the power-law extensions, as columns of the same fields
     head, tail = [], []
     a_in = profile.inner_exponent
     if v[0] != 0.0 and a_in != INF_DECAY:
@@ -630,9 +636,9 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     if profile.outer_exponent is not None and v[-1] != 0.0:
         tail.append((g[-1], INF, _POWER, g[-1], abs(v[-1]), profile.outer_exponent,
                      0.0, 0.0))
-    r0, r1, kind, ra, va, expo, slope, icpt = (
-        np.concatenate(([h[j] for h in head], col[keep], [t[j] for t in tail]))
-        for j, col in enumerate(columns))
+    r0, r1, kind, ra, va, expo, slope, icpt = np.concatenate(
+        (np.reshape(head, (-1, 8)).T, fields[:, keep], np.reshape(tail, (-1, 8)).T),
+        axis=1)
     return _SegmentSet(profile.dimension, r0, r1, kind.astype(int),
                        ra, va, expo, slope, icpt)
 

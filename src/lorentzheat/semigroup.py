@@ -258,8 +258,7 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
     stepper = _Stepper(_Operator(hk), w)
     out = []
     warnings = []
-    r = hk.grid
-    outer_zone = r >= r[-1] / 3.16
+    outer_zone = _outer_zone(hk.grid)
     init_floor = float(np.min(w))
     t = 0.0
     for dt, emit in steps:
@@ -267,15 +266,26 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
         t += dt
         if emit:
             t = targets[len(out)]
-            wmax = float(np.max(np.abs(w)))
-            if min(0.0, init_floor) - float(np.min(w)) > POSITIVITY_TOL * wmax:
-                warnings.append(f"positivity dip at t={t:g}")
-            contamination = float(np.max(np.abs(w[outer_zone]))) / max(wmax, 1e-300)
-            if contamination > CONTAMINATION_THRESHOLD:
-                warnings.append(
-                    f"boundary contamination {contamination:.2e} at t={t:g}")
+            warnings += _flow_warnings(w, t, init_floor, outer_zone)
             out.append(w.copy())
     return out, warnings
+
+
+def _flow_warnings(w, t, init_floor, outer_zone) -> list[str]:
+    """The positivity and boundary warnings of the columns w at time t."""
+    warnings = []
+    wmax = float(np.max(np.abs(w)))
+    if min(0.0, init_floor) - float(np.min(w)) > POSITIVITY_TOL * wmax:
+        warnings.append(f"positivity dip at t={t:g}")
+    contamination = float(np.max(np.abs(w[outer_zone]))) / max(wmax, 1e-300)
+    if contamination > CONTAMINATION_THRESHOLD:
+        warnings.append(f"boundary contamination {contamination:.2e} at t={t:g}")
+    return warnings
+
+
+def _outer_zone(r):
+    """The nodes whose |w| counts as boundary contamination."""
+    return r >= r[-1] / 3.16
 
 
 def evolve_mode(hk: HarmonicProfile, phi: RadialProfile | np.ndarray,
@@ -337,6 +347,7 @@ def radial_derivative(state: ModeState, alpha: int) -> RadialProfile:
 class FamilyDatum:
     label: str
     profile: RadialProfile      # raw amplitude-1 samples on the grid
+    between: tuple[int, int] | None = None  # family indices: ball minus ball
 
 
 def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
@@ -345,7 +356,10 @@ def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
 
     Balls B(0, 2^-j sqrt t), annuli between consecutive radii, and the
     h_k-shaped bump on B(0, sqrt t); amplitudes are raw, callers normalize
-    by the profile's source norm (the flow is linear).
+    by the profile's source norm (the flow is linear).  Halving a radius is
+    exact, so on the grid annulus_j is ball_j - ball_{j+1} exactly; its
+    `between` names those two balls, except for the innermost annulus at
+    j = j_max, whose inner ball is not in the family.
     """
     r = hk.grid
     n = hk.spec.dimension
@@ -363,7 +377,9 @@ def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
             av = np.where((r > inner_radius) & (r <= radius), 1.0, 0.0)
             if np.any(av > 0.0):
                 aprof = RadialProfile(r, av, n, inner_exponent=INF_DECAY)
-                out.append(FamilyDatum(f"annulus_j{j}", aprof))
+                # ball_{j+1} follows this annulus unless j = j_max
+                between = (len(out) - 1, len(out) + 1) if j < j_max else None
+                out.append(FamilyDatum(f"annulus_j{j}", aprof, between))
     bump = np.where(r <= root_t, hk.values, 0.0)
     scale = float(np.max(np.abs(bump)))
     if scale > 0.0:
@@ -373,6 +389,28 @@ def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
     return out
 
 
+def flow_family(hk: HarmonicProfile, fam: list[FamilyDatum], t: float,
+                dt_cap: float = 64.0):
+    """The ratios w of every family datum at time t, one column each, and
+    the flow's warnings.
+
+    One batched flow takes the data that are no difference of two others
+    (the balls, the bump and the innermost annulus); the flow is linear, so
+    every other annulus is the difference of its two balls' columns.  The
+    warnings judge all the family's columns, as a flow of each would.
+    """
+    basis = [i for i, d in enumerate(fam) if d.between is None]
+    with np.errstate(over="ignore"):  # evolve_modes rejects the overflow
+        w0 = np.stack([fam[i].profile.values / hk.values for i in basis], axis=1)
+    ws, _ = evolve_modes(hk, w0, [t], dt_cap)
+    w = np.empty((hk.grid.size, len(fam)), order="F")
+    w[:, basis] = ws[0]
+    for i, d in enumerate(fam):
+        if d.between is not None:
+            np.subtract(w[:, d.between[0]], w[:, d.between[1]], out=w[:, i])
+    return w, _flow_warnings(w, t, float(np.min(w0)), _outer_zone(hk.grid))
+
+
 @dataclass
 class OperatorNormEstimate:
     value: float
@@ -380,38 +418,40 @@ class OperatorNormEstimate:
     warnings: tuple = ()
 
 
+def best_ratios(hk: HarmonicProfile, fam: list[FamilyDatum], t: float, w_t,
+                alphas, lps) -> dict:
+    """{(alpha, lp_index): best ratio} of ||d_r^alpha v_t||_{L^{q,theta}} to
+    ||datum||_{L^{p,sigma}} over the family's columns w_t at time t; data of
+    zero or infinite source norm are passed over, and 0 means none was left."""
+    deriv_profiles = {a: [radial_derivative(ModeState(hk.k, t, w_t[:, col], hk), a)
+                          for col in range(len(fam))] for a in alphas}
+    best = {}
+    for i, lp in enumerate(lps):
+        p, sigma = lp.source_pair()
+        q, th = lp.target_pair()
+        src = np.array([d.profile.lorentz_norm(p, sigma) for d in fam])
+        for a in alphas:
+            best[(a, i)] = 0.0
+            for col in range(len(fam)):
+                if not (src[col] > 0.0 and math.isfinite(src[col])):
+                    continue
+                val = deriv_profiles[a][col].lorentz_norm(q, th)
+                best[(a, i)] = max(best[(a, i)], val / src[col])
+    return best
+
+
 def operator_norm_sweep(hk: HarmonicProfile, alphas, lps, t_list,
                         dt_cap: float = 64.0, j_max=6):
     """Best lower bounds on ||d_r^alpha e^{-tH_k}||(L^{p,sigma} -> L^{q,theta})
     over the concentrated test family, for every (alpha, tuple, t); one
-    batched flow per t.
+    batched flow of the family's basis per t (flow_family).
 
     Returns {(alpha, lp_index): [OperatorNormEstimate per t]}.
     """
     results = {(a, i): [] for a in alphas for i in range(len(lps))}
     for t in t_list:
         fam = build_test_family(hk, t, j_max)
-        with np.errstate(over="ignore"):  # evolve_modes rejects the overflow
-            w0 = np.stack([d.profile.values / hk.values for d in fam], axis=1)
-        ws, warnings = evolve_modes(hk, w0, [t], dt_cap)
-        w_t = ws[0]
-        deriv_profiles = {}
-        for a in alphas:
-            deriv_profiles[a] = []
-            for col in range(len(fam)):
-                st = ModeState(hk.k, t, w_t[:, col], hk)
-                deriv_profiles[a].append(radial_derivative(st, a))
-        for i, lp in enumerate(lps):
-            p, sigma = lp.source_pair()
-            q, th = lp.target_pair()
-            src = np.array([d.profile.lorentz_norm(p, sigma) for d in fam])
-            for a in alphas:
-                best = 0.0
-                for col in range(len(fam)):
-                    if not (src[col] > 0.0 and math.isfinite(src[col])):
-                        continue
-                    val = deriv_profiles[a][col].lorentz_norm(q, th)
-                    best = max(best, val / src[col])
-                results[(a, i)].append(OperatorNormEstimate(
-                    best, t, tuple(warnings)))
+        w_t, warnings = flow_family(hk, fam, t, dt_cap)
+        for key, value in best_ratios(hk, fam, t, w_t, alphas, lps).items():
+            results[key].append(OperatorNormEstimate(value, t, tuple(warnings)))
     return results

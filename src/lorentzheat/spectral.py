@@ -176,8 +176,14 @@ class PotentialSpec:
             val = np.polynomial.polynomial.polyval(r, poly)
             return a * val * (1.0 + r * r) ** (-kappa / 2.0 - ell)
 
+        def remainder(r):
+            # r^2 V(r) by v's operations, which on the floats of the RK45
+            # right-hand side skip numpy's per-call overhead
+            rr = r * r
+            return rr * (a * (1.0 + rr) ** (-kappa / 2.0))
+
         return cls(dimension, "inverse_power", 0.0, 2.0, 0.0, kappa - 2.0, 99,
-                   v, v_deriv, remainder=lambda r: np.asarray(r) ** 2 * v(r),
+                   v, v_deriv, remainder=remainder,
                    label=f"inverse_power(a={a:g},kappa={kappa:g})",
                    params={"amplitude": a, "kappa": kappa})
 

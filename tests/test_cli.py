@@ -619,6 +619,20 @@ class TestWriteColumns:
             assert new == (tmp_path / "old.dat").read_bytes()
             assert new == (tmp_path / "row.dat").read_bytes()
 
+    def test_grid_rows_match_writing_the_grid(self, tmp_path):
+        # evolve and harmonic format the grid once and fill in each file's
+        # values: the bytes are those of writing both columns
+        grid = np.geomspace(1e-8, 1e4, 40)
+        values = np.array([-1.5, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           1e-310, INF, -INF, np.nan, 1.7976931348623157e308,
+                           -123.456] + list(np.linspace(-3.0, 3.0, 28)))
+        rows = cli.grid_rows(grid)
+        for vals in (values, values[::-1], np.zeros_like(values)):
+            cli.write_columns(tmp_path / "rows.dat", vals, grid_rows=rows)
+            cli.write_columns(tmp_path / "both.dat", grid, vals)
+            assert (tmp_path / "rows.dat").read_bytes() \
+                == (tmp_path / "both.dat").read_bytes()
+
 
 class TestImports:
     @pytest.mark.parametrize("spec", ["hardy(3, 2.0)", "inverse_power(3, 1.0, 4.0)"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from lorentzheat import spectral
+from lorentzheat import semigroup, spectral
 from lorentzheat.harmonic import solve_h
 from lorentzheat.params import INF, LorentzParams
 from lorentzheat.quadrature import make_grid
@@ -22,7 +22,7 @@ from lorentzheat.semigroup import (
     radial_derivative,
 )
 
-from oracles import gaussian_exact, heat_kernel_sup
+from oracles import gaussian_exact, heat_kernel_sup, sweep_every_column
 
 GRID = make_grid(1e-7, 2e3, 3072)
 INNER = GRID < GRID[-1] / 3.16  # below the monitors' outer zone
@@ -328,6 +328,104 @@ class TestFamilyAndNorms:
         sweep = operator_norm_sweep(hk, [0], [lp], ts)
         vals = [e.value * e.t ** 1.5 for e in sweep[(0, 0)]]
         assert max(vals) / min(vals) < 1.05
+
+
+def _spy_columns(monkeypatch):
+    """The column count of every evolve_modes call the sweep makes."""
+    counts = []
+    flow = semigroup.evolve_modes
+
+    def spy(hk, w0, *args, **kwargs):
+        counts.append(np.shape(w0)[1])
+        return flow(hk, w0, *args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "evolve_modes", spy)
+    return counts
+
+
+class TestBasisFlow:
+    """The sweep flows the balls, the bump and the innermost annulus, and
+    takes every other annulus as the difference of its two balls."""
+
+    GRID = make_grid(1e-6, 1e3, 768)
+    LPS = [LorentzParams(1.0, INF, 1.0, INF), LorentzParams(1.0, 2.0, 1.0, 2.0)]
+    TS = [1.0, 10.0, 100.0]
+    # alpha = 2 takes w'' by second differences, which amplify one rounding
+    # of w near the origin: against the every-column flow the worst case
+    # measured on these cases is 1.5e-6 (kappa = 4, t = 10, L^1 -> L^inf).
+    # The margin to 5e-6 covers the 4.2e-6 that one rounding of the start
+    # data moves a single column there (flowing 3 w0 and dividing by 3).
+    ALPHA2_REL = 5e-6
+
+    @pytest.fixture(scope="class", params=["hardy", "kappa4"])
+    def hk(self, request):
+        spec = {"hardy": spectral.PotentialSpec.hardy(3, 2.0),
+                "kappa4": spectral.PotentialSpec.inverse_power(3, 1.0, 4.0)}
+        return solve_h(spec[request.param], 0, self.GRID)
+
+    @pytest.mark.parametrize("j_max", [0, 3, 6])
+    def test_matches_flowing_every_column(self, hk, j_max, monkeypatch):
+        counts = _spy_columns(monkeypatch)
+        new = operator_norm_sweep(hk, [0, 1, 2], self.LPS, self.TS, j_max=j_max)
+        # balls j0..j_max, the bump and the innermost annulus, at each time
+        assert counts == [j_max + 3] * len(self.TS)
+        monkeypatch.undo()
+        old = sweep_every_column(hk, [0, 1, 2], self.LPS, self.TS, j_max=j_max)
+        for (alpha, i), series in old.items():
+            rel = self.ALPHA2_REL if alpha == 2 else 1e-10
+            for est, ref in zip(new[(alpha, i)], series):
+                assert est.value == pytest.approx(ref.value, rel=rel), (alpha, i)
+                assert est.warnings == ref.warnings
+
+    def test_family_cut_short_by_r_min(self, monkeypatch):
+        # 4 r_min = 8e-3: at t = 0.1 ball_j6 (radius 4.9e-3) is left out and
+        # annulus_j5 with it; at t = 1 ball_j6 stays but annulus_j6 (inner
+        # radius 7.8e-3) goes, so no annulus is flowed at either time
+        grid = make_grid(2e-3, 1e3, 768)
+        hk = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 0, grid)
+        ts = [0.1, 1.0]
+        labels = [[d.label for d in build_test_family(hk, t)] for t in ts]
+        assert labels[0][-3:] == ["annulus_j4", "ball_j5", "hk_bump"]
+        assert labels[1][-3:] == ["annulus_j5", "ball_j6", "hk_bump"]
+        counts = _spy_columns(monkeypatch)
+        new = operator_norm_sweep(hk, [0, 1], self.LPS, ts)
+        assert counts == [6 + 1, 7 + 1]
+        monkeypatch.undo()
+        old = sweep_every_column(hk, [0, 1], self.LPS, ts)
+        for key, series in old.items():
+            for est, ref in zip(new[key], series):
+                assert est.value == pytest.approx(ref.value, rel=1e-10), key
+
+    def test_annulus_without_grid_node(self, monkeypatch):
+        # nodes a factor 3 apart: some dyadic annuli hold no node and are
+        # left out, the innermost one at t = 1 among them, and the annuli
+        # around them still pair the right balls
+        grid = np.geomspace(1e-6, 3.0 ** 19 * 1e-6, 20)
+        hk = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 0, grid)
+        ts = [0.3, 1.0]
+        missing = {0.3: [2, 5], 1.0: [1, 3, 6]}
+        for t in ts:
+            fam = build_test_family(hk, t)
+            labels = [d.label for d in fam]
+            assert [j for j in range(7) if f"annulus_j{j}" not in labels] == missing[t]
+            assert sum(label.startswith("ball") for label in labels) == 7
+            for d in fam:
+                if d.between is not None:
+                    outer, inner = (fam[i] for i in d.between)
+                    j = int(d.label[len("annulus_j"):])
+                    assert (outer.label, inner.label) == (f"ball_j{j}",
+                                                          f"ball_j{j + 1}")
+                    assert np.array_equal(d.profile.values, outer.profile.values
+                                          - inner.profile.values)
+        counts = _spy_columns(monkeypatch)
+        new = operator_norm_sweep(hk, [0, 1], self.LPS, ts)
+        # 7 balls and the bump, and annulus_j6 where it holds a node
+        assert counts == [7 + 1 + 1, 7 + 1]
+        monkeypatch.undo()
+        old = sweep_every_column(hk, [0, 1], self.LPS, ts)
+        for key, series in old.items():
+            for est, ref in zip(new[key], series):
+                assert est.value == pytest.approx(ref.value, rel=1e-10), key
 
 
 class TestAssembly:

@@ -14,10 +14,13 @@ The runs are the three benchmark workloads (their configs imported from
 `bench/workloads.py`) at seeds 0 and 5; `classify` and `verify` for every
 theorem on a Hardy, a zero and an inverse-power config at 768 nodes;
 `harmonic` on that inverse-power config with `modes.k_max = 6`, which
-writes all seven RK45 profiles; and one `norm-scan` on off-diagonal
-Lorentz tuples, which takes the weak-norm and layer-cake paths.  Each run
-gets its own working directory, so the paths in stdout and stderr read the
-same in both trees.
+writes all seven RK45 profiles; one `norm-scan` on off-diagonal Lorentz
+tuples, which takes the weak-norm and layer-cake paths; and two more on
+`scan_hardy`'s config at the edges of the sweep's flowed basis: one with
+`family.j_max = 0` (ball_j0, annulus_j0 and the bump, no annulus taken as
+a difference) and one whose `grid.r_min` ends the family before `j_max`.
+Each run gets its own working directory, so the paths in stdout and
+stderr read the same in both trees.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ THEOREMS = ("T1.1", "T3.1", "T4.2", "T7.1", "T7.2", "T7.3", "T7.4")
 
 OFF_DIAGONAL = "lorentz = 1,2,1,inf; 2,4,1,inf; 2,4,2,4; 1.5,3,1.5,3\n"
 
+# 4 r_min = 8e-3 ends the family at t = 0.1 before ball_j6 (radius 4.9e-3)
+# and drops annulus_j6 at t = 1 (inner radius 7.8e-3)
+CUT_R_MIN = "grid.r_min = 2e-3\n"
+
 
 def _runs() -> list[tuple[str, str, list[str]]]:
     """(name, config text, CLI arguments) of every compared run."""
@@ -78,9 +85,13 @@ def _runs() -> list[tuple[str, str, list[str]]]:
     runs.append(("kappa4_harmonic", SMALL_COMMON.replace(
         "modes.k_max = 2", "modes.k_max = 6") + SMALL_POTENTIALS["kappa4"],
         ["harmonic"]))
-    scan = "".join(line + "\n" for line in workloads.scan_hardy_inputs(0).config
-                   .splitlines() if not line.startswith("lorentz"))
+    config = workloads.scan_hardy_inputs(0).config
+    scan = "".join(line + "\n" for line in config.splitlines()
+                   if not line.startswith("lorentz"))
     runs.append(("norm_scan_off_diagonal", scan + OFF_DIAGONAL, ["norm-scan"]))
+    # a later line of a key overrides an earlier one
+    runs.append(("norm_scan_j_max_0", config + "family.j_max = 0\n", ["norm-scan"]))
+    runs.append(("norm_scan_family_cut", config + CUT_R_MIN, ["norm-scan"]))
     return runs
 
 
