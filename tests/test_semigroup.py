@@ -11,6 +11,8 @@ from lorentzheat.quadrature import make_grid
 from lorentzheat.semigroup import (
     CONTAMINATION_THRESHOLD,
     DT_CAP_MAX,
+    DT_RUNG,
+    INIT_SCALE_STEPS,
     POSITIVITY_TOL,
     build_test_family,
     check_dt_cap,
@@ -62,6 +64,61 @@ class TestScheme:
         # step over the factor 8 that the first step is graded down by
         _, steps = _time_schedule([1.0], dt_cap)
         bound = dt_cap / 2 + math.ceil(math.log(8.0) / math.log1p(2.0 / dt_cap)) + 1
+        assert len(steps) <= bound
+
+    @pytest.mark.parametrize("dt_cap", [16.0, 64.0, 256.0])
+    def test_graded_start_unchanged(self, dt_cap):
+        # up to the first target the steps are dt = max(dt0, t / cap), as
+        # they were before the ladder: a flow to one target, as every sweep
+        # flow is, keeps its schedule
+        targets = [0.3, 0.3001, 2.0, 1e3]
+        cap = 0.5 * dt_cap
+        dt0 = targets[0] / (cap * INIT_SCALE_STEPS)
+        graded, t = [], 0.0
+        while True:
+            dt = max(dt0, t / cap)
+            if t + dt >= targets[0] * (1.0 - 1e-14):
+                graded.append((targets[0] - t, True))
+                break
+            graded.append((dt, False))
+            t += dt
+        _, steps = _time_schedule(targets, dt_cap)
+        assert steps[:len(graded)] == graded
+        _, alone = _time_schedule(targets[:1], dt_cap)
+        assert alone == graded
+
+    @pytest.mark.parametrize("dt_cap", [16.0, 64.0, 256.0])
+    def test_ladder_after_the_first_target(self, dt_cap):
+        # after t_1 every step is a rung (t_1 / cap) DT_RUNG^k <= t / cap,
+        # and the rungs never go down; only a step that lands on a target
+        # is shorter, and it lands exactly
+        targets, steps = _time_schedule([0.3, 0.3001, 2.0, 2.5, 1e3], dt_cap)
+        cap = 0.5 * dt_cap
+        base = targets[0] / cap
+        rungs = [base * DT_RUNG ** k for k in range(400)]
+        t = 0.0
+        arrived = 0
+        last_dt = 0.0
+        for dt, emit in steps:
+            if arrived:
+                # the largest rung at most t / cap
+                rung = rungs[sum(x <= t / cap for x in rungs) - 1]
+                if emit:
+                    assert 0.0 < dt <= rung
+                else:
+                    assert dt == rung >= last_dt
+                    last_dt = dt
+            t += dt
+            if emit:
+                assert t == pytest.approx(targets[arrived], rel=1e-14)
+                t = targets[arrived]
+                arrived += 1
+        assert arrived == len(targets)
+        # past t_1 a rung falls short of t / cap by less than DT_RUNG, so t
+        # grows by at least 1 + 1 / (cap DT_RUNG) a step, plus the landings
+        bound = (dt_cap / 2 + math.ceil(math.log(8.0) / math.log1p(2.0 / dt_cap))
+                 + 1 + math.log(1e3 / 0.3) / math.log1p(1.0 / (cap * DT_RUNG))
+                 + len(targets) + 1)
         assert len(steps) <= bound
 
     def test_steady_state_exact(self, h_hardy):
@@ -160,12 +217,9 @@ C1 = 1.0 / (GAMMA * (2.0 - GAMMA))
 C0 = (1.0 - GAMMA) ** 2 * C1
 
 
-def _tr_bdf2_step(op, dt, w):
-    """A fresh assembly of one TR-BDF2 step, s = gamma dt / 2:
-    (M + s K) w_g = M w - s K w, then (M + s K) w' = c1 M w_g - c0 M w, each
-    solved by solveh_banded on the same 2-row band (LAPACK ?ptsv)."""
+def _band(op, s):
+    """The 2-row upper band of A = M + s K with the last row pinned."""
     m = op.mass.size
-    s = 0.5 * GAMMA * dt
     cl = np.zeros(m)
     cr = np.zeros(m)
     cr[:-1] = op.cond
@@ -175,6 +229,16 @@ def _tr_bdf2_step(op, dt, w):
     ab[0, 1:] = -s * op.cond
     ab[1, -1] = 1.0
     ab[0, -1] = 0.0
+    return ab
+
+
+def _explicit_step(op, dt, w):
+    """One TR-BDF2 step with the trapezoid right-hand side (M - s K) w
+    assembled explicitly, s = gamma dt / 2:
+    A w_g = M w - s K w, then A w' = c1 M w_g - c0 M w, each solved by
+    solveh_banded on the same 2-row band (LAPACK ?ptsv)."""
+    s = 0.5 * GAMMA * dt
+    ab = _band(op, s)
     mw = op.mass[:, None] * w
     rhs = mw + s * _divergence(op, w)
     rhs[-1] = 0.0
@@ -184,9 +248,17 @@ def _tr_bdf2_step(op, dt, w):
     return solveh_banded(ab, rhs)
 
 
-def _reference_evolve(hk, w0, t_targets, dt_cap=64.0):
-    """evolve_modes with each step assembled afresh by _tr_bdf2_step: the
-    stepper must reproduce it bit for bit."""
+def _identity_step(op, dt, w):
+    """A fresh assembly of the stepper's arithmetic: x = A^-1 (M w), so that
+    w_g = 2 x - w, then A w' = (2 c1 M) x - ((c1 + c0) M) w."""
+    ab = _band(op, 0.5 * GAMMA * dt)
+    x = solveh_banded(ab, op.mass[:, None] * w)
+    rhs = ((2.0 * C1) * op.mass)[:, None] * x - ((C1 + C0) * op.mass)[:, None] * w
+    return solveh_banded(ab, rhs)
+
+
+def _reference_evolve(hk, w0, t_targets, step, dt_cap=64.0):
+    """evolve_modes with each step assembled afresh by step(op, dt, w)."""
     op = _Operator(hk)
     w = np.atleast_2d(np.asarray(w0, dtype=float).T).T.copy()
     targets, steps = _time_schedule(t_targets, dt_cap)
@@ -195,7 +267,7 @@ def _reference_evolve(hk, w0, t_targets, dt_cap=64.0):
     outer_zone = hk.grid >= hk.grid[-1] / 3.16
     init_floor = float(np.min(w))
     for dt, emit in steps:
-        w = _tr_bdf2_step(op, dt, w)
+        w = step(op, dt, w)
         if emit:
             t = targets[len(out)]
             wmax = float(np.max(np.abs(w)))
@@ -209,7 +281,22 @@ def _reference_evolve(hk, w0, t_targets, dt_cap=64.0):
     return out, warnings
 
 
+def _spy(monkeypatch, name):
+    """The calls of semigroup.<name> (a LAPACK routine), counted."""
+    calls = []
+    routine = getattr(semigroup, name)
+
+    def spy(*args):
+        calls.append(args)
+        return routine(*args)
+
+    monkeypatch.setattr(semigroup, name, spy)
+    return calls
+
+
 class TestStepper:
+    TARGETS = [0.01, 0.3, (GRID[-1] / 3.0) ** 2]
+
     @staticmethod
     def _data(hk, ncol):
         r = hk.grid
@@ -222,25 +309,52 @@ class TestStepper:
 
     @pytest.mark.parametrize("ncol", [1, 5])
     def test_matches_fresh_assembly(self, h_hardy, ncol):
+        # the reused buffers and factorizations change no bit
         hk = h_hardy[1]
         w0 = self._data(hk, ncol)
-        targets = [0.01, 0.3, (GRID[-1] / 3.0) ** 2]
-        ws, warnings = evolve_modes(hk, w0, targets)
-        ref, ref_warnings = _reference_evolve(hk, w0, targets)
+        ws, warnings = evolve_modes(hk, w0, self.TARGETS)
+        ref, ref_warnings = _reference_evolve(hk, w0, self.TARGETS, _identity_step)
         assert warnings == ref_warnings
         # the contamination warning fires at the last target
         assert warnings
-        assert len(ws) == len(ref) == len(targets)
+        assert len(ws) == len(ref) == len(self.TARGETS)
         for w, w_ref in zip(ws, ref):
             assert w.shape == w_ref.shape == (GRID.size, ncol)
             assert np.array_equal(w, w_ref)
+
+    @pytest.mark.parametrize("ncol", [1, 5])
+    def test_matches_explicit_trapezoid_stage(self, h_hardy, ncol):
+        # the identity (M - s K) w = 2 M w - A w changes only roundings: the
+        # worst distance measured is 9.2e-14 of a column's max
+        hk = h_hardy[1]
+        w0 = self._data(hk, ncol)
+        ws, warnings = evolve_modes(hk, w0, self.TARGETS)
+        ref, ref_warnings = _reference_evolve(hk, w0, self.TARGETS, _explicit_step)
+        assert warnings == ref_warnings
+        for w, w_ref in zip(ws, ref):
+            scale = np.max(np.abs(w_ref), axis=0)
+            assert np.all(np.max(np.abs(w - w_ref), axis=0) <= 1e-12 * scale)
 
     def test_one_dimensional_datum(self, h_hardy):
         hk = h_hardy[0]
         w0 = self._data(hk, 1)[:, 0]
         ws, _ = evolve_modes(hk, w0, [0.1])
-        ref, _ = _reference_evolve(hk, w0, [0.1])
+        ref, _ = _reference_evolve(hk, w0, [0.1], _identity_step)
         assert np.array_equal(ws[0], ref[0])
+
+    @pytest.mark.parametrize("targets, dt_cap", [([0.1], 64.0),
+                                                 ([0.01, 0.3, 20.0], 64.0),
+                                                 ([1e-3, 0.5, 0.5001, 7.0], 16.0)])
+    def test_one_factorization_per_step_length(self, h_hardy, monkeypatch,
+                                               targets, dt_cap):
+        _, steps = _time_schedule(targets, dt_cap)
+        lengths = [dt for dt, _ in steps]
+        runs = 1 + sum(a != b for a, b in zip(lengths, lengths[1:]))
+        factored = _spy(monkeypatch, "dpttrf")
+        solved = _spy(monkeypatch, "dpttrs")
+        evolve_modes(h_hardy[0], self._data(h_hardy[0], 2), targets, dt_cap)
+        assert len(factored) == runs < len(steps)
+        assert len(solved) == 2 * len(steps)
 
     def test_no_positivity_dip_on_hk_bump(self):
         # w = v/h_1 of the h_1 bump stays nonnegative on evolve_flow's
@@ -260,6 +374,33 @@ class TestStepper:
         w0[10, 2] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             evolve_modes(h_hardy[0], w0, [0.1])
+
+    @pytest.mark.parametrize("field, index", [("cond", 100), ("cond", -1),
+                                              ("mass", 0), ("mass", 100),
+                                              ("mass", -1)])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_operator_raises_before_any_step(
+            self, h_hardy, monkeypatch, field, index, value):
+        class Poisoned(_Operator):
+            def __init__(self, hk):
+                super().__init__(hk)
+                getattr(self, field)[index] = value
+
+        monkeypatch.setattr(semigroup, "_Operator", Poisoned)
+        solved = _spy(monkeypatch, "dpttrs")
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evolve_modes(h_hardy[0], self._data(h_hardy[0], 2), [0.1, 1.0])
+        assert solved == []
+
+    def test_overflow_during_the_flow_raises(self, h_hardy):
+        # finite start columns whose products with the cell masses overflow:
+        # the error is raised at the first emit, and no RuntimeWarning (an
+        # error under this suite's filter) escapes the steps before it
+        w0 = self._data(h_hardy[0], 2)
+        w0[:, 1] = 1e308
+        assert np.isfinite(w0).all()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evolve_modes(h_hardy[0], w0, [0.1, 1.0])
 
 
 class TestRadialDerivative:

@@ -8,7 +8,11 @@ the working tree's.  For every run it compares the exit code, stdout,
 stderr and every file written to the output directory; `manifest.txt` is
 compared without its `wall_clock_seconds` line.  Every difference is
 listed, and the script exits 1 if there is any, else 0 (2 on a usage
-error or a revision that git cannot archive).
+error or a revision that git cannot archive).  A differing file whose two
+versions are tables of the same shape, where every cell that differs is a
+number on both sides (`.dat` files, and CSVs whose text cells agree), gets
+its size on its line: the largest move of a cell relative to the peak
+|value| of its column.
 
 The runs are the three benchmark workloads (their configs imported from
 `bench/workloads.py`) at seeds 0 and 5; `classify` and `verify` for every
@@ -25,6 +29,7 @@ stderr read the same in both trees.
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import subprocess
@@ -122,8 +127,47 @@ def run_tree(src: Path, work: Path) -> dict:
     return results
 
 
+def _cells(data: bytes) -> list[list[str]]:
+    """The rows of a file's cells: CSV fields where a line holds a comma,
+    else the whitespace-separated words."""
+    return [next(csv.reader([line])) if "," in line else line.split()
+            for line in data.decode(errors="replace").splitlines()]
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def largest_move(a: bytes, b: bytes) -> float | None:
+    """The largest |b - a| of a cell over the peak |value| of its column on
+    either side, or None unless the two files are tables of the same shape
+    whose differing cells are all numbers."""
+    rows_a, rows_b = _cells(a), _cells(b)
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return None
+    peak, moves = {}, []
+    for row_a, row_b in zip(rows_a, rows_b):
+        for col, (x, y) in enumerate(zip(row_a, row_b)):
+            u, v = _number(x), _number(y)
+            if u is None or v is None:
+                if x != y:
+                    return None
+                continue
+            peak[col] = max(peak.get(col, 0.0), abs(u), abs(v))
+            if x != y:
+                moves.append((col, abs(v - u)))
+    if not moves:
+        return None
+    # a nonzero move makes its column's peak nonzero
+    return max(move / peak[col] if move else 0.0 for col, move in moves)
+
+
 def differences(before: dict, after: dict) -> list[str]:
-    """One line per run item that is missing on one side or differs."""
+    """One line per run item that is missing on one side or differs; a
+    differing numeric table has its largest move appended."""
     lines = []
     for name, _, _ in RUNS:
         a, b = before[name], after[name]
@@ -132,7 +176,11 @@ def differences(before: dict, after: dict) -> list[str]:
                 side = "working tree" if key not in b else "revision"
                 lines.append(f"{name}: {key} missing in the {side}")
             elif a[key] != b[key]:
-                lines.append(f"{name}: {key} differs")
+                line = f"{name}: {key} differs"
+                move = largest_move(a[key], b[key]) if key not in STREAMS else None
+                if move is not None:
+                    line += f", largest move {move:.2g} of its column's peak"
+                lines.append(line)
     return lines
 
 
