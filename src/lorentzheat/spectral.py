@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 SUBCRITICAL = "subcritical"
 NULL_CRITICAL = "null-critical"
@@ -301,6 +300,9 @@ def check_nonnegativity(spec: PotentialSpec) -> tuple[bool, dict]:
     vp = spec.V(probe)
     if np.all(vp >= 0.0):
         return True, {"method": "pointwise-sign", "min_V": float(np.min(vp))}
+    # the only use of scipy.linalg: imported here, not on every launch
+    from scipy.linalg import eigh_tridiagonal
+
     # symmetrized radial operator: u = r^((N-1)/2) h turns the radial
     # Laplacian into -u'' + [(N-1)(N-3)/(4 r^2)] u
     h = NONNEG_R_MAX / (NONNEG_POINTS + 1)

@@ -637,14 +637,15 @@ class TestWriteColumns:
 class TestImports:
     @pytest.mark.parametrize("spec", ["hardy(3, 2.0)", "inverse_power(3, 1.0, 4.0)"],
                              ids=["hardy", "inverse_power"])
-    def test_profiles_load_only_scipy_linalg(self, spec):
+    def test_runs_load_no_scipy_package(self, spec):
         # Hardy profiles are closed form and others come from the built-in
-        # RK45: neither loads scipy.integrate, .optimize, .sparse or .special
+        # RK45; the flow loads scipy's LAPACK extension by file: no profile,
+        # norm or flow imports scipy or any of its subpackages
         code = f"""
 import sys
 import numpy as np
 import lorentzheat.cli
-from lorentzheat import harmonic, spectral
+from lorentzheat import harmonic, semigroup, spectral
 from lorentzheat.params import RadialProfile
 from lorentzheat.quadrature import make_grid
 ps = harmonic.ProfileSet.build(spectral.PotentialSpec.{spec}, k_max=2,
@@ -653,6 +654,9 @@ for k in range(3):
     ps.h(k)
 grid = np.geomspace(0.01, 10.0, 64)
 assert 0.0 < RadialProfile(grid, np.cos(grid), 3).lorentz_norm(2, 2) < np.inf
+w0 = np.where(ps.grid <= 1.0, 1.0, 0.0)
+ws, _ = semigroup.evolve_modes(ps.h(1), np.stack([w0, 2.0 * w0], axis=1), [0.1, 1.0])
+assert len(ws) == 2 and all(np.isfinite(w).all() for w in ws)
 print(" ".join(sorted(sys.modules)))
 """
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -661,8 +665,5 @@ print(" ".join(sorted(sys.modules)))
         done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True)
         loaded = done.stdout.split()
-        assert "scipy.linalg" in loaded
-        for package in ("scipy.integrate", "scipy.special", "scipy.optimize",
-                        "scipy.sparse"):
-            assert not [m for m in loaded
-                        if m == package or m.startswith(package + ".")], package
+        assert "lorentzheat.semigroup._flapack" in loaded
+        assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]

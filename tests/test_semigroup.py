@@ -1,8 +1,10 @@
+import importlib.machinery
+import importlib.util
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
+from scipy.linalg import lapack, solveh_banded
 
 from lorentzheat import semigroup, spectral
 from lorentzheat.harmonic import solve_h
@@ -401,6 +403,45 @@ class TestStepper:
         assert np.isfinite(w0).all()
         with pytest.raises(ValueError, match="infs or NaNs"):
             evolve_modes(h_hardy[0], w0, [0.1, 1.0])
+
+
+class TestLapackLoader:
+    @pytest.mark.parametrize("n", [2, 5, 1024])
+    @pytest.mark.parametrize("ncol", [1, 9])
+    def test_matches_scipy_linalg_lapack(self, n, ncol):
+        # the directly loaded wrappers against scipy.linalg.lapack's, with
+        # the overwrite flags _Stepper passes; each side gets its own copies,
+        # since both routines overwrite their inputs
+        rng = np.random.default_rng(n + ncol)
+        e = rng.standard_normal(n - 1)
+        d = rng.uniform(0.5, 2.0, n) + np.abs(np.concatenate([e, [0.0]])) \
+            + np.abs(np.concatenate([[0.0], e]))
+        b = np.asfortranarray(rng.standard_normal((n, ncol)))
+        results = []
+        for factor, solve in ((semigroup.dpttrf, semigroup.dpttrs),
+                              (lapack.dpttrf, lapack.dpttrs)):
+            df, ef, info = factor(d.copy(), e.copy(), 1, 1)
+            x, solve_info = solve(df, ef, b.copy(order="F"), 1)
+            results.append((df, ef, info, x, solve_info))
+        assert semigroup.dpttrf is not lapack.dpttrf
+        ours, theirs = results
+        assert ours[2] == theirs[2] == 0 and ours[4] == theirs[4] == 0
+        for a, b_ in zip(ours, theirs):
+            assert np.array_equal(a, b_)
+
+    def test_no_scipy_raises_import_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy not found on sys.path"):
+            semigroup._load_flapack()
+
+    def test_no_flapack_raises_import_error(self, monkeypatch, tmp_path):
+        # a scipy whose directory holds no linalg/_flapack extension
+        fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        fake.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+        with pytest.raises(ImportError, match="_flapack not found in") as info:
+            semigroup._load_flapack()
+        assert str(tmp_path / "linalg") in str(info.value)
 
 
 class TestRadialDerivative:

@@ -17,6 +17,9 @@ its size on its line: the largest move of a cell relative to the peak
 The runs are the three benchmark workloads (their configs imported from
 `bench/workloads.py`) at seeds 0 and 5; `classify` and `verify` for every
 theorem on a Hardy, a zero and an inverse-power config at 768 nodes;
+`classify` on an inverse-power config that is negative near the origin
+(a = -0.05, kappa = 3), the only run whose nonnegativity evidence is the
+Dirichlet eigenvalue;
 `harmonic` on that inverse-power config with `modes.k_max = 6`, which
 writes all seven RK45 profiles; one `norm-scan` on off-diagonal Lorentz
 tuples, which takes the weak-norm and layer-cake paths; and two more on
@@ -71,6 +74,11 @@ THEOREMS = ("T1.1", "T3.1", "T4.2", "T7.1", "T7.2", "T7.3", "T7.4")
 
 OFF_DIAGONAL = "lorentz = 1,2,1,inf; 2,4,1,inf; 2,4,2,4; 1.5,3,1.5,3\n"
 
+# negative near the origin: the one classify that takes the Dirichlet
+# eigenvalue evidence, whose scipy.linalg import is deferred to it
+NEGATIVE = "potential.kind = inverse_power\npotential.amplitude = -0.05\n" \
+           "potential.kappa = 3.0\n"
+
 # 4 r_min = 8e-3 ends the family at t = 0.1 before ball_j6 (radius 4.9e-3)
 # and drops annulus_j6 at t = 1 (inner radius 7.8e-3)
 CUT_R_MIN = "grid.r_min = 2e-3\n"
@@ -87,6 +95,7 @@ def _runs() -> list[tuple[str, str, list[str]]]:
         config = SMALL_COMMON + lines
         runs.append((f"{pot}_classify", config, ["classify"]))
         runs += [(f"{pot}_verify_{tid}", config, ["verify", tid]) for tid in THEOREMS]
+    runs.append(("negative_classify", SMALL_COMMON + NEGATIVE, ["classify"]))
     runs.append(("kappa4_harmonic", SMALL_COMMON.replace(
         "modes.k_max = 2", "modes.k_max = 6") + SMALL_POTENTIALS["kappa4"],
         ["harmonic"]))
