@@ -67,6 +67,8 @@ class HarmonicProfile:
     c: float | None = None
     fit_residual: float | None = None
     _derivs: dict = field(default_factory=dict, repr=False)
+    _gammas: dict = field(default_factory=dict, repr=False)
+    _hessian: RadialProfile | None = field(default=None, repr=False)
 
     @property
     def grid(self) -> np.ndarray:
@@ -78,6 +80,13 @@ class HarmonicProfile:
 
     def eval(self, r):
         return self.profile.eval(r)
+
+    def gamma(self, p: float, sigma: float, t: float) -> float:
+        """gamma_ratio(self, p, sigma, t), computed once per (p, sigma, t)."""
+        key = (p, sigma, t)
+        if key not in self._gammas:
+            self._gammas[key] = gamma_ratio(self, p, sigma, t)
+        return self._gammas[key]
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with Shampine's
@@ -330,14 +339,30 @@ def derivative_h(hp: HarmonicProfile, ell: int) -> RadialProfile:
 
 def leibniz_h(hp: HarmonicProfile, g_deriv, order: int) -> np.ndarray:
     """d^order (h_k g) = sum_j C(order, j) h_k^(j) g^(order-j), the h_k factors
-    from derivative_h; g_deriv(m) returns the m-th derivative of g on the grid."""
+    from derivative_h; g_deriv(m) returns the m-th derivative of g on the
+    grid, one column or a stack of them (grid x c), each taken on its own."""
+    g = g_deriv(order)
+    column = (-1,) + (1,) * (g.ndim - 1)
     if order == 0:
-        return hp.values * g_deriv(0)
-    acc = np.zeros_like(hp.values)
+        return hp.values.reshape(column) * g
+    acc = np.zeros(g.shape)
     for j in range(order + 1):
         hj = hp.values if j == 0 else derivative_h(hp, j).values
-        acc += math.comb(order, j) * hj * g_deriv(order - j)
+        acc += math.comb(order, j) * hj.reshape(column) * \
+            (g if j == 0 else g_deriv(order - j))
     return acc
+
+
+def hessian_envelope(hp: HarmonicProfile) -> RadialProfile:
+    """|grad^2| envelope of the radial function h_k, sqrt(h''^2 + (N-1)(h'/r)^2),
+    built once per profile."""
+    if hp._hessian is None:
+        n = hp.spec.dimension
+        r = hp.grid
+        h1 = derivative_h(hp, 1).values
+        h2 = derivative_h(hp, 2).values
+        hp._hessian = RadialProfile(r, np.sqrt(h2 ** 2 + (n - 1) * (h1 / r) ** 2), n)
+    return hp._hessian
 
 
 def gamma_ratio(hp: HarmonicProfile, p: float, sigma: float, t: float) -> float:
@@ -390,6 +415,7 @@ class ProfileSet:
     grid: np.ndarray
     _hks: dict = field(default_factory=dict, repr=False)
     _iterated: dict = field(default_factory=dict, repr=False)
+    _envelopes: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, spec: spectral.PotentialSpec, k_max=6, grid=None
@@ -432,3 +458,12 @@ class ProfileSet:
         if key not in self._iterated:
             self._iterated[key] = it.iterate_I(self.h(k), n)
         return self._iterated[key]
+
+    def envelope(self, k: int, n: int, alpha: int) -> RadialProfile:
+        """envelope_nabla_J(h_k, I_k^n, alpha), built once: no t enters it."""
+        from . import iterated as it
+        key = (k, n, alpha)
+        if key not in self._envelopes:
+            self._envelopes[key] = it.envelope_nabla_J(self.h(k), self.iterated(k, n),
+                                                       alpha)
+        return self._envelopes[key]

@@ -8,14 +8,18 @@ distribution functions and Lorentz norms exact on the power-function corpus
 that the rest of the package leans on.
 
 For sigma = p < inf the norm is the L^p norm (int |phi|^p dx)^(1/p), whose
-radial integral has a closed form on every segment.  Other norms are
+radial integral has a closed form on every piece; for p = inf it is the
+sup, the largest |value| at a node, since every piece is monotone and
+passes through its nodes.  lp_norms reads both from the node values, for a
+stack of columns on one grid, without building segments.  Other norms are
 computed through the layer-cake identity
 
     ||phi||^s = a_N^(1 - s/p) * p * int_0^inf  lam^(s-1) mu(lam)^(s/p) dlam
 
 (s = sigma < inf), where mu is the exact distribution function of the
 interpolant and a_N the unit-ball volume; for sigma = inf the weak form
-sup_lam lam (mu(lam)/a_N)^(1/p) is used instead.
+sup_lam lam (mu(lam)/a_N)^(1/p) is used instead.  The segment set serves
+only these layer-cake norms and distribution_function.
 """
 
 from __future__ import annotations
@@ -257,13 +261,134 @@ class RadialProfile:
 
     def lorentz_norm(self, p, sigma) -> float:
         """||phi||_{L^{p,sigma}} of the zero/power-extended interpolant."""
-        p, sigma = validate_pair(p, sigma)
-        return self.segments().lorentz_norm(p, sigma)
+        return float(lorentz_norms([self], p, sigma)[0])
 
     def lorentz_norm_on_ball(self, p, sigma, radius) -> float:
         if radius <= 0.0:
             raise ValueError("radius must be positive")
         return self.restrict(radius).lorentz_norm(p, sigma)
+
+
+# ---------------------------------------------------------------------------
+# sigma = p norms from the node values
+# ---------------------------------------------------------------------------
+
+
+def lorentz_norms(profiles, p, sigma) -> np.ndarray:
+    """||phi||_{L^{p,sigma}} of each profile; the profiles share one grid.
+
+    sigma = p, the sup at p = inf, is one lp_norms call over the stack of
+    their values; other pairs take each profile's layer-cake norm.
+    """
+    p, sigma = validate_pair(p, sigma)
+    if sigma != p:
+        return np.array([f.segments().lorentz_norm(p, sigma) for f in profiles])
+    outer = [INF_DECAY if f.outer_exponent is None else f.outer_exponent
+             for f in profiles]
+    return lp_norms(profiles[0].grid, np.array([f.values for f in profiles]).T,
+                    [f.inner_exponent for f in profiles], outer, p,
+                    profiles[0].dimension)
+
+
+def lp_norms(grid, values, inner, outer, p, dimension) -> np.ndarray:
+    """L^p norms, the sup at p = inf, of the columns of values (m x c) on
+    one grid, read from the node values without a segment set.
+
+    inner, outer: per column, the powers a and b of the extensions
+    v_0 (r/r_0)^a below the grid and v_M (r/r_M)^b beyond it; INF_DECAY
+    means zero there.  The sup is max |v_i|, since every piece
+    is monotone and passes through its nodes; it is inf where an extension
+    is singular (a < 0 with v_0 != 0, or b > 0 with v_M != 0).
+
+    For p < inf each piece integrates in closed form.  A power piece
+    v_lo (r/r_lo)^a with s = a p + N gives v_e^p r_e^N (1 - (r_lo/r_hi)^|s|)
+    / |s|, at the end e where v^p r^N is larger (r_hi if s > 0, else r_lo),
+    or v_lo^p r_lo^N log(r_hi/r_lo) if s = 0.  v_e is the node value, but a
+    piece that _FLAT_EPS snaps flat keeps its anchor value v_lo.  The inner
+    extension (r_lo = 0) diverges unless s > 0, the outer one (r_hi = inf)
+    unless s < 0.  A linear piece runs from a zero (a zero node, or the
+    interpolated zero of a sign change) to a node value va: with L its
+    length, expanding r^(N-1) about its start r_0 gives
+    va^p sum_k C(N-1, k) r_0^(N-1-k) L^(k+1) c_k, where c_k = 1/(p+k+1) for
+    the zero at r_0 and B(k+1, p+1) for the zero at its other end.  Values
+    are divided by max |v| before the power p.  Every column's pieces sum
+    in slots fixed by the grid's intervals, so a column's norm does not
+    depend on its neighbours in the stack.
+    """
+    g = np.asarray(grid, dtype=float)
+    v = np.ascontiguousarray(np.asarray(values, dtype=float).T)  # a row per column
+    c = v.shape[0]
+    y = np.abs(v)
+    inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+    head = (y[:, 0] != 0.0) & (inner != INF_DECAY)
+    tail = (y[:, -1] != 0.0) & (outer != INF_DECAY)
+    scale = np.max(y, axis=1, initial=0.0)
+    if p == INF:
+        return np.where((head & (inner < 0.0)) | (tail & (outer > 0.0)), INF, scale)
+    N = int(dimension)
+    s_in, s_out = inner * p + N, outer * p + N
+    divergent = (head & (s_in <= 0.0)) | (tail & (s_out >= 0.0))
+    y /= np.where(scale > 0.0, scale, 1.0)[:, None]
+
+    # power pieces: head, one slot per interval, tail
+    log_step = np.log(g[1:] / g[:-1])
+    g_N = g ** N
+    v0, v1, y0, y1 = v[:, :-1], v[:, 1:], y[:, :-1], y[:, 1:]
+    same = np.sign(v0) * np.sign(v1)  # v0 * v1 can underflow
+    power = same > 0.0
+    pieces = np.zeros((c, g.size + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.log(np.abs(v1 / v0)) / log_step
+        a = np.where(power & (np.abs(a) >= _FLAT_EPS), a, 0.0)
+        s = a * p + N
+        abs_s = np.abs(s)
+        shape = np.where(s == 0.0, log_step, -np.expm1(-abs_s * log_step) / abs_s)
+        # the extensions: shape 1/|s|, the ends at r_0 and r_M
+        pieces[:, 0] = np.where(head & ~divergent,
+                                y[:, 0] ** p * g_N[0] * (1.0 / np.abs(s_in)), 0.0)
+        pieces[:, -1] = np.where(tail & ~divergent,
+                                 y[:, -1] ** p * g_N[-1] * (1.0 / np.abs(s_out)), 0.0)
+    up = s > 0.0
+    v_e = np.where(up & (a != 0.0), y1, y0)
+    pieces[:, 1:-1] = np.where(power, v_e ** p * np.where(up, g_N[1:], g_N[:-1]) * shape,
+                               0.0)
+
+    # linear pieces: an interval's first piece, and the second of a sign change
+    cross = same < 0.0
+    col, i = np.nonzero(cross | ((same == 0.0) & ((v0 != 0.0) | (v1 != 0.0))))
+    x = cross[col, i]
+    rc = _zero_crossing(g[i[x]], g[i[x] + 1], v0[col[x], i[x]], v1[col[x], i[x]])
+    first_end = g[i + 1]
+    first_end[x] = rc
+    start = np.concatenate((g[i], rc))
+    length = np.concatenate((first_end - g[i], g[i[x] + 1] - rc))
+    va = np.concatenate((np.where(x, y0[col, i], np.maximum(y0[col, i], y1[col, i])),
+                         y1[col[x], i[x]]))
+    zero_at_start = np.concatenate((~x & (v0[col, i] == 0.0), np.ones(rc.size, bool)))
+    k = np.arange(N)
+    binom, zero_at_r0, zero_at_r1 = _linear_piece_coefficients(N, p)
+    coef = np.where(zero_at_start[:, None], zero_at_r0, zero_at_r1)
+    terms = binom * start[:, None] ** (N - 1 - k) * length[:, None] ** (k + 1) * coef
+    lines = np.zeros((c, 2 * (g.size - 1)))
+    lines[np.concatenate((col, col[x])), np.concatenate((2 * i, 2 * i[x] + 1))] = \
+        va ** p * terms.sum(axis=1)
+
+    total = pieces.sum(axis=1) + lines.sum(axis=1)
+    factor = N * unit_ball_volume(N)
+    return np.array([INF if bad else 0.0 if top == 0.0 else
+                     top * float(factor * part) ** (1.0 / p)
+                     for top, bad, part in zip(scale.tolist(), divergent.tolist(), total)])
+
+
+def _zero_crossing(r0, r1, v0, v1):
+    """Where the line from (r0, v0) to (r1, v1) crosses zero, for v0 and v1
+    of opposite signs."""
+    span = r1 - r0
+    with np.errstate(over="ignore"):
+        prod = span * v0
+    # span * v0 overflows for values near the top of the float range: divide
+    # first there (an ulp apart from the product form, kept where it is finite)
+    return r0 + np.where(np.isfinite(prod), prod / (v0 - v1), span * (v0 / (v0 - v1)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +421,19 @@ class _SegmentSet:
         self.vmin, self.vmax = self._value_range()
 
     def _value_range(self):
-        """(min, max) of |phi| at segment ends; pow gives the limits at 0, inf."""
+        """(min, max) of |phi| at segment ends; pow gives the limits at 0, inf.
+        A linear piece runs from a zero to its anchor node: exactly (0, va)."""
         power = self.kind == _POWER
         ends = []
         for r in (self.r0, self.r1):
+            end = np.zeros(r.size)
             with np.errstate(divide="ignore", invalid="ignore"):
-                end = self.icpt + self.slope * r
                 end[power] = self.va[power] * np.power(r[power] / self.ra[power],
                                                        self.expo[power])
             ends.append(end)
-        return np.minimum(*ends), np.maximum(*ends)
+        vmax = np.maximum(*ends)
+        vmax[~power] = self.va[~power]
+        return np.minimum(*ends), vmax
 
     def mu_batch(self, lam_desc):
         """Exact distribution function at a descending array of levels.
@@ -362,67 +490,17 @@ class _SegmentSet:
             b0 = b1
         return mu
 
-    def sup_value(self) -> float:
-        return float(np.max(self.vmax)) if self.vmax.size else 0.0
-
     # -- norms -----------------------------------------------------------------------
 
     def lorentz_norm(self, p: float, sigma: float) -> float:
+        """The layer-cake norm, sigma != p < inf; lp_norms takes sigma = p."""
         if self.ra.size == 0:
             return 0.0
-        if p == INF:
-            return self.sup_value()
         if np.any((self.r1 == INF) & (self.expo >= 0)):
             return INF  # flat or growing tail: mu = inf below the tail's value
-        if sigma == p:
-            return self._lp_norm(p)
         if sigma == INF:
             return self._weak_norm(p)
         return self._strong_norm(p, sigma)
-
-    def _lp_norm(self, p):
-        """(N a_N sum_i int |phi|^p r^(N-1) dr)^(1/p), each segment in closed form.
-
-        A power piece va (r/ra)^a with s = a p + N integrates to
-        v_e^p r_e^N (1 - (r_lo/r_hi)^|s|) / |s|, taken at the end e where
-        v^p r^N is larger (r1 if s > 0, else r0), or va^p r0^N log(r1/r0) if
-        s = 0; the inner extension (r0 = 0) diverges unless s > 0, the outer
-        tail (r1 = inf) unless s < 0.  A linear piece vanishes at one end, so
-        expanding r^(N-1) about r0, with L = r1 - r0 and va the nonzero end's
-        value, gives va^p sum_k C(N-1, k) r0^(N-1-k) L^(k+1) c_k, where
-        c_k = 1/(p+k+1) for the zero at r0 and B(k+1, p+1) for the zero at r1.
-        Values are divided by the largest finite end value before the power p.
-        """
-        N = self.N
-        power = self.kind == _POWER
-        s = np.where(power, self.expo * p + N, 0.0)
-        if np.any(power & (((self.r0 == 0.0) & (s <= 0.0)) |
-                           ((self.r1 == INF) & (s >= 0.0)))):
-            return INF
-        scale = float(np.max(self.vmax[np.isfinite(self.vmax)]))
-
-        s = s[power]
-        r0, r1 = self.r0[power], self.r1[power]
-        up = s > 0.0
-        # the value at r1 is vmax on increasing pieces, vmin on the others
-        v_e = np.where(up, np.where(self.expo[power] > 0, self.vmax[power],
-                                    self.vmin[power]), self.va[power])
-        abs_s = np.abs(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.log(r1 / r0)  # inf on the extensions
-            shape = np.where(s == 0.0, x, -np.expm1(-abs_s * x) / abs_s)
-        total = np.sum((v_e / scale) ** p * np.where(up, r1, r0) ** N * shape)
-
-        lin = ~power
-        r0 = self.r0[lin]
-        length = self.r1[lin] - r0
-        k = np.arange(N)
-        binom, zero_at_r0, zero_at_r1 = _linear_piece_coefficients(N, p)
-        coef = np.where(self.slope[lin][:, None] > 0, zero_at_r0, zero_at_r1)
-        terms = binom * r0[:, None] ** (N - 1 - k) * \
-            length[:, None] ** (k + 1) * coef
-        total += np.sum((self.va[lin] / scale) ** p * terms.sum(axis=1))
-        return scale * float(N * self.alpha_N * total) ** (1.0 / p)
 
     def _levels(self):
         vals = np.concatenate([self.vmin, self.vmax])
@@ -545,7 +623,7 @@ class _SegmentSet:
 
 def _linear_piece_coefficients(N, p):
     """C(N-1, k), 1/(p+k+1) and B(k+1, p+1) = k!/((p+1)(p+2)...(p+k+1)) for
-    k < N: the factors of _lp_norm's linear pieces."""
+    k < N: the factors of lp_norms's linear pieces."""
     k = np.arange(N)
     binom = np.array([math.comb(N - 1, j) for j in range(N)], dtype=float)
     factorial = np.array([math.factorial(j) for j in range(N)], dtype=float)
@@ -599,13 +677,7 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     a[power] = np.log(np.abs(v1[power] / v0[power])) / np.log(r1[power] / r0[power])
     a[np.abs(a) < _FLAT_EPS] = 0.0
     rc = r0.copy()
-    span, va, vb = r1[cross] - r0[cross], v0[cross], v1[cross]
-    with np.errstate(over="ignore"):
-        prod = span * va
-    # span * va overflows for values near the top of the float range: divide
-    # first there (an ulp apart from the product form, kept where it is finite)
-    rc[cross] = r0[cross] + np.where(np.isfinite(prod), prod / (va - vb),
-                                     span * (va / (va - vb)))
+    rc[cross] = _zero_crossing(r0[cross], r1[cross], v0[cross], v1[cross])
     # the rows of fields are (r0, r1, kind, ra, va, expo, slope, icpt); each
     # interval has two slots, its first piece and the second piece of a sign
     # change, so row-major order within a row is segment order

@@ -94,10 +94,10 @@ def is_log_uniform(r) -> bool:
 
 
 def _d_du(y, h, order):
-    """Uniform-grid derivative in the log variable: fourth-order central
-    stencils inside, second order next to and at the ends."""
-    n = y.size
-    out = np.empty(n)
+    """Uniform-grid derivative in the log variable along axis 0: fourth-order
+    central stencils inside, second order next to and at the ends."""
+    n = y.shape[0]
+    out = np.empty_like(y)
     if order == 1:
         if n >= 5:
             out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
@@ -123,7 +123,8 @@ def _d_du(y, h, order):
 
 
 def radial_derivative_values(y, r, order=1):
-    """d^order y / dr^order on the geometric grid r (order in {1, 2}).
+    """d^order y / dr^order on the geometric grid r (order in {1, 2}), for
+    one column y or a stack of them (len(r) x c), each column on its own.
 
     Uses uniform stencils in u = log r, mapped back by dy/dr = (1/r) dy/du
     and d2y/dr2 = (d2y/du2 - dy/du)/r^2; any other grid raises ValueError.
@@ -134,6 +135,7 @@ def radial_derivative_values(y, r, order=1):
         raise ValueError("radial derivatives need a geometric grid")
     h = math.log(r[1] / r[0])
     du1 = _d_du(y, h, 1)
+    r = r.reshape(r.shape + (1,) * (y.ndim - 1))
     if order == 1:
         return du1 / r
     du2 = _d_du(y, h, 2)

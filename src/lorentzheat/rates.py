@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .harmonic import HarmonicProfile, ProfileSet, derivative_h, gamma_ratio
-from .iterated import envelope_nabla_J
+from .harmonic import ProfileSet, derivative_h, hessian_envelope
 from .params import INF, LorentzParams, RadialProfile, power_membership
 from .quadrature import cumulative_integral
 
@@ -107,16 +106,6 @@ def classify_cases(table: spectral.ExponentTable, alpha: int) -> CaseTag:
 # ---------------------------------------------------------------------------
 
 
-def _hessian_envelope(hp: HarmonicProfile) -> RadialProfile:
-    """|grad^2| envelope of a radial function: sqrt(h''^2 + (N-1)(h'/r)^2)."""
-    n = hp.spec.dimension
-    r = hp.grid
-    h1 = derivative_h(hp, 1).values
-    h2 = derivative_h(hp, 2).values
-    vals = np.sqrt(h2 ** 2 + (n - 1) * (h1 / r) ** 2)
-    return RadialProfile(r, vals, n)
-
-
 def phi_alpha(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float) -> float:
     """Two-sided rate envelope for alpha in {0, 1, 2}.
 
@@ -129,12 +118,12 @@ def phi_alpha(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float) -> float:
     n = ps.spec.dimension
     h0 = ps.h(0)
     root_t = math.sqrt(t)
-    gam_dual = gamma_ratio(h0, lp.p_conj, lp.sigma_conj, t)
+    gam_dual = h0.gamma(lp.p_conj, lp.sigma_conj, t)
     if gam_dual == INF:
         return INF
     n2q = 0.0 if lp.q == INF else n / (2.0 * lp.q)
     if alpha == 0:
-        gam_target = gamma_ratio(h0, lp.q, lp.theta, t)
+        gam_target = h0.gamma(lp.q, lp.theta, t)
         if gam_target == INF:
             return INF
         return t ** (-n / 2.0) * gam_dual * gam_target
@@ -143,12 +132,12 @@ def phi_alpha(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float) -> float:
         grad = derivative_h(h0, 1)
         term = grad.lorentz_norm_on_ball(q, th, root_t) / h0.eval(root_t)
         return t ** (-n / 2.0) * gam_dual * (term + t ** (n2q - 0.5))
-    hess0 = _hessian_envelope(h0)
+    hess0 = hessian_envelope(h0)
     term0 = hess0.lorentz_norm_on_ball(q, th, root_t) / h0.eval(root_t)
     # envelope of |grad^2 (h_1 Q)|, sharp through the polynomial split
     h1 = ps.h(1)
     d1 = spectral.eigenspace_dimension(1, n)
-    hess1 = envelope_nabla_J(h1, ps.iterated(1, 0), 2)
+    hess1 = ps.envelope(1, 0, 2)
     term1 = d1 * hess1.lorentz_norm_on_ball(q, th, root_t) / h1.eval(root_t)
     return t ** (-n / 2.0) * gam_dual * (term0 + term1 + t ** (n2q - 1.0))
 
@@ -160,7 +149,7 @@ def upper_envelope_J(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float
     0 <= k + 2n <= alpha with eigenspace multiplicities."""
     n = ps.spec.dimension
     h0 = ps.h(0)
-    gam_dual = gamma_ratio(h0, lp.p_conj, lp.sigma_conj, t)
+    gam_dual = h0.gamma(lp.p_conj, lp.sigma_conj, t)
     if gam_dual == INF:
         return INF
     root_t = math.sqrt(t)
@@ -170,7 +159,7 @@ def upper_envelope_J(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float
     for k in range(0, alpha + 1):
         for m in range(0, (alpha - k) // 2 + 1):
             hk = ps.h(k)
-            env = envelope_nabla_J(hk, ps.iterated(k, m), alpha)
+            env = ps.envelope(k, m, alpha)
             nrm = env.lorentz_norm_on_ball(q, th, root_t)
             if nrm == INF:
                 return INF
@@ -189,7 +178,7 @@ def lower_envelope(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float,
     q, th = lp.target_pair()
     for k in range(0, min(alpha, ps.table.k_max) + 1):
         hk = ps.h(k)
-        gam = gamma_ratio(hk, lp.p_conj, lp.sigma_conj, t)
+        gam = hk.gamma(lp.p_conj, lp.sigma_conj, t)
         if gam == INF:
             return INF
         radius = delta * root_t

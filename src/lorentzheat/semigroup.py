@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import HarmonicProfile, leibniz_h
-from .params import INF_DECAY, RadialProfile
+from .params import INF_DECAY, RadialProfile, lorentz_norms
 from .quadrature import radial_derivative_values, windowed_exponent
 
 
@@ -379,7 +379,14 @@ def evolve_mode(hk: HarmonicProfile, phi: RadialProfile | np.ndarray,
 
 
 def radial_derivative(state: ModeState, alpha: int) -> RadialProfile:
-    """d^alpha_r v as a profile, via Leibniz on v = h_k w.
+    """d^alpha_r v as a profile: one column of derivative_columns."""
+    values = derivative_columns(state.hk, state.t, state.w[:, None], alpha)
+    return _derivative_profile(state.hk, values[:, 0], alpha)
+
+
+def derivative_columns(hk: HarmonicProfile, t: float, w, alpha: int) -> np.ndarray:
+    """d^alpha_r v of v = h_k w for the columns of w (grid x c) at time t,
+    each column on its own, in one pass.
 
     h_k factors use the exact ODE recursion; w factors use log-grid finite
     differences.  Deep inside B(0, sqrt t) the ratio w is flat to below
@@ -388,31 +395,39 @@ def radial_derivative(state: ModeState, alpha: int) -> RadialProfile:
     origin (w' proportional to r, w'' constant).
     """
     if alpha == 0:
-        return state.v_profile()
-    hk = state.hk
-    r = state.grid
-    cut = np.searchsorted(r, 3e-4 * math.sqrt(state.t))
+        return hk.values[:, None] * w
+    r = hk.grid
+    cut = np.searchsorted(r, 3e-4 * math.sqrt(t))
     cut = int(np.clip(cut, 2, r.size - 8))
-    wd = [state.w]
+    wd = [w]
     for order in range(1, alpha + 1):
         if order <= 2:
-            d = radial_derivative_values(state.w, r, order=order)
+            d = radial_derivative_values(w, r, order=order)
         else:
             d = radial_derivative_values(wd[order - 2], r, order=2)
         if order == 1:
-            d[:cut] = d[cut] * r[:cut] / r[cut]
+            d[:cut] = d[cut] * r[:cut, None] / r[cut]
         else:
             d[:cut] = d[cut]
         wd.append(d)
-    acc = leibniz_h(hk, wd.__getitem__, alpha)
+    return leibniz_h(hk, wd.__getitem__, alpha)
+
+
+def _derivative_profile(hk: HarmonicProfile, values, alpha: int) -> RadialProfile:
+    """One column of derivative_columns as a profile.  v itself keeps the
+    inner extension of h_k; its derivatives fit theirs from the values."""
+    r = hk.grid
+    if alpha == 0:
+        return RadialProfile(r, values, hk.spec.dimension,
+                             inner_exponent=hk.inner_exponent)
     # deep sub-resolution cells carry a percent-level systematic tilt from
     # the quasi-static advance, so two-point fits are meaningless there: a
     # windowed fit averages the tilt, and slopes inside the snap band become
     # flat extensions, since the estimate layer reports lower bounds and must
     # not extrapolate a singularity it cannot resolve (genuine singular
     # exponents on this corpus sit well outside the band)
-    return RadialProfile(r, acc, hk.spec.dimension,
-                         inner_exponent=windowed_exponent(r, acc, 32, 0.15))
+    return RadialProfile(r, values, hk.spec.dimension,
+                         inner_exponent=windowed_exponent(r, values, 32, 0.15))
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +514,28 @@ def best_ratios(hk: HarmonicProfile, fam: list[FamilyDatum], t: float, w_t,
                 alphas, lps) -> dict:
     """{(alpha, lp_index): best ratio} of ||d_r^alpha v_t||_{L^{q,theta}} to
     ||datum||_{L^{p,sigma}} over the family's columns w_t at time t; data of
-    zero or infinite source norm are passed over, and 0 means none was left."""
-    deriv_profiles = {a: [radial_derivative(ModeState(hk.k, t, w_t[:, col], hk), a)
-                          for col in range(len(fam))] for a in alphas}
+    zero or infinite source norm are passed over, and 0 means none was left.
+
+    One pass per alpha takes the radial derivatives of all the columns
+    (derivative_columns).  Norms are taken per column stack, with one
+    lorentz_norms call per (alpha, target pair) and one per distinct
+    source pair; sigma = p and sup norms come from the node values.
+    """
+    data = [d.profile for d in fam]
+    src = {pair: lorentz_norms(data, *pair)
+           for pair in dict.fromkeys(lp.source_pair() for lp in lps)}
     best = {}
-    for i, lp in enumerate(lps):
-        p, sigma = lp.source_pair()
-        q, th = lp.target_pair()
-        src = np.array([d.profile.lorentz_norm(p, sigma) for d in fam])
-        for a in alphas:
-            best[(a, i)] = 0.0
-            for col in range(len(fam)):
-                if not (src[col] > 0.0 and math.isfinite(src[col])):
-                    continue
-                val = deriv_profiles[a][col].lorentz_norm(q, th)
-                best[(a, i)] = max(best[(a, i)], val / src[col])
+    for a in alphas:
+        values = derivative_columns(hk, t, w_t, a)
+        derivs = [_derivative_profile(hk, values[:, col], a) for col in range(len(fam))]
+        target = {}
+        for i, lp in enumerate(lps):
+            pair = lp.target_pair()
+            if pair not in target:
+                target[pair] = lorentz_norms(derivs, *pair)
+            den = src[lp.source_pair()]
+            keep = (den > 0.0) & np.isfinite(den)
+            best[(a, i)] = float(np.max(target[pair][keep] / den[keep], initial=0.0))
     return best
 
 

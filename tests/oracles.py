@@ -11,6 +11,7 @@ import numpy as np
 from lorentzheat import spectral
 from lorentzheat.harmonic import HarmonicProfile, derivative_h
 from lorentzheat.iterated import IteratedIntegral, iterate_I
+from lorentzheat import params
 from lorentzheat.params import (INF, LambdaMembershipError, RadialProfile,
                                 power_membership, validate_pair)
 from lorentzheat.quadrature import (cumulative_integral, make_grid,
@@ -31,6 +32,57 @@ def power_norm_asymptotic(exponent, p, sigma, t, dimension) -> float:
             f"r^{exponent} not in L^({p},{sigma}) near the origin in dimension {dimension}")
     np_over = 0.0 if p == INF else dimension / (2.0 * p)
     return t ** (exponent / 2.0 + np_over)
+
+
+def segment_lp_norm(phi: RadialProfile, p: float) -> float:
+    """||phi||_{L^p}, p < inf, summed over the segment set of phi: each
+    piece's closed form, its end values taken from the segments' value
+    ranges (the kernel before lp_norms read them from the nodes).
+
+    A power piece va (r/ra)^a with s = a p + N integrates to
+    v_e^p r_e^N (1 - (r_lo/r_hi)^|s|) / |s|, taken at the end e where
+    v^p r^N is larger (r1 if s > 0, else r0), or va^p r0^N log(r1/r0) if
+    s = 0; the inner extension (r0 = 0) diverges unless s > 0, the outer
+    tail (r1 = inf) unless s < 0.  A linear piece vanishes at one end, so
+    expanding r^(N-1) about r0, with L = r1 - r0 and va the nonzero end's
+    value, gives va^p sum_k C(N-1, k) r0^(N-1-k) L^(k+1) c_k, where
+    c_k = 1/(p+k+1) for the zero at r0 and B(k+1, p+1) for the zero at r1.
+    Values are divided by the largest finite end value before the power p.
+    """
+    segs = phi.segments()
+    if segs.ra.size == 0:
+        return 0.0
+    if np.any((segs.r1 == INF) & (segs.expo >= 0)):
+        return INF
+    N = segs.N
+    power = segs.kind == params._POWER
+    s = np.where(power, segs.expo * p + N, 0.0)
+    if np.any(power & (((segs.r0 == 0.0) & (s <= 0.0)) |
+                       ((segs.r1 == INF) & (s >= 0.0)))):
+        return INF
+    scale = float(np.max(segs.vmax[np.isfinite(segs.vmax)]))
+
+    s = s[power]
+    r0, r1 = segs.r0[power], segs.r1[power]
+    up = s > 0.0
+    # the value at r1 is vmax on increasing pieces, vmin on the others
+    v_e = np.where(up, np.where(segs.expo[power] > 0, segs.vmax[power],
+                                segs.vmin[power]), segs.va[power])
+    abs_s = np.abs(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.log(r1 / r0)  # inf on the extensions
+        shape = np.where(s == 0.0, x, -np.expm1(-abs_s * x) / abs_s)
+    total = np.sum((v_e / scale) ** p * np.where(up, r1, r0) ** N * shape)
+
+    lin = ~power
+    r0 = segs.r0[lin]
+    length = segs.r1[lin] - r0
+    k = np.arange(N)
+    binom, zero_at_r0, zero_at_r1 = params._linear_piece_coefficients(N, p)
+    coef = np.where(segs.slope[lin][:, None] > 0, zero_at_r0, zero_at_r1)
+    terms = binom * r0[:, None] ** (N - 1 - k) * length[:, None] ** (k + 1) * coef
+    total += np.sum((segs.va[lin] / scale) ** p * terms.sum(axis=1))
+    return scale * float(N * segs.alpha_N * total) ** (1.0 / p)
 
 
 def laplacian_oracle_C(k: int, n: int, dimension: int) -> float:

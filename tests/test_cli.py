@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorentzheat import cli, harmonic, iterated, semigroup, spectral
+from lorentzheat import cli, harmonic, iterated, params, semigroup, spectral
 from lorentzheat.cli import ConfigError, parse_config
 from lorentzheat.params import INF
 
@@ -667,3 +667,74 @@ print(" ".join(sorted(sys.modules)))
         loaded = done.stdout.split()
         assert "lorentzheat.semigroup._flapack" in loaded
         assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+# the benchmark's scan_hardy and verify_bounded configs at seed 0
+SCAN_HARDY = """
+dimension = 3
+potential.kind = hardy
+potential.lambda = 2.0
+grid.r_min = 1e-8
+grid.r_max = 1e4
+grid.points = 1024
+modes.k_max = 2
+modes.scan = 0
+time.t_min = 0.1
+time.t_max = 1.0
+time.points_per_decade = 1
+lorentz = 1,inf,1,inf; 1,2,1,2
+alphas = 0,1,2
+"""
+
+VERIFY_BOUNDED = """
+dimension = 3
+potential.kind = inverse_power
+potential.amplitude = 1.0
+potential.kappa = 4.0
+grid.r_min = 1e-8
+grid.r_max = 1e4
+grid.points = 1024
+modes.k_max = 6
+time.t_min = 30.0
+time.t_max = 3000.0
+time.points_per_decade = 4
+lorentz = 2,inf,2,inf
+alphas = 1
+"""
+
+
+def _spy(monkeypatch, module, name, key):
+    """Wrap module.name; returns {key(args): number of calls}."""
+    calls = {}
+    inner = getattr(module, name)
+
+    def spy(*args):
+        calls[key(args)] = calls.get(key(args), 0) + 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestNormWork:
+    @pytest.mark.parametrize("config, argv", [(SCAN_HARDY, ["norm-scan"]),
+                                              (VERIFY_BOUNDED, ["verify", "T4.2"])],
+                             ids=["scan_hardy", "verify_bounded"])
+    def test_sigma_p_and_sup_norms_build_no_segments(self, tmp_path, monkeypatch,
+                                                      config, argv):
+        calls = _spy(monkeypatch, params, "_build_segments", lambda args: None)
+        code, _ = run_cli(tmp_path, config, *argv)
+        assert code == 0
+        assert calls == {}
+
+    def test_envelope_work_done_once(self, tmp_path, monkeypatch):
+        # gamma ratios once per (profile, p, sigma, t), envelope_nabla_J once
+        # per (k, n, alpha), over the norm-scan's 2 times, 3 alphas, 2 tuples
+        gammas = _spy(monkeypatch, harmonic, "gamma_ratio",
+                      lambda args: (args[0].k,) + args[1:])
+        envelopes = _spy(monkeypatch, iterated, "envelope_nabla_J",
+                         lambda args: (args[0].k, args[1].n, args[2]))
+        code, _ = run_cli(tmp_path, SCAN_HARDY, "norm-scan")
+        assert code == 0
+        assert len(gammas) == 8 and set(gammas.values()) == {1}
+        assert len(envelopes) == 7 and set(envelopes.values()) == {1}

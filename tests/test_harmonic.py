@@ -9,6 +9,7 @@ from lorentzheat.harmonic import (
     derivative_h,
     fit_asymptotic_constant,
     gamma_ratio,
+    hessian_envelope,
     solve_h,
 )
 from lorentzheat.params import INF, unit_ball_volume
@@ -154,6 +155,24 @@ class TestGammaRatio:
         p_star = -3.0 / a0  # borderline p A + N = 0
         assert gamma_ratio(hp, p_star, INF, 1.0) < INF
         assert gamma_ratio(hp, p_star, 2.0, 1.0) == INF
+
+
+    def test_cached_per_argument(self):
+        hp = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 0, GRID)
+        assert hp.gamma(2.0, 2.0, 1.0) == gamma_ratio(hp, 2.0, 2.0, 1.0)
+        assert hp._gammas == {(2.0, 2.0, 1.0): gamma_ratio(hp, 2.0, 2.0, 1.0)}
+        assert hp.gamma(2.0, 2.0, 0.5) == gamma_ratio(hp, 2.0, 2.0, 0.5)
+        assert len(hp._gammas) == 2
+
+
+class TestHessianEnvelope:
+    def test_built_once_from_the_exact_derivatives(self):
+        hp = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 0, GRID)
+        env = hessian_envelope(hp)
+        assert hessian_envelope(hp) is env
+        h1, h2 = derivative_h(hp, 1).values, derivative_h(hp, 2).values
+        expect = np.sqrt(h2 ** 2 + 2 * (h1 / hp.grid) ** 2)
+        assert np.array_equal(env.values, expect)
 
 
 class TestAsymptoticConstants:

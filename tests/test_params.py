@@ -19,7 +19,7 @@ from lorentzheat.params import (
     unit_ball_volume,
 )
 
-from oracles import power_norm_asymptotic
+from oracles import power_norm_asymptotic, segment_lp_norm
 
 A3 = unit_ball_volume(3)
 
@@ -332,7 +332,8 @@ def _mu_oracle(segs, lam_desc):
 
 def _segments_oracle(phi):
     """Segment fields of phi built one grid interval at a time, with numpy's
-    log and power as the program uses them, plus each segment's value range."""
+    log and power as the program uses them, plus each segment's value range:
+    its power-law ends, or exactly 0 and the anchor value on a line."""
     g, v = phi.grid, phi.values
     rows = []  # (r0, r1, kind, ra, va, expo, slope, icpt)
 
@@ -359,15 +360,15 @@ def _segments_oracle(phi):
                      0.0, 0.0))
 
     def value(row, r):
-        _, _, kind, ra, va, a, slope, icpt = row
-        if kind == params._LINEAR:
-            return icpt + slope * r
+        _, _, _, ra, va, a, _, _ = row
         if r == 0.0 or r == INF:
             grows = a < 0 if r == 0.0 else a > 0
             return INF if grows else (va if a == 0 else 0.0)
         return va * np.power(r / ra, a)
 
-    ends = [(value(row, row[0]), value(row, row[1])) for row in rows]
+    # a linear piece runs from a zero to its anchor node value, exactly
+    ends = [(0.0, row[4]) if row[2] == params._LINEAR else
+            (value(row, row[0]), value(row, row[1])) for row in rows]
     return rows, [min(e) for e in ends], [max(e) for e in ends]
 
 
@@ -537,6 +538,11 @@ class TestExactLpNorm:
         else:
             assert got == pytest.approx(c * base, rel=1e-13, abs=0.0)
 
+    def test_hat_profile_has_one_exact_level(self):
+        # the lines' zero ends are exactly 0 and their node ends exactly 1
+        phi = RadialProfile(np.geomspace(0.01, 1, 5), np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 3)
+        assert phi.segments()._levels().tolist() == [1.0]
+
     def test_hat_profile_not_underestimated(self):
         # one distinct level; the layer-cake quadrature gave 0.028173928
         phi = RadialProfile(np.geomspace(0.01, 1, 5), np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 3)
@@ -608,6 +614,80 @@ class TestExactLpNorm:
                              (2.0, INF), (4.0, 2.0)]:
                 assert phi.lorentz_norm(p, sigma) == INF, (p, sigma)
             assert phi.lorentz_norm(INF, INF) == 1.0
+
+
+def _node_sup(phi):
+    """max |v_i|, or inf where an extension is singular at 0 or at inf."""
+    v = np.abs(phi.values)
+    a, b = phi.inner_exponent, phi.outer_exponent
+    if (v[0] != 0.0 and a != INF_DECAY and a < 0.0) or \
+            (v[-1] != 0.0 and b is not None and b > 0.0):
+        return INF
+    return float(np.max(v))
+
+
+_EXTENSIONS = st.sampled_from([INF_DECAY, 0.0, 1.0, -1.0, 2.0, 0.5, -0.8, -4.5])
+
+
+class TestNodeValueNorms:
+    @given(phi=signed_profiles())
+    @settings(max_examples=150, deadline=None)
+    def test_sup_is_the_largest_node_value(self, phi):
+        assert phi.lorentz_norm(INF, INF) == _node_sup(phi)
+        zero = RadialProfile(phi.grid, np.zeros_like(phi.values), phi.dimension,
+                             inner_exponent=phi.inner_exponent,
+                             outer_exponent=phi.outer_exponent)
+        assert zero.lorentz_norm(INF, INF) == 0.0
+        assert zero.lorentz_norm(2, 2) == 0.0
+
+    def test_sup_of_singular_extensions(self):
+        grid, values = np.array([0.1, 1.0]), np.array([2.0, -3.0])
+        for inner, outer, expect in [(-0.5, None, INF), (INF_DECAY, None, 3.0),
+                                     (0.0, 1.0, INF), (0.0, 0.0, 3.0),
+                                     (2.0, -1.0, 3.0)]:
+            phi = RadialProfile(grid, values, 3, inner_exponent=inner,
+                                outer_exponent=outer)
+            assert phi.lorentz_norm(INF, INF) == expect, (inner, outer)
+        # a zero end has no extension to be singular
+        phi = RadialProfile(grid, np.array([0.0, 0.0]), 3, inner_exponent=-0.5,
+                            outer_exponent=1.0)
+        assert phi.lorentz_norm(INF, INF) == 0.0
+
+    @given(phi=signed_profiles(), p=st.sampled_from([1.0, 1.5, 2.0, 3.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_lp_matches_segment_reference(self, phi, p):
+        expect = segment_lp_norm(phi, p)
+        got = phi.lorentz_norm(p, p)
+        if expect == INF:
+            assert got == INF
+        else:
+            assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    @given(phi=signed_profiles(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_stack_column_is_its_one_column_call(self, phi, data):
+        # bit for bit, whatever the neighbours: their zeros, sign changes,
+        # singular or divergent extensions and scales
+        m = phi.grid.size
+        cols = [phi.values]
+        inner, outer = [phi.inner_exponent], \
+            [INF_DECAY if phi.outer_exponent is None else phi.outer_exponent]
+        for _ in range(data.draw(st.integers(1, 4))):
+            values = np.array(data.draw(st.lists(_VALUE, min_size=m, max_size=m)))
+            cols.append(values * 10.0 ** data.draw(st.integers(-3, 3)))
+            inner.append(data.draw(_EXTENSIONS))
+            outer.append(data.draw(_EXTENSIONS))
+        at = data.draw(st.integers(0, len(cols) - 1))
+        for seq in (cols, inner, outer):
+            seq.insert(at, seq.pop(0))
+        for p in (1.0, 1.5, 2.0, 3.5, INF):
+            stack = params.lp_norms(phi.grid, np.column_stack(cols), inner, outer, p,
+                                    phi.dimension)
+            for j, col in enumerate(cols):
+                one = params.lp_norms(phi.grid, col[:, None], [inner[j]], [outer[j]], p,
+                                      phi.dimension)
+                assert stack[j] == one[0], (p, j)
+            assert stack[at] == phi.lorentz_norm(p, p)
 
 
 class TestLinearPieceCoefficients:

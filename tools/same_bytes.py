@@ -25,7 +25,10 @@ writes all seven RK45 profiles; one `norm-scan` on off-diagonal Lorentz
 tuples, which takes the weak-norm and layer-cake paths; and two more on
 `scan_hardy`'s config at the edges of the sweep's flowed basis: one with
 `family.j_max = 0` (ball_j0, annulus_j0 and the bump, no annulus taken as
-a difference) and one whose `grid.r_min` ends the family before `j_max`.
+a difference) and one whose `grid.r_min` ends the family before `j_max`;
+and one on that config with Hardy lambda = -0.24, whose h_0 = r^-0.4 is
+singular at the origin, on tuples into L^inf, L^2 and L^4, which takes the
+inf and inner-extension branches of the sigma = p and sup norms.
 Each run gets its own working directory, so the paths in stdout and
 stderr read the same in both trees.
 """
@@ -79,6 +82,10 @@ OFF_DIAGONAL = "lorentz = 1,2,1,inf; 2,4,1,inf; 2,4,2,4; 1.5,3,1.5,3\n"
 NEGATIVE = "potential.kind = inverse_power\npotential.amplitude = -0.05\n" \
            "potential.kappa = 3.0\n"
 
+# h_0 = r^-0.4: the sup of every flowed profile with its inner extension is
+# inf, its L^2 and L^4 norms converge or diverge by the head's s = a p + N
+SINGULAR = "potential.lambda = -0.24\nlorentz = 1,inf,1,inf; 1,2,1,2; 2,4,2,4\n"
+
 # 4 r_min = 8e-3 ends the family at t = 0.1 before ball_j6 (radius 4.9e-3)
 # and drops annulus_j6 at t = 1 (inner radius 7.8e-3)
 CUT_R_MIN = "grid.r_min = 2e-3\n"
@@ -106,6 +113,7 @@ def _runs() -> list[tuple[str, str, list[str]]]:
     # a later line of a key overrides an earlier one
     runs.append(("norm_scan_j_max_0", config + "family.j_max = 0\n", ["norm-scan"]))
     runs.append(("norm_scan_family_cut", config + CUT_R_MIN, ["norm-scan"]))
+    runs.append(("norm_scan_singular", config + SINGULAR, ["norm-scan"]))
     return runs
 
 
