@@ -230,8 +230,10 @@ class Manifest:
         if message not in self.warnings:
             self.warnings.append(message)
 
-    def add_file(self, path: Path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    def add_file(self, path: Path, data: bytes | bytearray | None = None):
+        """Record path's sha256; `data`, the bytes just written to it, is
+        hashed in place of reading the file back."""
+        digest = hashlib.sha256(path.read_bytes() if data is None else data).hexdigest()
         self.files.append((path.name, digest))
 
     def write(self):
@@ -274,29 +276,141 @@ def write_csv(path: Path, header: str, rows) -> None:
             [c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
 
 
-def write_columns(path: Path, *columns, grid_rows: str | None = None) -> None:
-    """Space-separated float columns, one row per line.  '%.10e' renders
-    inf, -inf and nan as _fmt does; the whole file is one % on the row
-    template repeated per row.  `grid_rows`, from grid_rows(grid), is the
-    text of a grid column formatted once for many files: then the one
-    column given is written after it."""
-    if grid_rows is None:
-        text = _format_rows(" ".join([_FMT] * len(columns)), columns)
-    else:
-        text = grid_rows % tuple(np.asarray(columns[0], dtype=float).tolist())
-    path.write_text(text)
+def write_columns(path: Path, *columns) -> bytearray:
+    """Write column_bytes(*columns) to path and return the bytes, for
+    Manifest.add_file to hash."""
+    data = column_bytes(*columns)
+    path.write_bytes(data)
+    return data
 
 
-def grid_rows(grid) -> str:
-    """The text of write_columns(path, grid, values) with a '%.10e' slot
-    left for each value."""
-    return _format_rows(f"{_FMT} %{_FMT}", (grid,))
+# A column file is built as an n x 5c matrix of uint32 words, 20 bytes per
+# value: [sign, d, '.', d] [dddd] [dddd] [d, 'e', sign, hundreds]
+# [tens, units, separator, 0].  A 0 byte stands for no character: the sign
+# of a value that is not negative, the hundreds digit of an exponent below
+# 100, the tail of a fallback text.  One pass drops them all.
+#
+# The digits are those of '%.10e' by construction.  With e = floor(log10|x|)
+# and s = |x| 10^(10 - e), 10^(10 - e) from the table _POW10, which is within
+# an ulp or two of the power, s is off by under 1e-4.  So where s >= 1e10,
+# rint(s) < 1e11 and |s - rint(s)| < 0.499, rint(s) is the 11-digit rounding
+# of |x| at exponent e, whatever log10 returned: a log10 off by one either
+# fails the range test or (just below a power of ten) rounds to that power,
+# as '%.10e' does.  Every other value (not finite, e outside [-298, 308],
+# where 10^(10 - e) would not be finite, or within 0.001 of a tie) is
+# formatted by '%.10e' itself; zeros are written directly.
+
+_WORDS = 5
+_POW10 = np.array([10.0 ** k for k in range(-298, 309)])
 
 
-def _format_rows(row: str, columns) -> str:
-    """The row template once per row, filled with the columns' values."""
-    values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    return ("\n".join([row] * len(values)) + "\n") % tuple(values.ravel().tolist())
+def _words(texts) -> np.ndarray:
+    """One uint32 word per 4-byte text."""
+    return np.frombuffer(b"".join(texts), np.uint32)
+
+
+def _quads() -> np.ndarray:
+    """The words "0000".."9999", put together from the pairs "00".."99"."""
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    quads = np.empty((100, 100, 2), np.uint16)
+    quads[..., 0] = pairs[:, None]
+    quads[..., 1] = pairs
+    return quads.view(np.uint32).ravel()
+
+
+def _exponent_text(e: int) -> bytes:
+    text = b"%+04d" % e
+    return text if abs(e) >= 100 else text[:1] + b"\0" + text[2:]
+
+
+# Built from bytes rather than by numpy arithmetic, which would page in
+# loops that nothing else runs and cost memory at every launch.
+_QUADS = _quads()
+# [sign, lead digit, '.', first decimal] at 100 sign + 10 lead + decimal
+_HEADS = _words(sign + b"%d.%d" % divmod(i, 10) for sign in (b"\0", b"-")
+                for i in range(100))
+# [last decimal, 0, 0, 0]; [0, 'e', sign, hundreds] and [tens, units, ' ', 0]
+# at e + 298
+_LAST = _words(b"%d\0\0\0" % d for d in range(10))
+_EXP_HEADS = _words(b"\0e" + _exponent_text(e)[:2] for e in range(-298, 309))
+_EXP_TAILS = _words(_exponent_text(e)[2:] + b" \0" for e in range(-298, 309))
+# turns a field's ' ' into '\n'
+_NEWLINE = _words([b"\0\0 \0"])[0] ^ _words([b"\0\0\n\0"])[0]
+
+
+def _format_into(words: np.ndarray, values) -> int:
+    """The '%.10e' text of each value and a ' ' into the rows of `words`
+    (an n x 5 uint32 view); returns how many values '%.10e' formatted."""
+    x = np.asarray(values, dtype=float)
+    a = np.abs(x)
+    # in place where it can be: the temporaries are the writer's memory
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.log10(a)
+        np.floor(e, out=e)
+        fast = (e >= -298) & (e <= 308)
+        e[~fast] = 0.0
+        e = e.astype(np.intp)
+        s = _POW10[308 - e]
+        s *= a
+        d = np.rint(s)
+        fast &= (s >= 1e10) & (d < 1e11)
+        s -= d
+        fast &= np.abs(s, out=s) < 0.499
+    fast |= a == 0.0
+    del a, s
+    d[~fast] = 0.0
+    # d = [lead, 1st decimal | 2nd-5th | 6th-9th | 10th], exact in floats:
+    # each quotient is at least 1e-5 from the next integer, far above its
+    # rounding error
+    mid = d / 1e5
+    np.floor(mid, out=mid)
+    d -= mid * 1e5
+    top = mid / 1e4
+    np.floor(top, out=top)
+    mid -= top * 1e4
+    tail = d / 10.0
+    np.floor(tail, out=tail)
+    d -= tail * 10.0
+    top += 100.0 * np.signbit(x)
+    words[:, 0] = _HEADS[top.astype(np.intp)]
+    words[:, 1] = _QUADS[mid.astype(np.intp)]
+    words[:, 2] = _QUADS[tail.astype(np.intp)]
+    e += 298
+    words[:, 3] = _LAST[d.astype(np.intp)] | _EXP_HEADS[e]
+    words[:, 4] = _EXP_TAILS[e]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join((b"%.10e" % v).ljust(18, b"\0") + b" \0"
+                        for v in x[slow].tolist())
+        words[slow] = np.frombuffer(text, np.uint32).reshape(-1, _WORDS)
+    return slow.size
+
+
+def column_text(values) -> np.ndarray:
+    """A column formatted once, for column_bytes to place in many files."""
+    words = np.empty((np.size(values), _WORDS), np.uint32)
+    _format_into(words, values)
+    return words
+
+
+def column_bytes(*columns) -> bytearray:
+    """The float columns as '%.10e' text, one space between the columns of a
+    row and a newline after each; '%.10e' renders inf, -inf and nan as _fmt
+    does.  A column is a 1-d array of values or a column_text result."""
+    n = len(columns[0])
+    if n == 0:
+        return bytearray(b"\n")
+    # numpy writes into the bytearray that translate compacts: no copy
+    text = bytearray(4 * _WORDS * len(columns) * n)
+    rows = np.frombuffer(text, np.uint32).reshape(n, _WORDS * len(columns))
+    for j, column in enumerate(columns):
+        block = rows[:, _WORDS * j:_WORDS * (j + 1)]
+        if np.ndim(column) == 2:
+            block[...] = column
+        else:
+            _format_into(block, column)
+    rows[:, -1] ^= _NEWLINE
+    return text.translate(None, b"\0")
 
 
 def _tuple_slug(lp: LorentzParams) -> str:
@@ -346,11 +460,10 @@ def cmd_classify(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
 
 def cmd_harmonic(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ps = build_profiles(cfg)
-    rows = grid_rows(ps.grid)
+    grid = column_text(ps.grid)
     for k, hp in sorted(ps.hks.items()):
         path = out / f"harmonic_k{k}.dat"
-        write_columns(path, hp.values, grid_rows=rows)
-        manifest.add_file(path)
+        manifest.add_file(path, write_columns(path, grid, hp.values))
         if hp.c is not None:
             manifest.add_constant(f"c_{k}", hp.c)
             manifest.add_constant(f"c_{k}_residual", hp.fit_residual)
@@ -381,11 +494,10 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ts = time_grid(cfg)
     hk, phi = _initial_datum(cfg, ps, ts[0])
     states = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
-    rows = grid_rows(hk.grid)
+    grid = column_text(hk.grid)
     for st in states:
         path = out / f"evolve_k{hk.k}_t{st.t:.6g}.dat"
-        write_columns(path, st.v_values(), grid_rows=rows)
-        manifest.add_file(path)
+        manifest.add_file(path, write_columns(path, grid, st.v_values()))
         for w in st.warnings:
             manifest.add_warning(w)
     print(f"evolved {cfg['evolve.data']} datum on mode k={hk.k} "
@@ -537,8 +649,7 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest: Manifest, theorem: str) -> i
                 continue
             columns, constant, ok, detail = judged
             path = out / f"{theorem}_{alpha}_{slug}.dat"
-            write_columns(path, *columns)
-            manifest.add_file(path)
+            manifest.add_file(path, write_columns(path, *columns))
             if constant is not None:
                 name, value = constant
                 manifest.add_constant(f"{theorem}_{name}_alpha{alpha}_{slug}", value)

@@ -69,6 +69,7 @@ class HarmonicProfile:
     _derivs: dict = field(default_factory=dict, repr=False)
     _gammas: dict = field(default_factory=dict, repr=False)
     _hessian: RadialProfile | None = field(default=None, repr=False)
+    _weighted: dict = field(default_factory=dict, repr=False)
 
     @property
     def grid(self) -> np.ndarray:
@@ -87,6 +88,12 @@ class HarmonicProfile:
         if key not in self._gammas:
             self._gammas[key] = gamma_ratio(self, p, sigma, t)
         return self._gammas[key]
+
+    def weighted(self, power: float) -> RadialProfile:
+        """weighted_h(self, power), built once per power."""
+        if power not in self._weighted:
+            self._weighted[power] = weighted_h(self, power)
+        return self._weighted[power]
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with Shampine's
@@ -311,30 +318,35 @@ def derivative_h(hp: HarmonicProfile, ell: int) -> RadialProfile:
     if ell > hp.spec.smoothness + 1:
         raise InsufficientSmoothnessError(
             f"order {ell} exceeds m+1 = {hp.spec.smoothness + 1}")
-    if ell in hp._derivs:
-        return hp._derivs[ell]
-    r = hp.grid
-    n = hp.spec.dimension
-    d = [hp.values, hp.hprime]
-    for j in range(2, ell + 1):
-        m = j - 2
-        acc = np.zeros_like(r)
-        crude = np.zeros_like(r)
-        for i in range(m + 1):
-            cmi = math.comb(m, i)
-            t1 = cmi * hp.spec.v_k_deriv(r, hp.k, i) * d[m - i]
-            t2 = cmi * (n - 1.0) * (-1.0) ** i * math.factorial(i) \
-                * r ** (-1.0 - i) * d[m + 1 - i]
-            acc += t1 - t2
-            crude += np.abs(t1) + np.abs(t2)
-        # exact cancellations (profiles that are low-degree polynomials)
-        # leave an eps-sized residue that must not pollute higher orders
-        acc[np.abs(acc) < 1e-12 * crude] = 0.0
-        d.append(acc)
     for j in range(ell + 1):
         if j not in hp._derivs:
-            hp._derivs[j] = RadialProfile(r, d[j], n)
+            hp._derivs[j] = RadialProfile(hp.grid, _derivative_values(hp, j),
+                                          hp.spec.dimension)
     return hp._derivs[ell]
+
+
+def _derivative_values(hp: HarmonicProfile, ell: int) -> np.ndarray:
+    """d^ell h_k / dr^ell on the grid, from the orders below it, which
+    hp._derivs holds."""
+    if ell < 2:
+        return (hp.values, hp.hprime)[ell]
+    r = hp.grid
+    n = hp.spec.dimension
+    d = [hp._derivs[j].values for j in range(ell)]
+    m = ell - 2
+    acc = np.zeros_like(r)
+    crude = np.zeros_like(r)
+    for i in range(m + 1):
+        cmi = math.comb(m, i)
+        t1 = cmi * hp.spec.v_k_deriv(r, hp.k, i) * d[m - i]
+        t2 = cmi * (n - 1.0) * (-1.0) ** i * math.factorial(i) \
+            * r ** (-1.0 - i) * d[m + 1 - i]
+        acc += t1 - t2
+        crude += np.abs(t1) + np.abs(t2)
+    # exact cancellations (profiles that are low-degree polynomials)
+    # leave an eps-sized residue that must not pollute higher orders
+    acc[np.abs(acc) < 1e-12 * crude] = 0.0
+    return acc
 
 
 def leibniz_h(hp: HarmonicProfile, g_deriv, order: int) -> np.ndarray:
@@ -363,6 +375,11 @@ def hessian_envelope(hp: HarmonicProfile) -> RadialProfile:
         h2 = derivative_h(hp, 2).values
         hp._hessian = RadialProfile(r, np.sqrt(h2 ** 2 + (n - 1) * (h1 / r) ** 2), n)
     return hp._hessian
+
+
+def weighted_h(hp: HarmonicProfile, power: float) -> RadialProfile:
+    """r^power h_k on the grid of h_k."""
+    return RadialProfile(hp.grid, hp.grid ** power * hp.values, hp.spec.dimension)
 
 
 def gamma_ratio(hp: HarmonicProfile, p: float, sigma: float, t: float) -> float:

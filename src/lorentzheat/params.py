@@ -243,12 +243,16 @@ class RadialProfile:
         return self._segments
 
     def restrict(self, r_hi) -> "RadialProfile":
-        """Zero-extended restriction to the ball B(0, r_hi)."""
+        """Zero-extended restriction to the ball B(0, r_hi): the nodes below
+        r_hi with their values, which eval returns there, then r_hi."""
         if r_hi <= self.grid[0]:
             sub = np.array([r_hi * 1e-6, r_hi])
+            vals = self.eval(sub)
         else:
-            sub = np.append(self.grid[self.grid < r_hi], r_hi)
-        return RadialProfile(sub, self.eval(sub), self.dimension,
+            m = np.searchsorted(self.grid, r_hi)
+            sub = np.append(self.grid[:m], r_hi)
+            vals = np.append(self.values[:m], self.eval(r_hi))
+        return RadialProfile(sub, vals, self.dimension,
                              inner_exponent=self.inner_exponent)
 
     # -- measure-theoretic operations ------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spectral
 from .harmonic import ProfileSet, derivative_h, hessian_envelope
-from .params import INF, LorentzParams, RadialProfile, power_membership
+from .params import INF, LorentzParams, power_membership
 from .quadrature import cumulative_integral
 
 
@@ -183,8 +183,7 @@ def lower_envelope(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float,
             return INF
         radius = delta * root_t
         main = derivative_h(hk, alpha).lorentz_norm_on_ball(q, th, radius)
-        soft = RadialProfile(hk.grid, hk.grid ** (2.0 - alpha) * hk.values,
-                             n).lorentz_norm_on_ball(q, th, radius)
+        soft = hk.weighted(2.0 - alpha).lorentz_norm_on_ball(q, th, radius)
         bracket = main - soft / t
         if bracket <= 0.0 or main == INF:
             continue

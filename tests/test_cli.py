@@ -3,13 +3,16 @@ import hashlib
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lorentzheat import cli, harmonic, iterated, params, semigroup, spectral
 from lorentzheat.cli import ConfigError, parse_config
@@ -575,6 +578,24 @@ class TestReport:
                         f"file a.dat sha256={a_digest}",
                         f"file b.dat sha256={b_digest}"]
 
+    def test_manifest_digests_match_the_files_on_disk(self, tmp_path):
+        # column files are hashed from the bytes in memory: every digest of
+        # evolve, harmonic and verify must still be that of the file on disk
+        cfgtext = FAST_COMMON + "potential.kind = zero\nalphas = 0,1\n" \
+            "evolve.data = ball\n"
+        for argv in (["evolve"], ["harmonic"], ["verify", "T1.1"], ["verify", "T4.2"]):
+            code, out = run_cli(tmp_path, cfgtext, *argv)
+            assert code == 0
+        recorded = {}
+        for line in (out / "manifest.txt").read_text().splitlines():
+            if line.startswith("file "):
+                name, digest = line[5:].rsplit(" sha256=", 1)
+                recorded[name] = digest
+        assert set(recorded) == {p.name for p in out.iterdir()} - {"manifest.txt"}
+        assert sum(name.endswith(".dat") for name in recorded) == 10 + 3 + 2 + 2
+        for name, digest in recorded.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
     def test_report_detects_tampering(self, tmp_path):
         cfgtext = FAST_COMMON + "potential.lambda = 2.0\n"
         _, out = run_cli(tmp_path, cfgtext, "verify", "T4.2")
@@ -619,19 +640,132 @@ class TestWriteColumns:
             assert new == (tmp_path / "old.dat").read_bytes()
             assert new == (tmp_path / "row.dat").read_bytes()
 
-    def test_grid_rows_match_writing_the_grid(self, tmp_path):
-        # evolve and harmonic format the grid once and fill in each file's
-        # values: the bytes are those of writing both columns
+    def test_column_text_matches_writing_the_values(self, tmp_path):
+        # evolve and harmonic format the grid once and place it in each
+        # file: the bytes are those of writing both columns
         grid = np.geomspace(1e-8, 1e4, 40)
         values = np.array([-1.5, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                            1e-310, INF, -INF, np.nan, 1.7976931348623157e308,
                            -123.456] + list(np.linspace(-3.0, 3.0, 28)))
-        rows = cli.grid_rows(grid)
+        text = cli.column_text(grid)
         for vals in (values, values[::-1], np.zeros_like(values)):
-            cli.write_columns(tmp_path / "rows.dat", vals, grid_rows=rows)
-            cli.write_columns(tmp_path / "both.dat", grid, vals)
-            assert (tmp_path / "rows.dat").read_bytes() \
-                == (tmp_path / "both.dat").read_bytes()
+            for cols, text_cols in (((grid, vals), (text, vals)),
+                                    ((vals, grid), (vals, text)),
+                                    ((grid, vals, grid), (text, vals, text))):
+                _per_row_columns(tmp_path / "row.dat", *cols)
+                assert cli.write_columns(tmp_path / "text.dat", *text_cols) \
+                    == (tmp_path / "row.dat").read_bytes()
+
+    def test_near_ties_and_powers_of_ten(self, tmp_path):
+        # the doubles nearest d.dddddddddd5e^k and a few ulp around them,
+        # where the fast path must give way to '%.10e', and values just
+        # below powers of ten, whose rounding carries into the exponent
+        rng = np.random.default_rng(11)
+        digits = rng.integers(10 ** 10, 10 ** 11, 4000)
+        exps = rng.integers(-309, 309, 4000)
+        ties = np.array([float(Decimal(f"{d}5e{e - 11}")) for d, e in zip(digits, exps)])
+        near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, INF),
+                               np.nextafter(np.nextafter(ties, 0.0), 0.0)])
+        powers = 10.0 ** rng.integers(-300, 309, 4000).astype(float)
+        with np.errstate(over="ignore"):
+            below = powers * (1.0 - rng.integers(0, 3000, 4000) * 1e-14)
+        for cols in ((near,), (-near[::4], below), (below,)):
+            _per_row_columns(tmp_path / "row.dat", *cols)
+            assert cli.write_columns(tmp_path / "new.dat", *cols) \
+                == (tmp_path / "row.dat").read_bytes()
+
+    @pytest.mark.parametrize("error", [-0.5, -3e-11, 3e-11, 0.5])
+    def test_bytes_do_not_depend_on_log10(self, tmp_path, monkeypatch, error):
+        # a log10 that errs (numpy's loops differ by CPU) moves values
+        # between the fast path and '%.10e', never a byte; the values lie
+        # just below powers of ten, where an exponent one too high would
+        # round at the wrong digit
+        rng = np.random.default_rng(5)
+        powers = 10.0 ** rng.integers(-290, 300, 3000).astype(float)
+        values = powers * (1.0 - rng.integers(0, 1000, 3000) * 1e-13)
+        _per_row_columns(tmp_path / "row.dat", values)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+        assert cli.write_columns(tmp_path / "new.dat", values) \
+            == (tmp_path / "row.dat").read_bytes()
+
+    @given(data=st.data(), width=st.integers(1, 3), rows=st.integers(0, 12))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_row_writer(self, tmp_path, data, width, rows):
+        values = st.one_of(_BIT_PATTERNS, _NEAR_TIES, _AT_EXPONENTS,
+                           st.sampled_from(_SPECIAL))
+        cols = [np.array(data.draw(st.lists(values, min_size=rows, max_size=rows)),
+                         dtype=float) for _ in range(width)]
+        _per_row_columns(tmp_path / "row.dat", *cols)
+        written = cli.write_columns(tmp_path / "new.dat", *cols)
+        assert written == (tmp_path / "new.dat").read_bytes()
+        assert written == (tmp_path / "row.dat").read_bytes()
+
+    def test_empty_and_one_row_files(self, tmp_path):
+        for cols in ((np.empty(0),), (np.empty(0), np.empty(0), np.empty(0)),
+                     (np.array([-0.0]),), (np.array([1e-299]), np.array([INF]))):
+            _per_row_columns(tmp_path / "row.dat", *cols)
+            assert cli.write_columns(tmp_path / "new.dat", *cols) \
+                == (tmp_path / "row.dat").read_bytes()
+        assert (tmp_path / "new.dat").read_bytes() == b"1.0000000000e-299 inf\n"
+
+    def test_flowed_profiles_rarely_fall_back(self):
+        # evolve_flow's datum and grid range at a quarter of its nodes: under
+        # 1% of the values are left to '%.10e' (most of its exact zeros and
+        # 3-digit exponents take the fast path)
+        cfg = parse_config(EVOLVE_FLOW)
+        ps = cli.build_profiles(cfg)
+        ts = cli.time_grid(cfg)
+        hk, phi = cli._initial_datum(cfg, ps, ts[0])
+        states = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
+        values = np.concatenate([state.v_values() for state in states])
+        assert np.count_nonzero(values == 0.0) > 0.05 * values.size
+        slow = cli._format_into(np.empty((values.size, 5), np.uint32), values)
+        assert 0 < slow < 0.01 * values.size
+
+
+# the benchmark's evolve_flow config at seed 0, on 4096 nodes
+EVOLVE_FLOW = """
+dimension = 3
+potential.kind = hardy
+potential.lambda = 2.0
+grid.r_min = 1e-8
+grid.r_max = 1e4
+grid.points = 4096
+modes.k_max = 1
+time.t_min = 0.1
+time.t_max = 1000.0
+time.points_per_decade = 4
+scheme.dt_cap = 256
+evolve.data = hk_bump
+evolve.k = 1
+"""
+
+_SPECIAL = [0.0, -0.0, INF, -INF, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, 1e-298, 1e-299, 9.9999999999999e-299, 1e308]
+
+# every double: subnormals, infinities and nans included
+_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+def _decimal_value(digits, exponent, tail=""):
+    return float(Decimal(f"{digits}{tail}e{exponent - 10 - len(tail)}"))
+
+
+# the double nearest d.dddddddddd5e^k, at any exponent of a double
+_NEAR_TIES = st.builds(lambda d, e, sign: sign * _decimal_value(d, e, "5"),
+                       st.integers(10 ** 10, 10 ** 11 - 1), st.integers(-323, 308),
+                       st.sampled_from([1.0, -1.0]))
+
+# 11-digit values and near-ties at the exponents where the text or the
+# fast path changes
+_AT_EXPONENTS = st.builds(
+    lambda d, e, tail, sign: sign * _decimal_value(d, e, tail),
+    st.integers(10 ** 10, 10 ** 11 - 1),
+    st.sampled_from([-99, 99, -100, 100, -298, -299, 308]),
+    st.sampled_from(["", "5", "4999", "5001"]), st.sampled_from([1.0, -1.0]))
 
 
 class TestImports:
@@ -738,3 +872,17 @@ class TestNormWork:
         assert code == 0
         assert len(gammas) == 8 and set(gammas.values()) == {1}
         assert len(envelopes) == 7 and set(envelopes.values()) == {1}
+
+    def test_profiles_built_once(self, tmp_path, monkeypatch):
+        # each derivative of h_k once per order, lower_envelope's r^(2-alpha)
+        # h_k once per (k, alpha): 3 alphas, k <= alpha
+        derivs = _spy(monkeypatch, harmonic, "_derivative_values",
+                      lambda args: (args[0].k, args[1]))
+        weighted = _spy(monkeypatch, harmonic, "weighted_h",
+                        lambda args: (args[0].k, args[1]))
+        code, _ = run_cli(tmp_path, SCAN_HARDY, "norm-scan")
+        assert code == 0
+        assert set(weighted) == {(0, 2.0), (0, 1.0), (1, 1.0), (0, 0.0), (1, 0.0),
+                                 (2, 0.0)}
+        assert set(weighted.values()) == {1}
+        assert derivs and set(derivs.values()) == {1}

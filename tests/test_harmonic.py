@@ -175,6 +175,36 @@ class TestHessianEnvelope:
         assert np.array_equal(env.values, expect)
 
 
+class TestDerivativeCache:
+    def test_each_order_built_once_whatever_the_order_asked(self, monkeypatch):
+        spec = spectral.PotentialSpec.inverse_power(3, 1.0, 4.0)
+        first = solve_h(spec, 1, GRID)
+        second = dataclasses.replace(first, _derivs={}, _gammas={}, _hessian=None,
+                                     _weighted={})
+        built = []
+        inner = harmonic._derivative_values
+        monkeypatch.setattr(harmonic, "_derivative_values",
+                            lambda hp, ell: built.append(ell) or inner(hp, ell))
+        top = derivative_h(first, 4)
+        assert sorted(built) == [0, 1, 2, 3, 4]
+        for ell in (2, 0, 3, 4, 1):
+            assert derivative_h(first, ell) is first._derivs[ell]
+        assert sorted(built) == [0, 1, 2, 3, 4]
+        for ell in (1, 2, 3, 4):
+            derivative_h(second, ell)
+        assert np.array_equal(derivative_h(second, 4).values, top.values)
+        for ell in range(5):
+            assert derivative_h(second, ell).values.tobytes() == \
+                first._derivs[ell].values.tobytes()
+
+    def test_weighted_profile_built_once_per_power(self):
+        hp = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 1, GRID)
+        soft = hp.weighted(1.0)
+        assert hp.weighted(1.0) is soft
+        assert soft.values.tobytes() == (hp.grid ** 1.0 * hp.values).tobytes()
+        assert hp.weighted(2.0) is not soft and len(hp._weighted) == 2
+
+
 class TestAsymptoticConstants:
     def test_hardy_c_is_one(self, hardy2):
         for k in range(4):

@@ -407,6 +407,39 @@ def _test_levels(segs, extra):
     return np.unique(lam)[::-1]
 
 
+def _restrict_by_eval(phi, r_hi):
+    """The reference restriction: eval at every node below r_hi."""
+    if r_hi <= phi.grid[0]:
+        sub = np.array([r_hi * 1e-6, r_hi])
+    else:
+        sub = np.append(phi.grid[phi.grid < r_hi], r_hi)
+    return RadialProfile(sub, phi.eval(sub), phi.dimension,
+                         inner_exponent=phi.inner_exponent)
+
+
+class TestRestrict:
+    @given(phi=signed_profiles(), where=st.floats(-0.5, 1.5),
+           on_node=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_evaluating_every_node(self, phi, where, on_node):
+        # at a node eval returns the node's value: the restriction that reads
+        # the node values is the same profile, to the last bit (a zero may
+        # change sign, which no norm reads)
+        g = phi.grid
+        if on_node:
+            r_hi = g[int(np.clip(round(where * (g.size - 1)), 0, g.size - 1))]
+        else:
+            r_hi = g[0] * (g[-1] / g[0]) ** where
+        got, expect = phi.restrict(r_hi), _restrict_by_eval(phi, r_hi)
+        assert got.grid.tobytes() == expect.grid.tobytes()
+        assert np.abs(got.values).tobytes() == np.abs(expect.values).tobytes()
+        assert np.array_equal(got.values, expect.values)
+        assert (got.inner_exponent, got.outer_exponent) == \
+            (expect.inner_exponent, expect.outer_exponent)
+        for p, sigma in ((1.0, 1.0), (2.0, INF), (INF, INF), (1.5, 3.0)):
+            assert got.lorentz_norm(p, sigma) == expect.lorentz_norm(p, sigma)
+
+
 class TestDistributionKernel:
     @given(phi=signed_profiles(),
            extra=st.lists(st.floats(1e-12, 10.0), min_size=1, max_size=20))

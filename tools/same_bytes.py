@@ -21,7 +21,10 @@ theorem on a Hardy, a zero and an inverse-power config at 768 nodes;
 (a = -0.05, kappa = 3), the only run whose nonnegativity evidence is the
 Dirichlet eigenvalue;
 `harmonic` on that inverse-power config with `modes.k_max = 6`, which
-writes all seven RK45 profiles; one `norm-scan` on off-diagonal Lorentz
+writes all seven RK45 profiles; `evolve` of ball, annulus and gaussian data
+on the small Hardy and inverse-power configs, whose column files hold exact
+zeros and 3-digit exponents (the column writer's zero and fallback paths);
+one `norm-scan` on off-diagonal Lorentz
 tuples, which takes the weak-norm and layer-cake paths; and two more on
 `scan_hardy`'s config at the edges of the sweep's flowed basis: one with
 `family.j_max = 0` (ball_j0, annulus_j0 and the bump, no annulus taken as
@@ -75,6 +78,8 @@ STREAMS = ("exit", "stdout", "stderr")
 
 THEOREMS = ("T1.1", "T3.1", "T4.2", "T7.1", "T7.2", "T7.3", "T7.4")
 
+EVOLVE_DATA = ("ball", "annulus", "gaussian")
+
 OFF_DIAGONAL = "lorentz = 1,2,1,inf; 2,4,1,inf; 2,4,2,4; 1.5,3,1.5,3\n"
 
 # negative near the origin: the one classify that takes the Dirichlet
@@ -106,6 +111,10 @@ def _runs() -> list[tuple[str, str, list[str]]]:
     runs.append(("kappa4_harmonic", SMALL_COMMON.replace(
         "modes.k_max = 2", "modes.k_max = 6") + SMALL_POTENTIALS["kappa4"],
         ["harmonic"]))
+    for pot in ("hardy", "kappa4"):
+        runs += [(f"{pot}_evolve_{data}", SMALL_COMMON + SMALL_POTENTIALS[pot]
+                  + f"evolve.data = {data}\n", ["evolve"])
+                 for data in EVOLVE_DATA]
     config = workloads.scan_hardy_inputs(0).config
     scan = "".join(line + "\n" for line in config.splitlines()
                    if not line.startswith("lorentz"))
