@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import math
 import sys
 import time
@@ -230,11 +231,9 @@ class Manifest:
         if message not in self.warnings:
             self.warnings.append(message)
 
-    def add_file(self, path: Path, data: bytes | bytearray | None = None):
-        """Record path's sha256; `data`, the bytes just written to it, is
-        hashed in place of reading the file back."""
-        digest = hashlib.sha256(path.read_bytes() if data is None else data).hexdigest()
-        self.files.append((path.name, digest))
+    def add_file(self, path: Path, data: bytes | bytearray):
+        """Record the sha256 of `data`, the bytes just written to path."""
+        self.files.append((path.name, hashlib.sha256(data).hexdigest()))
 
     def write(self):
         """Write manifest.txt; the constant, warning and file lines of an
@@ -268,20 +267,26 @@ def _manifest_key(line: str) -> str:
     return line
 
 
-def write_csv(path: Path, header: str, rows) -> None:
-    """Header line, then one row per line; fields holding commas are quoted."""
-    with path.open("w", newline="") as fh:
-        fh.write(header + "\n")
-        csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(
-            [c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+def _write(path: Path, data: bytes | bytearray) -> bytes | bytearray:
+    """Write data to path and return it, for Manifest.add_file to hash."""
+    path.write_bytes(data)
+    return data
+
+
+def write_csv(path: Path, header: str, rows) -> bytes:
+    """Header line, then one row per line; fields holding commas are quoted.
+    Returns the bytes written."""
+    fh = io.StringIO()
+    fh.write(header + "\n")
+    csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(
+        [c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+    return _write(path, fh.getvalue().encode())
 
 
 def write_columns(path: Path, *columns) -> bytearray:
     """Write column_bytes(*columns) to path and return the bytes, for
     Manifest.add_file to hash."""
-    data = column_bytes(*columns)
-    path.write_bytes(data)
-    return data
+    return _write(path, column_bytes(*columns))
 
 
 # A column file is built as an n x 5c matrix of uint32 words, 20 bytes per
@@ -451,8 +456,7 @@ def cmd_classify(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     path = out / "classify.txt"
-    path.write_text(text)
-    manifest.add_file(path)
+    manifest.add_file(path, _write(path, text.encode()))
     if not ok:
         manifest.add_warning("nonnegativity evidence failed")
     return 0
@@ -475,18 +479,9 @@ def cmd_harmonic(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
 
 
 def _initial_datum(cfg: RunConfig, ps: harmonic.ProfileSet, t_ref: float):
-    kind = cfg["evolve.data"]
-    k = cfg["evolve.k"]
-    hk = ps.h(k)
-    r = hk.grid
-    scale = cfg["evolve.scale"] * math.sqrt(t_ref)
-    if kind == "gaussian":
-        return hk, np.exp(-r ** 2 / (2.0 * scale ** 2))
-    if kind == "ball":
-        return hk, np.where(r <= scale, 1.0, 0.0)
-    if kind == "annulus":
-        return hk, np.where((r > scale / 2.0) & (r <= scale), 1.0, 0.0)
-    return hk, np.where(r <= scale, hk.values, 0.0)  # hk_bump
+    hk = ps.h(cfg["evolve.k"])
+    radius = cfg["evolve.scale"] * math.sqrt(t_ref)
+    return hk, semigroup.start_values(hk, cfg["evolve.data"], radius)
 
 
 def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
@@ -547,9 +542,9 @@ def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
                         upper = lower = phi = None
                     rows.append((est.t, est.value, upper, lower, phi, tag))
                 path = out / f"norm_scan_k{k}_alpha{alpha}_{_tuple_slug(lp)}.csv"
-                write_csv(path, "t,empirical_lower,upper_env,lower_env,"
-                                "phi_alpha,case_tag", rows)
-                manifest.add_file(path)
+                manifest.add_file(path, write_csv(
+                    path, "t,empirical_lower,upper_env,lower_env,phi_alpha,case_tag",
+                    rows))
     print(f"norm scan complete: modes {cfg['modes.scan']}, "
           f"{len(alphas) * len(lps)} series each")
     return 0
@@ -655,8 +650,7 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest: Manifest, theorem: str) -> i
                 manifest.add_constant(f"{theorem}_{name}_alpha{alpha}_{slug}", value)
             verdicts.append((theorem, subject, "PASS" if ok else "FAIL", detail))
     path = out / f"verdicts_{theorem}.csv"
-    write_csv(path, "theorem,subject,status,detail", verdicts)
-    manifest.add_file(path)
+    manifest.add_file(path, write_csv(path, "theorem,subject,status,detail", verdicts))
     for _, subject, status, detail in verdicts:
         print(f"[{status}] {theorem} {subject}: {detail}")
     return 3 if any(v[2] == "FAIL" for v in verdicts) else 0
@@ -687,12 +681,10 @@ def cmd_report(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     summary += [f"MISSING {tid}" for tid in missing]
     summary += [f"INTEGRITY {msg}" for msg in integrity]
     text = "\n".join(summary) + "\n"
-    (out / "summary.txt").write_text(text)
-    write_csv(out / "summary.csv", "theorem,subject,status,detail",
-              [tuple(r) for r in rows] +
-              [(tid, "", "MISSING", "") for tid in missing])
-    manifest.add_file(out / "summary.txt")
-    manifest.add_file(out / "summary.csv")
+    manifest.add_file(out / "summary.txt", _write(out / "summary.txt", text.encode()))
+    manifest.add_file(out / "summary.csv", write_csv(
+        out / "summary.csv", "theorem,subject,status,detail",
+        [tuple(r) for r in rows] + [(tid, "", "MISSING", "") for tid in missing]))
     print(text, end="")
     if integrity:
         print("integrity error: " + "; ".join(integrity))
@@ -718,8 +710,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, required=False,
                         help="path to the key = value config file")
     parser.add_argument("--out", type=Path, default=Path("runs/out"))
-    parser.add_argument("--seed", type=int, default=None,
-                        help="overrides the config seed (recorded only)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, positionals) in COMMANDS.items():
         command_parser = sub.add_parser(name)
@@ -736,8 +726,7 @@ def main(argv=None) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg["seed"] if args.seed is None else args.seed
-    manifest = Manifest(out, cfg.sha256(), seed)
+    manifest = Manifest(out, cfg.sha256(), cfg["seed"])
 
     command, positionals = COMMANDS[args.command]
     try:

@@ -66,10 +66,7 @@ class HarmonicProfile:
     outer_log_power: int
     c: float | None = None
     fit_residual: float | None = None
-    _derivs: dict = field(default_factory=dict, repr=False)
-    _gammas: dict = field(default_factory=dict, repr=False)
-    _hessian: RadialProfile | None = field(default=None, repr=False)
-    _weighted: dict = field(default_factory=dict, repr=False)
+    _derived: dict = field(default_factory=dict, repr=False)
 
     @property
     def grid(self) -> np.ndarray:
@@ -82,18 +79,14 @@ class HarmonicProfile:
     def eval(self, r):
         return self.profile.eval(r)
 
-    def gamma(self, p: float, sigma: float, t: float) -> float:
-        """gamma_ratio(self, p, sigma, t), computed once per (p, sigma, t)."""
-        key = (p, sigma, t)
-        if key not in self._gammas:
-            self._gammas[key] = gamma_ratio(self, p, sigma, t)
-        return self._gammas[key]
-
-    def weighted(self, power: float) -> RadialProfile:
-        """weighted_h(self, power), built once per power."""
-        if power not in self._weighted:
-            self._weighted[power] = weighted_h(self, power)
-        return self._weighted[power]
+    def derived(self, build, *args):
+        """build(self, *args), run once per (build, args) and kept.  Callers
+        look build up on its module at the call, so that a wrapper put there
+        is the key and sees every build."""
+        key = (build, args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with Shampine's
@@ -318,21 +311,17 @@ def derivative_h(hp: HarmonicProfile, ell: int) -> RadialProfile:
     if ell > hp.spec.smoothness + 1:
         raise InsufficientSmoothnessError(
             f"order {ell} exceeds m+1 = {hp.spec.smoothness + 1}")
-    for j in range(ell + 1):
-        if j not in hp._derivs:
-            hp._derivs[j] = RadialProfile(hp.grid, _derivative_values(hp, j),
-                                          hp.spec.dimension)
-    return hp._derivs[ell]
+    return RadialProfile(hp.grid, _derivative_values(hp, ell), hp.spec.dimension)
 
 
 def _derivative_values(hp: HarmonicProfile, ell: int) -> np.ndarray:
-    """d^ell h_k / dr^ell on the grid, from the orders below it, which
-    hp._derivs holds."""
+    """d^ell h_k / dr^ell on the grid, from the orders below it, each built
+    once through hp.derived."""
     if ell < 2:
         return (hp.values, hp.hprime)[ell]
     r = hp.grid
     n = hp.spec.dimension
-    d = [hp._derivs[j].values for j in range(ell)]
+    d = [hp.derived(derivative_h, j).values for j in range(ell)]
     m = ell - 2
     acc = np.zeros_like(r)
     crude = np.zeros_like(r)
@@ -359,22 +348,19 @@ def leibniz_h(hp: HarmonicProfile, g_deriv, order: int) -> np.ndarray:
         return hp.values.reshape(column) * g
     acc = np.zeros(g.shape)
     for j in range(order + 1):
-        hj = hp.values if j == 0 else derivative_h(hp, j).values
+        hj = hp.values if j == 0 else hp.derived(derivative_h, j).values
         acc += math.comb(order, j) * hj.reshape(column) * \
             (g if j == 0 else g_deriv(order - j))
     return acc
 
 
 def hessian_envelope(hp: HarmonicProfile) -> RadialProfile:
-    """|grad^2| envelope of the radial function h_k, sqrt(h''^2 + (N-1)(h'/r)^2),
-    built once per profile."""
-    if hp._hessian is None:
-        n = hp.spec.dimension
-        r = hp.grid
-        h1 = derivative_h(hp, 1).values
-        h2 = derivative_h(hp, 2).values
-        hp._hessian = RadialProfile(r, np.sqrt(h2 ** 2 + (n - 1) * (h1 / r) ** 2), n)
-    return hp._hessian
+    """|grad^2| envelope of the radial function h_k, sqrt(h''^2 + (N-1)(h'/r)^2)."""
+    n = hp.spec.dimension
+    r = hp.grid
+    h1 = hp.derived(derivative_h, 1).values
+    h2 = hp.derived(derivative_h, 2).values
+    return RadialProfile(r, np.sqrt(h2 ** 2 + (n - 1) * (h1 / r) ** 2), n)
 
 
 def weighted_h(hp: HarmonicProfile, power: float) -> RadialProfile:
@@ -431,8 +417,6 @@ class ProfileSet:
     criticality: str
     grid: np.ndarray
     _hks: dict = field(default_factory=dict, repr=False)
-    _iterated: dict = field(default_factory=dict, repr=False)
-    _envelopes: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, spec: spectral.PotentialSpec, k_max=6, grid=None
@@ -467,20 +451,3 @@ class ProfileSet:
     def hks(self) -> dict[int, HarmonicProfile]:
         """Every mode k <= k_max, solved."""
         return {k: self.h(k) for k in range(self.table.k_max + 1)}
-
-    def iterated(self, k: int, n: int):
-        """Cached I_k^n bundles (lazily built)."""
-        from . import iterated as it
-        key = (k, n)
-        if key not in self._iterated:
-            self._iterated[key] = it.iterate_I(self.h(k), n)
-        return self._iterated[key]
-
-    def envelope(self, k: int, n: int, alpha: int) -> RadialProfile:
-        """envelope_nabla_J(h_k, I_k^n, alpha), built once: no t enters it."""
-        from . import iterated as it
-        key = (k, n, alpha)
-        if key not in self._envelopes:
-            self._envelopes[key] = it.envelope_nabla_J(self.h(k), self.iterated(k, n),
-                                                       alpha)
-        return self._envelopes[key]

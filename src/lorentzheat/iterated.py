@@ -15,7 +15,7 @@ blocks of the upper decay envelopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class IteratedIntegral:
     source: HarmonicProfile
     fvals: np.ndarray            # the integrand f this level was built from
     dI: np.ndarray               # exact first derivative r^(1-N) h^-2 G
-    _derivs: dict = field(default_factory=dict, repr=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -113,27 +112,20 @@ def derivative_iterated(itg: IteratedIntegral, ell: int) -> np.ndarray:
     """
     if ell == 0:
         return itg.values
-    if ell in itg._derivs:
-        return itg._derivs[ell]
     hk = itg.source
     r = hk.grid
     n = hk.spec.dimension
     if itg.n == 0:
-        out = np.zeros_like(r)
-    elif ell == 1:
-        out = itg.dI
-    elif ell == 2:
-        out = itg.fvals - ((n - 1.0) / r) * itg.dI \
+        return np.zeros_like(r)
+    if ell == 1:
+        return itg.dI
+    if ell == 2:
+        return itg.fvals - ((n - 1.0) / r) * itg.dI \
             - 2.0 * (hk.hprime / hk.values) * itg.dI
-    elif ell > DERIVATIVE_ORDER_MAX:
+    if ell > DERIVATIVE_ORDER_MAX:
         raise ValueError("iterated-integral derivatives supported to order "
                          f"{DERIVATIVE_ORDER_MAX}")
-    else:
-        base = derivative_iterated(itg, 2)
-        out = radial_derivative_values(base, r, order=1) if ell == 3 else \
-            radial_derivative_values(base, r, order=2)
-    itg._derivs[ell] = out
-    return out
+    return radial_derivative_values(derivative_iterated(itg, 2), r, order=ell - 2)
 
 
 def _radial_gradient_components(gd, r):
@@ -185,8 +177,8 @@ def envelope_nabla_J(hk: HarmonicProfile, itg: IteratedIntegral, alpha: int
     r = hk.grid
     k = hk.k
     # u[j] = d^j (h_k I_k^n), by Leibniz over the exact factor derivatives
-    u = [leibniz_h(hk, lambda m: derivative_iterated(itg, m), j)
-         for j in range(alpha + 1)]
+    d = [derivative_iterated(itg, m) for m in range(alpha + 1)]
+    u = [leibniz_h(hk, d.__getitem__, j) for j in range(alpha + 1)]
     gd, gd_crude = [], []
     for i in range(alpha + 1):
         acc = np.zeros_like(r)
@@ -230,3 +222,9 @@ def envelope_nabla_J(hk: HarmonicProfile, itg: IteratedIntegral, alpha: int
     # read off the computed values rather than declared (None: default fit)
     return RadialProfile(r, env, hk.spec.dimension,
                          inner_exponent=windowed_exponent(r, env, 16, 0.02))
+
+
+def kernel_envelope(hk: HarmonicProfile, n: int, alpha: int) -> RadialProfile:
+    """envelope_nabla_J of I_k^n, with I_k^n built once through hk.derived;
+    no t enters either, so callers keep the result the same way."""
+    return envelope_nabla_J(hk, hk.derived(iterate_I, n), alpha)

@@ -24,6 +24,7 @@ only these layer-cake norms and distribution_function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -660,13 +661,9 @@ def _log_gauss(u_hi, u_lo, n_gl):
     return np.exp(u_all), w_all
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_nodes(n):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _build_segments(profile: RadialProfile) -> _SegmentSet:

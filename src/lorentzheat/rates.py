@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
-from .harmonic import ProfileSet, derivative_h, hessian_envelope
+from . import harmonic, iterated, spectral
+from .harmonic import ProfileSet
 from .params import INF, LorentzParams, power_membership
 from .quadrature import cumulative_integral
 
@@ -118,26 +118,26 @@ def phi_alpha(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float) -> float:
     n = ps.spec.dimension
     h0 = ps.h(0)
     root_t = math.sqrt(t)
-    gam_dual = h0.gamma(lp.p_conj, lp.sigma_conj, t)
+    gam_dual = h0.derived(harmonic.gamma_ratio, lp.p_conj, lp.sigma_conj, t)
     if gam_dual == INF:
         return INF
     n2q = 0.0 if lp.q == INF else n / (2.0 * lp.q)
     if alpha == 0:
-        gam_target = h0.gamma(lp.q, lp.theta, t)
+        gam_target = h0.derived(harmonic.gamma_ratio, lp.q, lp.theta, t)
         if gam_target == INF:
             return INF
         return t ** (-n / 2.0) * gam_dual * gam_target
     q, th = lp.target_pair()
     if alpha == 1:
-        grad = derivative_h(h0, 1)
+        grad = h0.derived(harmonic.derivative_h, 1)
         term = grad.lorentz_norm_on_ball(q, th, root_t) / h0.eval(root_t)
         return t ** (-n / 2.0) * gam_dual * (term + t ** (n2q - 0.5))
-    hess0 = hessian_envelope(h0)
+    hess0 = h0.derived(harmonic.hessian_envelope)
     term0 = hess0.lorentz_norm_on_ball(q, th, root_t) / h0.eval(root_t)
     # envelope of |grad^2 (h_1 Q)|, sharp through the polynomial split
     h1 = ps.h(1)
     d1 = spectral.eigenspace_dimension(1, n)
-    hess1 = ps.envelope(1, 0, 2)
+    hess1 = h1.derived(iterated.kernel_envelope, 0, 2)
     term1 = d1 * hess1.lorentz_norm_on_ball(q, th, root_t) / h1.eval(root_t)
     return t ** (-n / 2.0) * gam_dual * (term0 + term1 + t ** (n2q - 1.0))
 
@@ -149,7 +149,7 @@ def upper_envelope_J(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float
     0 <= k + 2n <= alpha with eigenspace multiplicities."""
     n = ps.spec.dimension
     h0 = ps.h(0)
-    gam_dual = h0.gamma(lp.p_conj, lp.sigma_conj, t)
+    gam_dual = h0.derived(harmonic.gamma_ratio, lp.p_conj, lp.sigma_conj, t)
     if gam_dual == INF:
         return INF
     root_t = math.sqrt(t)
@@ -159,7 +159,7 @@ def upper_envelope_J(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float
     for k in range(0, alpha + 1):
         for m in range(0, (alpha - k) // 2 + 1):
             hk = ps.h(k)
-            env = ps.envelope(k, m, alpha)
+            env = hk.derived(iterated.kernel_envelope, m, alpha)
             nrm = env.lorentz_norm_on_ball(q, th, root_t)
             if nrm == INF:
                 return INF
@@ -178,12 +178,14 @@ def lower_envelope(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float,
     q, th = lp.target_pair()
     for k in range(0, min(alpha, ps.table.k_max) + 1):
         hk = ps.h(k)
-        gam = hk.gamma(lp.p_conj, lp.sigma_conj, t)
+        gam = hk.derived(harmonic.gamma_ratio, lp.p_conj, lp.sigma_conj, t)
         if gam == INF:
             return INF
         radius = delta * root_t
-        main = derivative_h(hk, alpha).lorentz_norm_on_ball(q, th, radius)
-        soft = hk.weighted(2.0 - alpha).lorentz_norm_on_ball(q, th, radius)
+        main = hk.derived(harmonic.derivative_h, alpha).lorentz_norm_on_ball(
+            q, th, radius)
+        soft = hk.derived(harmonic.weighted_h, 2.0 - alpha).lorentz_norm_on_ball(
+            q, th, radius)
         bracket = main - soft / t
         if bracket <= 0.0 or main == INF:
             continue

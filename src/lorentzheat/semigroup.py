@@ -442,6 +442,18 @@ class FamilyDatum:
     between: tuple[int, int] | None = None  # family indices: ball minus ball
 
 
+def start_values(hk: HarmonicProfile, kind: str, radius: float) -> np.ndarray:
+    """Samples on the grid of a start datum at the given radius: "ball" 1 on
+    B(0, radius), "annulus" 1 on radius/2 < r <= radius, "hk_bump" h_k on
+    B(0, radius), "gaussian" exp(-r^2 / (2 radius^2))."""
+    r = hk.grid
+    if kind == "gaussian":
+        return np.exp(-r ** 2 / (2.0 * radius ** 2))
+    if kind == "annulus":
+        return np.where((r > radius / 2.0) & (r <= radius), 1.0, 0.0)
+    return np.where(r <= radius, hk.values if kind == "hk_bump" else 1.0, 0.0)
+
+
 def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
                       ) -> list[FamilyDatum]:
     """Concentrated data at dyadic fractions of sqrt t.
@@ -461,18 +473,17 @@ def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
         radius = root_t * 2.0 ** (-j)
         if radius <= r[0] * 4.0:
             break
-        vals = np.where(r <= radius, 1.0, 0.0)
-        prof = RadialProfile(r, vals, n, inner_exponent=0.0)
+        prof = RadialProfile(r, start_values(hk, "ball", radius), n,
+                             inner_exponent=0.0)
         out.append(FamilyDatum(f"ball_j{j}", prof))
-        inner_radius = radius / 2.0
-        if inner_radius > r[0] * 4.0:
-            av = np.where((r > inner_radius) & (r <= radius), 1.0, 0.0)
+        if radius / 2.0 > r[0] * 4.0:
+            av = start_values(hk, "annulus", radius)
             if np.any(av > 0.0):
                 aprof = RadialProfile(r, av, n, inner_exponent=INF_DECAY)
                 # ball_{j+1} follows this annulus unless j = j_max
                 between = (len(out) - 1, len(out) + 1) if j < j_max else None
                 out.append(FamilyDatum(f"annulus_j{j}", aprof, between))
-    bump = np.where(r <= root_t, hk.values, 0.0)
+    bump = start_values(hk, "hk_bump", root_t)
     scale = float(np.max(np.abs(bump)))
     if scale > 0.0:
         bump = bump / scale

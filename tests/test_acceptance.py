@@ -312,7 +312,7 @@ class TestCriterion9:
         worst = 0.0
         for k in range(7):
             for n_it in (1, 2):
-                itg = ps_hardy.iterated(k, n_it)
+                itg = ps_hardy.h(k).derived(iterate_I, n_it)
                 ratio = np.max(itg.values / ps_hardy.grid ** (2 * n_it))
                 worst = max(worst, float(ratio))
         ok = worst < 1.0

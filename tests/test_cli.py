@@ -393,7 +393,7 @@ alphas = 1
         assert cli.RECIPES["T3.1"][1] == iterated.DERIVATIVE_ORDER_MAX
         ps = harmonic.ProfileSet.build(spectral.PotentialSpec.zero(3),
                                        k_max=0, grid=np.geomspace(1e-4, 1e2, 128))
-        itg = ps.iterated(0, 1)
+        itg = ps.h(0).derived(iterated.iterate_I, 1)
         assert np.all(np.isfinite(iterated.derivative_iterated(
             itg, iterated.DERIVATIVE_ORDER_MAX)))
         with pytest.raises(ValueError, match="supported to order"):
@@ -551,20 +551,17 @@ class TestReport:
 
     def test_manifest_keeps_lines_of_other_commands(self, tmp_path):
         out = tmp_path
-        (out / "a.dat").write_text("1\n")
-        (out / "b.dat").write_text("2\n")
         first = cli.Manifest(out, "sha", 0)
         first.add_constant("x", 1.0)
         first.add_constant("y", 2.0)
         first.add_warning("old warning")
-        first.add_file(out / "a.dat")
-        first.add_file(out / "b.dat")
+        first.add_file(out / "a.dat", b"1\n")
+        first.add_file(out / "b.dat", b"2\n")
         first.write()
-        (out / "b.dat").write_text("3\n")
         second = cli.Manifest(out, "sha2", 1)
         second.add_constant("y", 4.0)
         second.add_warning("new warning")
-        second.add_file(out / "b.dat")
+        second.add_file(out / "b.dat", b"3\n")
         second.write()
         lines = (out / "manifest.txt").read_text().splitlines()
         assert lines[1:3] == ["config_sha256 = sha2", "seed = 1"]
@@ -836,6 +833,25 @@ lorentz = 2,inf,2,inf
 alphas = 1
 """
 
+# T3.1 at every derivative order its envelopes cover, on a bounded
+# potential whose profiles are RK45 solves: iterate_I reaches n = 2 and
+# derivative_h order 4
+VERIFY_ALPHA4 = """
+dimension = 3
+potential.kind = inverse_power
+potential.amplitude = 1.0
+potential.kappa = 4.0
+grid.r_min = 1e-6
+grid.r_max = 1e3
+grid.points = 768
+modes.k_max = 4
+time.t_min = 0.5
+time.t_max = 200
+time.points_per_decade = 1
+lorentz = 1,inf,1,inf; 1,2,1,2
+alphas = 0,1,2,3,4
+"""
+
 
 def _spy(monkeypatch, module, name, key):
     """Wrap module.name; returns {key(args): number of calls}."""
@@ -886,3 +902,32 @@ class TestNormWork:
                                  (2, 0.0)}
         assert set(weighted.values()) == {1}
         assert derivs and set(derivs.values()) == {1}
+
+    def test_high_order_work_done_once(self, tmp_path, monkeypatch):
+        # every build through HarmonicProfile.derived runs once per key, up
+        # to alpha = 4: gamma ratios, I_k^n, kernel envelopes and h_k's
+        # derivatives
+        def kna(args):
+            return (args[0].k, args[1], args[2])
+
+        gammas = _spy(monkeypatch, harmonic, "gamma_ratio",
+                      lambda args: (args[0].k,) + args[1:])
+        iterates = _spy(monkeypatch, iterated, "iterate_I",
+                        lambda args: (args[0].k, args[1]))
+        kernels = _spy(monkeypatch, iterated, "kernel_envelope", kna)
+        envelopes = _spy(monkeypatch, iterated, "envelope_nabla_J",
+                         lambda args: (args[0].k, args[1].n, args[2]))
+        derivs = _spy(monkeypatch, harmonic, "_derivative_values",
+                      lambda args: (args[0].k, args[1]))
+        code, _ = run_cli(tmp_path, VERIFY_ALPHA4, "verify", "T3.1")
+        # what is counted here, not the verdicts, is this test's subject
+        assert code in (0, 3)
+        expected = {(k, m, a) for a in range(5) for k in range(a + 1)
+                    for m in range((a - k) // 2 + 1)}
+        assert set(kernels) == set(envelopes) == expected
+        assert set(iterates) == {(k, m) for k, m, _ in expected}
+        assert (0, 2) in iterates
+        assert {ell for _, ell in derivs} == set(range(5))
+        assert len(gammas) == 4  # both tuples have p = 1: one dual pair, 4 times
+        for calls in (gammas, iterates, kernels, envelopes, derivs):
+            assert set(calls.values()) == {1}

@@ -11,7 +11,9 @@ from lorentzheat.harmonic import (
     gamma_ratio,
     hessian_envelope,
     solve_h,
+    weighted_h,
 )
+from lorentzheat.iterated import iterate_I
 from lorentzheat.params import INF, unit_ball_volume
 from lorentzheat.quadrature import make_grid, radial_derivative_values
 
@@ -157,52 +159,63 @@ class TestGammaRatio:
         assert gamma_ratio(hp, p_star, 2.0, 1.0) == INF
 
 
-    def test_cached_per_argument(self):
+    def test_cached_per_argument(self, monkeypatch):
         hp = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 0, GRID)
-        assert hp.gamma(2.0, 2.0, 1.0) == gamma_ratio(hp, 2.0, 2.0, 1.0)
-        assert hp._gammas == {(2.0, 2.0, 1.0): gamma_ratio(hp, 2.0, 2.0, 1.0)}
-        assert hp.gamma(2.0, 2.0, 0.5) == gamma_ratio(hp, 2.0, 2.0, 0.5)
-        assert len(hp._gammas) == 2
+        built = []
+        monkeypatch.setattr(harmonic, "gamma_ratio",
+                            lambda *args: built.append(args[1:]) or gamma_ratio(*args))
+        first = hp.derived(harmonic.gamma_ratio, 2.0, 2.0, 1.0)
+        assert first == gamma_ratio(hp, 2.0, 2.0, 1.0)
+        assert hp.derived(harmonic.gamma_ratio, 2.0, 2.0, 1.0) == first
+        assert hp.derived(harmonic.gamma_ratio, 2.0, 2.0, 0.5) == \
+            gamma_ratio(hp, 2.0, 2.0, 0.5)
+        assert built == [(2.0, 2.0, 1.0), (2.0, 2.0, 0.5)]
 
 
 class TestHessianEnvelope:
     def test_built_once_from_the_exact_derivatives(self):
         hp = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 0, GRID)
-        env = hessian_envelope(hp)
-        assert hessian_envelope(hp) is env
+        env = hp.derived(hessian_envelope)
+        assert hp.derived(hessian_envelope) is env
         h1, h2 = derivative_h(hp, 1).values, derivative_h(hp, 2).values
         expect = np.sqrt(h2 ** 2 + 2 * (h1 / hp.grid) ** 2)
         assert np.array_equal(env.values, expect)
+        rebuilt = dataclasses.replace(hp, _derived={}).derived(hessian_envelope)
+        assert rebuilt is not env
+        assert rebuilt.values.tobytes() == env.values.tobytes()
 
 
 class TestDerivativeCache:
     def test_each_order_built_once_whatever_the_order_asked(self, monkeypatch):
         spec = spectral.PotentialSpec.inverse_power(3, 1.0, 4.0)
         first = solve_h(spec, 1, GRID)
-        second = dataclasses.replace(first, _derivs={}, _gammas={}, _hessian=None,
-                                     _weighted={})
+        second = dataclasses.replace(first, _derived={})
         built = []
         inner = harmonic._derivative_values
         monkeypatch.setattr(harmonic, "_derivative_values",
                             lambda hp, ell: built.append(ell) or inner(hp, ell))
-        top = derivative_h(first, 4)
+        top = first.derived(derivative_h, 4)
         assert sorted(built) == [0, 1, 2, 3, 4]
-        for ell in (2, 0, 3, 4, 1):
-            assert derivative_h(first, ell) is first._derivs[ell]
+        kept = {ell: first.derived(derivative_h, ell) for ell in (2, 0, 3, 4, 1)}
+        assert kept[4] is top
+        for ell in range(5):
+            assert first.derived(derivative_h, ell) is kept[ell]
         assert sorted(built) == [0, 1, 2, 3, 4]
         for ell in (1, 2, 3, 4):
-            derivative_h(second, ell)
-        assert np.array_equal(derivative_h(second, 4).values, top.values)
+            second.derived(derivative_h, ell)
+        assert sorted(built) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
         for ell in range(5):
-            assert derivative_h(second, ell).values.tobytes() == \
-                first._derivs[ell].values.tobytes()
+            assert second.derived(derivative_h, ell).values.tobytes() == \
+                kept[ell].values.tobytes()
 
     def test_weighted_profile_built_once_per_power(self):
         hp = solve_h(spectral.PotentialSpec.hardy(3, 2.0), 1, GRID)
-        soft = hp.weighted(1.0)
-        assert hp.weighted(1.0) is soft
+        soft = hp.derived(weighted_h, 1.0)
+        assert hp.derived(weighted_h, 1.0) is soft
         assert soft.values.tobytes() == (hp.grid ** 1.0 * hp.values).tobytes()
-        assert hp.weighted(2.0) is not soft and len(hp._weighted) == 2
+        assert hp.derived(weighted_h, 2.0) is not soft
+        assert dataclasses.replace(hp, _derived={}).derived(weighted_h, 1.0) \
+            .values.tobytes() == soft.values.tobytes()
 
 
 class TestAsymptoticConstants:
@@ -324,7 +337,7 @@ class TestLazyProfiles:
         assert solved == [0]
         assert ps.criticality == spectral.SUBCRITICAL
         h0 = ps.h(0)
-        ps.iterated(0, 0)
+        h0.derived(iterate_I, 0)
         assert solved == [0]
         assert np.array_equal(h0.grid, self.SMALL)
         assert np.array_equal(h0.values, solve_h(spec, 0, self.SMALL).values)
@@ -332,7 +345,8 @@ class TestLazyProfiles:
     def test_mode_solved_once(self, solved):
         ps = ProfileSet.build(self.SPEC, k_max=6, grid=self.SMALL)
         assert ps.h(0) is ps.h(0)
-        ps.iterated(0, 0)
+        itg = ps.h(0).derived(iterate_I, 0)
+        assert ps.h(0).derived(iterate_I, 0) is itg
         assert solved == [0]
 
     def test_modes_outside_table_raise(self, solved):

@@ -29,9 +29,18 @@ tuples, which takes the weak-norm and layer-cake paths; and two more on
 `scan_hardy`'s config at the edges of the sweep's flowed basis: one with
 `family.j_max = 0` (ball_j0, annulus_j0 and the bump, no annulus taken as
 a difference) and one whose `grid.r_min` ends the family before `j_max`;
-and one on that config with Hardy lambda = -0.24, whose h_0 = r^-0.4 is
+one on that config with Hardy lambda = -0.24, whose h_0 = r^-0.4 is
 singular at the origin, on tuples into L^inf, L^2 and L^4, which takes the
-inf and inner-extension branches of the sigma = p and sup norms.
+inf and inner-extension branches of the sigma = p and sup norms; and the
+runs that reach derivative order alpha >= 3, which no other run does:
+`verify T3.1` with `modes.k_max = 4` and alphas 0..4 on the small zero and
+inverse-power configs, and a `norm-scan` on `scan_hardy`'s config with
+`modes.k_max = 3` and alphas 0..3.  They take derivative_h above order 2
+(the mode potential's derivatives), iterate_I with n = 2, and the finite
+differences of derivative_iterated and derivative_columns at orders 3 and
+4.  On the inverse-power config the alpha = 4 rows FAIL (exit 3): the
+empirical lower bound is inf at t = 60.3 and 109.9 into L^inf, and at
+t = 109.9 into L^2.
 Each run gets its own working directory, so the paths in stdout and
 stderr read the same in both trees.
 """
@@ -91,6 +100,10 @@ NEGATIVE = "potential.kind = inverse_power\npotential.amplitude = -0.05\n" \
 # inf, its L^2 and L^4 norms converge or diverge by the head's s = a p + N
 SINGULAR = "potential.lambda = -0.24\nlorentz = 1,inf,1,inf; 1,2,1,2; 2,4,2,4\n"
 
+# every derivative order the envelopes cover, for T3.1 and the norm-scan
+HIGH_ORDER = "modes.k_max = 4\nalphas = 0,1,2,3,4\n"
+HIGH_ORDER_SCAN = "modes.k_max = 3\nalphas = 0,1,2,3\n"
+
 # 4 r_min = 8e-3 ends the family at t = 0.1 before ball_j6 (radius 4.9e-3)
 # and drops annulus_j6 at t = 1 (inner radius 7.8e-3)
 CUT_R_MIN = "grid.r_min = 2e-3\n"
@@ -123,6 +136,10 @@ def _runs() -> list[tuple[str, str, list[str]]]:
     runs.append(("norm_scan_j_max_0", config + "family.j_max = 0\n", ["norm-scan"]))
     runs.append(("norm_scan_family_cut", config + CUT_R_MIN, ["norm-scan"]))
     runs.append(("norm_scan_singular", config + SINGULAR, ["norm-scan"]))
+    for pot in ("zero", "kappa4"):
+        runs.append((f"{pot}_verify_T3.1_alpha4", SMALL_COMMON
+                     + SMALL_POTENTIALS[pot] + HIGH_ORDER, ["verify", "T3.1"]))
+    runs.append(("norm_scan_alpha3", config + HIGH_ORDER_SCAN, ["norm-scan"]))
     return runs
 
 
