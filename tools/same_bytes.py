@@ -40,7 +40,10 @@ inverse-power configs, and a `norm-scan` on `scan_hardy`'s config with
 differences of derivative_iterated and derivative_columns at orders 3 and
 4.  On the inverse-power config the alpha = 4 rows FAIL (exit 3): the
 empirical lower bound is inf at t = 60.3 and 109.9 into L^inf, and at
-t = 109.9 into L^2.
+t = 109.9 into L^2.  Last, the only runs whose manifests hold warning
+lines: `norm-scan`, `evolve` and `verify T4.2` on the small Hardy config
+with `time.t_max = 2500` (sqrt t_max = r_max / 20), whose flows reach the
+absorbing boundary and warn of its contamination at t = 1416.91 and 2500.
 Each run gets its own working directory, so the paths in stdout and
 stderr read the same in both trees.
 """
@@ -108,6 +111,9 @@ HIGH_ORDER_SCAN = "modes.k_max = 3\nalphas = 0,1,2,3\n"
 # and drops annulus_j6 at t = 1 (inner radius 7.8e-3)
 CUT_R_MIN = "grid.r_min = 2e-3\n"
 
+# sqrt t_max = r_max / 20: the last flows warn of boundary contamination
+LONG_TIME = "time.t_max = 2500\n"
+
 
 def _runs() -> list[tuple[str, str, list[str]]]:
     """(name, config text, CLI arguments) of every compared run."""
@@ -140,6 +146,9 @@ def _runs() -> list[tuple[str, str, list[str]]]:
         runs.append((f"{pot}_verify_T3.1_alpha4", SMALL_COMMON
                      + SMALL_POTENTIALS[pot] + HIGH_ORDER, ["verify", "T3.1"]))
     runs.append(("norm_scan_alpha3", config + HIGH_ORDER_SCAN, ["norm-scan"]))
+    long_hardy = SMALL_COMMON + SMALL_POTENTIALS["hardy"] + LONG_TIME
+    runs += [("hardy_long_" + "_".join(argv), long_hardy, argv)
+             for argv in (["norm-scan"], ["evolve"], ["verify", "T4.2"])]
     return runs
 
 
