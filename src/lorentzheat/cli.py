@@ -227,9 +227,10 @@ class Manifest:
     def add_constant(self, name, value):
         self.constants.append((name, value))
 
-    def add_warning(self, message):
-        if message not in self.warnings:
-            self.warnings.append(message)
+    def add_warning(self, *messages):
+        for message in messages:
+            if message not in self.warnings:
+                self.warnings.append(message)
 
     def add_file(self, path: Path, data: bytes | bytearray):
         """Record the sha256 of `data`, the bytes just written to path."""
@@ -488,28 +489,24 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ps = build_profiles(cfg)
     ts = time_grid(cfg)
     hk, phi = _initial_datum(cfg, ps, ts[0])
-    states = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
+    states, warnings = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
     grid = column_text(hk.grid)
     for st in states:
         path = out / f"evolve_k{hk.k}_t{st.t:.6g}.dat"
         manifest.add_file(path, write_columns(path, grid, st.v_values()))
-        for w in st.warnings:
-            manifest.add_warning(w)
+    manifest.add_warning(*warnings)
     print(f"evolved {cfg['evolve.data']} datum on mode k={hk.k} "
           f"to {len(states)} times")
     return 0
 
 
 def _empirical_table(cfg, ps, k, alphas, lps, ts, manifest):
-    """{(alpha, lp_idx): [estimate per t]} via the batched sweep; the flow's
-    warnings go to the manifest."""
-    table = semigroup.operator_norm_sweep(ps.h(k), alphas, lps, list(ts),
-                                          dt_cap=cfg["scheme.dt_cap"],
-                                          j_max=cfg["family.j_max"])
-    for series in table.values():
-        for est in series:
-            for w in est.warnings:
-                manifest.add_warning(w)
+    """{(alpha, lp_idx): array of bounds over ts} via the batched sweep; the
+    flows' warnings go to the manifest."""
+    table, warnings = semigroup.operator_norm_sweep(
+        ps.h(k), alphas, lps, list(ts), dt_cap=cfg["scheme.dt_cap"],
+        j_max=cfg["family.j_max"])
+    manifest.add_warning(*warnings)
     return table
 
 
@@ -527,20 +524,20 @@ def cmd_norm_scan(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
                 except rates.AmbiguousCaseError:
                     tag = "ambiguous"
                 rows = []
-                for est in table[(alpha, i)]:
+                for t, value in zip(ts, table[(alpha, i)]):
                     # per-row prediction failures are recorded, not fatal
                     try:
-                        upper = rates.upper_envelope_J(ps, lp, alpha, est.t)
-                        lower = rates.lower_envelope(ps, lp, alpha, est.t,
+                        upper = rates.upper_envelope_J(ps, lp, alpha, t)
+                        lower = rates.lower_envelope(ps, lp, alpha, t,
                                                      delta=cfg["delta"])
-                        phi = rates.phi_alpha(ps, lp, alpha, est.t) \
+                        phi = rates.phi_alpha(ps, lp, alpha, t) \
                             if alpha <= 2 else None
                     except (ArithmeticError, ValueError) as exc:
                         manifest.add_warning(
                             f"envelope failure k={k} alpha={alpha} "
-                            f"t={est.t:g}: {exc}")
+                            f"t={t:g}: {exc}")
                         upper = lower = phi = None
-                    rows.append((est.t, est.value, upper, lower, phi, tag))
+                    rows.append((t, value, upper, lower, phi, tag))
                 path = out / f"norm_scan_k{k}_alpha{alpha}_{_tuple_slug(lp)}.csv"
                 manifest.add_file(path, write_csv(
                     path, "t,empirical_lower,upper_env,lower_env,phi_alpha,case_tag",
@@ -637,8 +634,7 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest: Manifest, theorem: str) -> i
         slug = _tuple_slug(lp)
         for alpha in alphas:
             subject = f"alpha={alpha} {lp.label()}"
-            vals = np.array([e.value for e in table[(alpha, i)]])
-            judged = judge(ps, lp, alpha, ts, vals)
+            judged = judge(ps, lp, alpha, ts, table[(alpha, i)])
             if isinstance(judged, str):
                 verdicts.append((theorem, subject, "SKIP", judged))
                 continue

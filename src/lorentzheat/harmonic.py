@@ -230,12 +230,15 @@ def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
     else:
         g, gdot = _solve_g(spec, k, a1, grid, x)
     # a zero of g stops the solve short (g is None); h can also underflow
-    # to zero while g > 0
-    h = None if g is None else np.exp(a1 * x) * g
-    if h is None or np.any(h <= 0.0):
-        raise NonpositiveSolutionError(
-            f"h_{k} nonpositive on the grid; check nonnegativity/criticality")
-    hprime = np.exp((a1 - 1.0) * x) * (a1 * g + gdot)
+    # to zero while g > 0, or overflow on a far grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = None if g is None else np.exp(a1 * x) * g
+        if h is None or np.any(h <= 0.0):
+            raise NonpositiveSolutionError(
+                f"h_{k} nonpositive on the grid; check nonnegativity/criticality")
+        hprime = np.exp((a1 - 1.0) * x) * (a1 * g + gdot)
+    if not (np.isfinite(h).all() and np.isfinite(hprime).all()):
+        raise HarmonicSolveError(f"h_{k} or its derivative overflowed on the grid")
 
     fitted = _fit_tail_exponent(grid, h)
     matched, logpow = _match_outer(spec, k, fitted)

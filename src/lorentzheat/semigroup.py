@@ -105,9 +105,10 @@ _flapack = _load_flapack()
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
-class NonFiniteStartError(ArithmeticError, ValueError):
-    """The start ratio w0 = phi / h_k holds infs or NaNs: a NaN datum, or
-    an h_k that underflows to a subnormal where the datum is nonzero."""
+class NonFiniteFlowError(ArithmeticError, ValueError):
+    """A flow's start ratio phi / h_k (a NaN datum, or h_k subnormal where
+    the datum is not 0), matrix band (h_k^2 r^(N-1) overflows) or columns
+    at a target time hold infs or NaNs."""
 
 
 def check_dt_cap(dt_cap: float) -> None:
@@ -127,17 +128,12 @@ class ModeState:
     t: float
     w: np.ndarray
     hk: HarmonicProfile
-    warnings: tuple = ()
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.hk.grid
 
     def v_values(self) -> np.ndarray:
         return self.hk.values * self.w
 
     def v_profile(self) -> RadialProfile:
-        return RadialProfile(self.grid, self.v_values(), self.hk.spec.dimension,
+        return RadialProfile(self.hk.grid, self.v_values(), self.hk.spec.dimension,
                              inner_exponent=self.hk.inner_exponent)
 
 
@@ -215,7 +211,8 @@ class _Stepper:
         # every |e| is a term of d, so a finite d means a finite band; the
         # pinned row's mass, which d does not hold, multiplies w[-1] = 0
         if not (np.isfinite(d).all() and math.isfinite(op.mass[-1])):
-            raise ValueError("array must not contain infs or NaNs")
+            raise NonFiniteFlowError("the flow's matrix holds infs or NaNs: "
+                                     "h_k^2 r^(N-1) overflows on the grid")
         d, e, info = dpttrf(d, e, 1, 1)
         if info > 0:
             raise np.linalg.LinAlgError("matrix not positive definite")
@@ -324,25 +321,26 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
     bad = np.flatnonzero(~np.isfinite(w).all(axis=1))
     if bad.size:
         i = bad[0]
-        raise NonFiniteStartError(
+        raise NonFiniteFlowError(
             f"the start ratio phi/h_{hk.k} holds infs or NaNs from r = "
             f"{hk.grid[i]:g} (h_{hk.k} = {hk.values[i]:g} there)")
     targets, steps = _time_schedule(t_targets, dt_cap)
     w[-1] = 0.0
-    stepper = _Stepper(_Operator(hk), w)
     out = []
     warnings = []
     outer_zone = _outer_zone(hk.grid)
     init_floor = float(np.min(w))
+    # an overflowing weight makes the band nonfinite, which _factor rejects;
     # an inf or NaN never leaves a column once in it, so the columns are
     # checked only at the emits, and the steps before raise no warning
     with np.errstate(over="ignore", invalid="ignore"):
+        stepper = _Stepper(_Operator(hk), w)
         for dt, emit in steps:
             w = stepper.step(dt)
             if emit:
-                if not np.isfinite(w).all():
-                    raise ValueError("array must not contain infs or NaNs")
                 t = targets[len(out)]
+                if not np.isfinite(w).all():
+                    raise NonFiniteFlowError(f"the flow holds infs or NaNs at t={t:g}")
                 warnings += _flow_warnings(w, t, init_floor, outer_zone)
                 out.append(w.copy())
     return out, warnings
@@ -366,16 +364,16 @@ def _outer_zone(r):
 
 
 def evolve_mode(hk: HarmonicProfile, phi: RadialProfile | np.ndarray,
-                t_targets, dt_cap: float = 64.0) -> list[ModeState]:
-    """Evolve a single mode datum phi; returns states at the target times."""
+                t_targets, dt_cap: float = 64.0):
+    """Evolve a single mode datum phi; returns (states at the target times,
+    the flow's warnings)."""
     phi_vals = phi.eval(hk.grid) if isinstance(phi, RadialProfile) \
         else np.asarray(phi, dtype=float)
     with np.errstate(over="ignore"):  # evolve_modes rejects the overflow
         w0 = phi_vals / hk.values
     targets = _sorted_targets(t_targets)
     ws, warnings = evolve_modes(hk, w0[:, None], targets, dt_cap)
-    return [ModeState(hk.k, t, w[:, 0], hk, tuple(warnings))
-            for t, w in zip(targets, ws)]
+    return [ModeState(hk.k, t, w[:, 0], hk) for t, w in zip(targets, ws)], warnings
 
 
 def radial_derivative(state: ModeState, alpha: int) -> RadialProfile:
@@ -448,7 +446,8 @@ def start_values(hk: HarmonicProfile, kind: str, radius: float) -> np.ndarray:
     B(0, radius), "gaussian" exp(-r^2 / (2 radius^2))."""
     r = hk.grid
     if kind == "gaussian":
-        return np.exp(-r ** 2 / (2.0 * radius ** 2))
+        with np.errstate(over="ignore"):  # r^2 = inf far out: exactly 0
+            return np.exp(-r ** 2 / (2.0 * radius ** 2))
     if kind == "annulus":
         return np.where((r > radius / 2.0) & (r <= radius), 1.0, 0.0)
     return np.where(r <= radius, hk.values if kind == "hk_bump" else 1.0, 0.0)
@@ -514,13 +513,6 @@ def flow_family(hk: HarmonicProfile, fam: list[FamilyDatum], t: float,
     return w, _flow_warnings(w, t, float(np.min(w0)), _outer_zone(hk.grid))
 
 
-@dataclass
-class OperatorNormEstimate:
-    value: float
-    t: float
-    warnings: tuple = ()
-
-
 def best_ratios(hk: HarmonicProfile, fam: list[FamilyDatum], t: float, w_t,
                 alphas, lps) -> dict:
     """{(alpha, lp_index): best ratio} of ||d_r^alpha v_t||_{L^{q,theta}} to
@@ -556,12 +548,15 @@ def operator_norm_sweep(hk: HarmonicProfile, alphas, lps, t_list,
     over the concentrated test family, for every (alpha, tuple, t); one
     batched flow of the family's basis per t (flow_family).
 
-    Returns {(alpha, lp_index): [OperatorNormEstimate per t]}.
+    Returns ({(alpha, lp_index): array of the bounds over t_list}, the
+    warnings of each time's flow, in the order of t_list).
     """
-    results = {(a, i): [] for a in alphas for i in range(len(lps))}
-    for t in t_list:
+    results = {(a, i): np.empty(len(t_list)) for a in alphas for i in range(len(lps))}
+    warnings = []
+    for it, t in enumerate(t_list):
         fam = build_test_family(hk, t, j_max)
-        w_t, warnings = flow_family(hk, fam, t, dt_cap)
+        w_t, flow_warnings = flow_family(hk, fam, t, dt_cap)
+        warnings += flow_warnings
         for key, value in best_ratios(hk, fam, t, w_t, alphas, lps).items():
-            results[key].append(OperatorNormEstimate(value, t, tuple(warnings)))
-    return results
+            results[key][it] = value
+    return results, warnings

@@ -16,8 +16,7 @@ from lorentzheat.params import (INF, LambdaMembershipError, RadialProfile,
                                 power_membership, validate_pair)
 from lorentzheat.quadrature import (cumulative_integral, make_grid,
                                     radial_derivative_values)
-from lorentzheat.semigroup import (ModeState, OperatorNormEstimate,
-                                   build_test_family, evolve_modes,
+from lorentzheat.semigroup import (ModeState, build_test_family, evolve_modes,
                                    radial_derivative)
 
 # dilation factors at which mode_ratio_decay compares the profile ratios
@@ -229,30 +228,24 @@ def sweep_every_column(hk: HarmonicProfile, alphas, lps, t_list,
                        dt_cap: float = 64.0, j_max=6):
     """operator_norm_sweep with every family datum flowed as its own column
     (annuli too, not as differences of balls), each ratio taken in turn."""
-    results = {(a, i): [] for a in alphas for i in range(len(lps))}
-    for t in t_list:
+    results = {(a, i): np.zeros(len(t_list)) for a in alphas for i in range(len(lps))}
+    all_warnings = []
+    for it, t in enumerate(t_list):
         fam = build_test_family(hk, t, j_max)
         with np.errstate(over="ignore"):
             w0 = np.stack([d.profile.values / hk.values for d in fam], axis=1)
         ws, warnings = evolve_modes(hk, w0, [t], dt_cap)
-        w_t = ws[0]
-        deriv_profiles = {}
-        for a in alphas:
-            deriv_profiles[a] = []
-            for col in range(len(fam)):
-                st = ModeState(hk.k, t, w_t[:, col], hk)
-                deriv_profiles[a].append(radial_derivative(st, a))
+        all_warnings += warnings
+        states = [ModeState(hk.k, t, w, hk) for w in ws[0].T]
+        deriv_profiles = {a: [radial_derivative(st, a) for st in states] for a in alphas}
         for i, lp in enumerate(lps):
             p, sigma = lp.source_pair()
             q, th = lp.target_pair()
             src = np.array([d.profile.lorentz_norm(p, sigma) for d in fam])
             for a in alphas:
-                best = 0.0
                 for col in range(len(fam)):
                     if not (src[col] > 0.0 and math.isfinite(src[col])):
                         continue
                     val = deriv_profiles[a][col].lorentz_norm(q, th)
-                    best = max(best, val / src[col])
-                results[(a, i)].append(OperatorNormEstimate(
-                    best, t, tuple(warnings)))
-    return results
+                    results[(a, i)][it] = max(results[(a, i)][it], val / src[col])
+    return results, all_warnings

@@ -411,6 +411,22 @@ alphas = 1
         assert err.startswith("numerical failure: ") and "phi/h_6" in err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("kind, r_max, argv", [
+        ("hardy", 1e100, "evolve"), ("hardy", 1e100, "norm-scan"),
+        ("hardy", 1e100, "verify T4.2"), ("zero", 1e300, "evolve"),
+        ("zero", 1e300, "verify T7.2"), ("hardy", 1e100, "harmonic")])
+    def test_overflow_on_a_far_grid_exits_2(self, kind, r_max, argv, tmp_path, capsys):
+        # h_0^2 r^2 overflows at r_max = 1e100 under Hardy lambda = 2 (h_0 = r)
+        # and at 1e300 under V = 0 (h_0 = 1): the flow's matrix is not finite;
+        # h_3 ~ r^3.27 itself overflows at 1e100
+        k_max = 6 if argv == "harmonic" else 1
+        code, out = run_cli(tmp_path, f"potential.kind = {kind}\ngrid.r_max = {r_max}\n"
+                            f"grid.points = 512\nmodes.k_max = {k_max}\ntime.t_max = 1\n",
+                            *argv.split())
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("numerical failure: ") and "overflow" in err
+        assert not list(out.iterdir())
+
     def test_norm_scan_off_diagonal_tuples(self, tmp_path):
         # sigma != p and theta = inf with q < inf: the layer-cake and weak norms
         cfgtext = """
@@ -715,7 +731,7 @@ class TestWriteColumns:
         ps = cli.build_profiles(cfg)
         ts = cli.time_grid(cfg)
         hk, phi = cli._initial_datum(cfg, ps, ts[0])
-        states = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
+        states, _ = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
         values = np.concatenate([state.v_values() for state in states])
         assert np.count_nonzero(values == 0.0) > 0.05 * values.size
         slow = cli._format_into(np.empty((values.size, 5), np.uint32), values)
