@@ -242,7 +242,7 @@ def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
 
     fitted = _fit_tail_exponent(grid, h)
     matched, logpow = _match_outer(spec, k, fitted)
-    profile = RadialProfile(grid, h, n, inner_exponent=a1, outer_exponent=fitted)
+    profile = RadialProfile(grid, h, n, inner_exponent=a1)
     hp = HarmonicProfile(k, spec, profile, hprime, a1, fitted, matched, logpow)
     try:
         hp.c, hp.fit_residual = fit_asymptotic_constant(hp)

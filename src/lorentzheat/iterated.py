@@ -52,16 +52,10 @@ class IteratedIntegral:
 
 
 def apply_I(hk: HarmonicProfile, f, f_inner_exponent=None) -> IteratedIntegral:
-    """One application of I_k to f (an array on the grid or a RadialProfile)."""
+    """One application of I_k to f, its values at hk's grid nodes."""
     r = hk.grid
     n = hk.spec.dimension
-    if isinstance(f, RadialProfile):
-        if f_inner_exponent is None:
-            f_inner_exponent = f.inner_exponent
-        fvals = f.eval(r) if f.grid.shape != r.shape or np.any(f.grid != r) \
-            else f.values.copy()
-    else:
-        fvals = np.asarray(f, dtype=float)
+    fvals = np.asarray(f, dtype=float)
     if f_inner_exponent is None or not math.isfinite(f_inner_exponent):
         f_inner_exponent = two_point_exponent(r, fvals)
 

@@ -1,8 +1,9 @@
 """Lorentz-space parameters and norms of radial functions.
 
 A radial function is stored as samples on a strictly increasing grid and
-interpreted as a piecewise power law between nodes (linear pieces where a
-power law is undefined, e.g. across sign changes or zeros).  Superlevel-set
+interpreted as a piecewise power law below and between the nodes (linear
+pieces where a power law is undefined, e.g. across sign changes or zeros),
+and zero beyond the last node.  Superlevel-set
 volumes are then available in closed form segment by segment, which makes
 distribution functions and Lorentz norms exact on the power-function corpus
 that the rest of the package leans on.
@@ -125,7 +126,8 @@ def validate_pair(p, sigma) -> tuple[float, float]:
 
 
 class RadialProfile:
-    """Sampled radial function on r > 0 with power-law extensions.
+    """Sampled radial function on r > 0: a power law below the grid, zero
+    beyond its last node.
 
     Parameters
     ----------
@@ -134,12 +136,9 @@ class RadialProfile:
     dimension : ambient dimension N >= 2
     inner_exponent : power a with phi ~ phi(r_0) (r/r_0)^a below the grid;
         None fits it from the first segment, INF_DECAY means zero there
-    outer_exponent : power b with phi = phi(r_M) (r/r_M)^b beyond the last
-        node r_M; None means zero there
     """
 
-    def __init__(self, grid, values, dimension, inner_exponent=None,
-                 outer_exponent=None):
+    def __init__(self, grid, values, dimension, inner_exponent=None):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
@@ -157,7 +156,6 @@ class RadialProfile:
         self.grid = grid
         self.values = values
         self.dimension = int(dimension)
-        self.outer_exponent = None if outer_exponent is None else float(outer_exponent)
         if inner_exponent is None:
             inner_exponent = INF_DECAY if values[0] == 0.0 \
                 else two_point_exponent(grid, values)
@@ -167,14 +165,10 @@ class RadialProfile:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def power(cls, exponent, dimension, r_min=1e-8, r_max=1e4, support=None):
-        """r^exponent, optionally truncated to the ball B(0, support)."""
-        if support is not None:
-            r_max = support
+    def power(cls, exponent, dimension, r_min=1e-8, r_max=1e4):
+        """r^exponent on the ball B(0, r_max)."""
         grid = np.array([r_min, r_max])
-        vals = grid ** exponent
-        return cls(grid, vals, dimension, inner_exponent=exponent,
-                   outer_exponent=exponent if support is None else None)
+        return cls(grid, grid ** exponent, dimension, inner_exponent=exponent)
 
     @classmethod
     def indicator_ball(cls, radius, dimension):
@@ -190,15 +184,11 @@ class RadialProfile:
         return cls(np.array([r1, r2]), np.array([1.0, 1.0]), dimension,
                    inner_exponent=INF_DECAY)
 
-    def with_values(self, values) -> "RadialProfile":
-        """Same grid and outer tail; the inner extension is fitted anew."""
-        return RadialProfile(self.grid, values, self.dimension,
-                             outer_exponent=self.outer_exponent)
-
     # -- evaluation -------------------------------------------------------------
 
     def eval(self, r):
-        """Interpolated (signed) values; honours inner/outer extensions."""
+        """Interpolated (signed) values; the power law below the grid, zero
+        beyond it."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
@@ -226,14 +216,7 @@ class RadialProfile:
         if np.any(inner):
             a = self.inner_exponent
             out[inner] = 0.0 if a == INF_DECAY else v[0] * (r[inner] / g[0]) ** a
-        if np.any(outerm):
-            out[outerm & (r == g[-1])] = v[-1]
-            beyond = outerm & (r > g[-1])
-            if np.any(beyond):
-                if self.outer_exponent is None or v[-1] == 0.0:
-                    out[beyond] = 0.0
-                else:
-                    out[beyond] = v[-1] * (r[beyond] / g[-1]) ** self.outer_exponent
+        out[outerm] = np.where(r[outerm] == g[-1], v[-1], 0.0)
         return out[0] if scalar else out
 
     # -- derived profiles ---------------------------------------------------------
@@ -265,7 +248,7 @@ class RadialProfile:
         return float(self.segments().mu_batch(np.array([lam]))[0])
 
     def lorentz_norm(self, p, sigma) -> float:
-        """||phi||_{L^{p,sigma}} of the zero/power-extended interpolant."""
+        """||phi||_{L^{p,sigma}} of the extended interpolant."""
         return float(lorentz_norms([self], p, sigma)[0])
 
     def lorentz_norm_on_ball(self, p, sigma, radius) -> float:
@@ -288,75 +271,70 @@ def lorentz_norms(profiles, p, sigma) -> np.ndarray:
     p, sigma = validate_pair(p, sigma)
     if sigma != p:
         return np.array([f.segments().lorentz_norm(p, sigma) for f in profiles])
-    outer = [INF_DECAY if f.outer_exponent is None else f.outer_exponent
-             for f in profiles]
     return lp_norms(profiles[0].grid, np.array([f.values for f in profiles]).T,
-                    [f.inner_exponent for f in profiles], outer, p,
-                    profiles[0].dimension)
+                    [f.inner_exponent for f in profiles], p, profiles[0].dimension)
 
 
-def lp_norms(grid, values, inner, outer, p, dimension) -> np.ndarray:
+@np.errstate(over="ignore")
+def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
     """L^p norms, the sup at p = inf, of the columns of values (m x c) on
     one grid, read from the node values without a segment set.
 
-    inner, outer: per column, the powers a and b of the extensions
-    v_0 (r/r_0)^a below the grid and v_M (r/r_M)^b beyond it; INF_DECAY
-    means zero there.  The sup is max |v_i|, since every piece
-    is monotone and passes through its nodes; it is inf where an extension
-    is singular (a < 0 with v_0 != 0, or b > 0 with v_M != 0).
+    inner: per column, the power a of the extension v_0 (r/r_0)^a below
+    the grid; INF_DECAY means zero there.  Beyond the last node every column
+    is zero.  The sup is max |v_i|, since every piece is monotone and passes
+    through its nodes; it is inf where the extension is singular (a < 0
+    with v_0 != 0).
 
     For p < inf each piece integrates in closed form.  A power piece
     v_lo (r/r_lo)^a with s = a p + N gives v_e^p r_e^N (1 - (r_lo/r_hi)^|s|)
     / |s|, at the end e where v^p r^N is larger (r_hi if s > 0, else r_lo),
     or v_lo^p r_lo^N log(r_hi/r_lo) if s = 0.  v_e is the node value, but a
     piece that _FLAT_EPS snaps flat keeps its anchor value v_lo.  The inner
-    extension (r_lo = 0) diverges unless s > 0, the outer one (r_hi = inf)
-    unless s < 0.  A linear piece runs from a zero (a zero node, or the
-    interpolated zero of a sign change) to a node value va: with L its
-    length, expanding r^(N-1) about its start r_0 gives
+    extension (r_lo = 0) diverges unless s > 0.  A linear piece runs from a
+    zero (a zero node, or the interpolated zero of a sign change) to a node
+    value va: with L its length, expanding r^(N-1) about its start r_0 gives
     va^p sum_k C(N-1, k) r_0^(N-1-k) L^(k+1) c_k, where c_k = 1/(p+k+1) for
     the zero at r_0 and B(k+1, p+1) for the zero at its other end.  Values
     are divided by max |v| before the power p.  Every column's pieces sum
     in slots fixed by the grid's intervals, so a column's norm does not
-    depend on its neighbours in the stack.
+    depend on its neighbours in the stack.  Past the float range r^N
+    overflows to inf, and so does a piece that reaches there.
     """
     g = np.asarray(grid, dtype=float)
     v = np.ascontiguousarray(np.asarray(values, dtype=float).T)  # a row per column
     c = v.shape[0]
     y = np.abs(v)
-    inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+    inner = np.asarray(inner, dtype=float)
     head = (y[:, 0] != 0.0) & (inner != INF_DECAY)
-    tail = (y[:, -1] != 0.0) & (outer != INF_DECAY)
     scale = np.max(y, axis=1, initial=0.0)
     if p == INF:
-        return np.where((head & (inner < 0.0)) | (tail & (outer > 0.0)), INF, scale)
+        return np.where(head & (inner < 0.0), INF, scale)
     N = int(dimension)
-    s_in, s_out = inner * p + N, outer * p + N
-    divergent = (head & (s_in <= 0.0)) | (tail & (s_out >= 0.0))
+    s_in = inner * p + N
+    divergent = head & (s_in <= 0.0)
     y /= np.where(scale > 0.0, scale, 1.0)[:, None]
 
-    # power pieces: head, one slot per interval, tail
+    # power pieces: head, then one slot per interval
     log_step = np.log(g[1:] / g[:-1])
     g_N = g ** N
     v0, v1, y0, y1 = v[:, :-1], v[:, 1:], y[:, :-1], y[:, 1:]
     same = np.sign(v0) * np.sign(v1)  # v0 * v1 can underflow
     power = same > 0.0
-    pieces = np.zeros((c, g.size + 1))
+    pieces = np.zeros((c, g.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.log(np.abs(v1 / v0)) / log_step
         a = np.where(power & (np.abs(a) >= _FLAT_EPS), a, 0.0)
         s = a * p + N
         abs_s = np.abs(s)
         shape = np.where(s == 0.0, log_step, -np.expm1(-abs_s * log_step) / abs_s)
-        # the extensions: shape 1/|s|, the ends at r_0 and r_M
+        # the extension: shape 1/|s|, the end at r_0
         pieces[:, 0] = np.where(head & ~divergent,
                                 y[:, 0] ** p * g_N[0] * (1.0 / np.abs(s_in)), 0.0)
-        pieces[:, -1] = np.where(tail & ~divergent,
-                                 y[:, -1] ** p * g_N[-1] * (1.0 / np.abs(s_out)), 0.0)
     up = s > 0.0
     v_e = np.where(up & (a != 0.0), y1, y0)
-    pieces[:, 1:-1] = np.where(power, v_e ** p * np.where(up, g_N[1:], g_N[:-1]) * shape,
-                               0.0)
+    pieces[:, 1:] = np.where(power, v_e ** p * np.where(up, g_N[1:], g_N[:-1]) * shape,
+                             0.0)
 
     # linear pieces: an interval's first piece, and the second of a sign change
     cross = same < 0.0
@@ -421,18 +399,21 @@ class _SegmentSet:
         self.expo = expo
         self.slope = slope    # linear segments: |phi| = icpt + slope r
         self.icpt = icpt
-        with np.errstate(over="ignore"):
-            self.vol = self.alpha_N * (r1 ** self.N - r0 ** self.N)
+        # past the float range r^N is inf, and so is the volume, even where
+        # r0^N is inf too
+        with np.errstate(over="ignore", invalid="ignore"):
+            r0_N, r1_N = r0 ** self.N, r1 ** self.N
+            self.vol = self.alpha_N * np.where(r1_N == INF, INF, r1_N - r0_N)
         self.vmin, self.vmax = self._value_range()
 
     def _value_range(self):
-        """(min, max) of |phi| at segment ends; pow gives the limits at 0, inf.
+        """(min, max) of |phi| at segment ends; pow gives the limit at 0.
         A linear piece runs from a zero to its anchor node: exactly (0, va)."""
         power = self.kind == _POWER
         ends = []
         for r in (self.r0, self.r1):
             end = np.zeros(r.size)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore"):
                 end[power] = self.va[power] * np.power(r[power] / self.ra[power],
                                                        self.expo[power])
             ends.append(end)
@@ -440,13 +421,18 @@ class _SegmentSet:
         vmax[~power] = self.va[~power]
         return np.minimum(*ends), vmax
 
+    @np.errstate(over="ignore", invalid="ignore")
     def mu_batch(self, lam_desc):
         """Exact distribution function at a descending array of levels.
 
         Segment i adds its whole volume at the levels k >= hi[i] and a part of
         it at lo[i] <= k < hi[i].  Those (segment, level) pairs are formed in
         blocks of consecutive levels with at most _PAIR_BLOCK pairs (or one
-        level), segment by segment, so each level sums in segment order."""
+        level), segment by segment, so each level sums in segment order.
+
+        A measure past the float range is inf.  On a far grid r^N overflows,
+        and so do sums of volumes; a part whose ends both overflow (inf - inf)
+        counts as inf too."""
         m = lam_desc.size
         neg = -lam_desc  # ascending
         lo = np.searchsorted(neg, -self.vmax, side="right")
@@ -485,11 +471,9 @@ class _SegmentSet:
                 rstar = (lam_desc[level] - icpt[j]) / scale[j]
                 pw = power[j]
                 rstar[pw] = ra[j[pw]] * np.power(rstar[pw], inv_a[j[pw]])
-                # a slowly decaying tail at a tiny lam puts rstar^N past the
-                # largest float: the measure is then inf, and rightly so
-                with np.errstate(over="ignore"):
-                    vol = fixed_N[j] - np.clip(rstar, r0[j], r1[j]) ** self.N
+                vol = fixed_N[j] - np.clip(rstar, r0[j], r1[j]) ** self.N
                 vol *= sign[j]
+                vol[np.isnan(vol)] = INF
                 np.maximum(vol, 0.0, out=vol)
                 mu[b0:b1] += np.bincount(level - b0, weights=vol, minlength=b1 - b0)
             b0 = b1
@@ -501,11 +485,10 @@ class _SegmentSet:
         """The layer-cake norm, sigma != p < inf; lp_norms takes sigma = p."""
         if self.ra.size == 0:
             return 0.0
-        if np.any((self.r1 == INF) & (self.expo >= 0)):
-            return INF  # flat or growing tail: mu = inf below the tail's value
-        if sigma == INF:
-            return self._weak_norm(p)
-        return self._strong_norm(p, sigma)
+        # a measure past the float range, or its power sigma/p, is inf, and
+        # so is the norm
+        with np.errstate(over="ignore"):
+            return self._weak_norm(p) if sigma == INF else self._strong_norm(p, sigma)
 
     def _levels(self):
         vals = np.concatenate([self.vmin, self.vmax])
@@ -560,47 +543,16 @@ class _SegmentSet:
         return math.exp(log_term) if log_term > -700.0 else 0.0
 
     def _bottom_piece(self, lam_min, p, sigma):
-        """p * int_0^{lam_min} lam^(sigma-1) mu^(sigma/p) dlam."""
-        # lorentz_norm has returned inf on flat and growing tails, so an
-        # outer tail here decays, whatever its value against lam_min
-        tail = np.nonzero(self.r1 == INF)[0]
-        if tail.size == 0:
-            # mu is bounded near 0; substitute u = lam^sigma
-            nodes, weights = _gauss_nodes(24)
-            u1 = lam_min ** sigma
-            u = 0.5 * u1 * (nodes + 1.0)
-            lam = u ** (1.0 / sigma)
-            order = np.argsort(-lam)
-            mu = np.empty_like(lam)
-            mu[order] = self.mu_batch(lam[order])
-            return (p / sigma) * float(np.sum(weights * mu ** (sigma / p))) * 0.5 * u1
-        # decaying outer tail: mu(lam) = R(lam) + c lam^(N/a), R bounded
-        i = int(tail[0])
-        a = self.expo[i]
-        e = sigma - 1.0 + (self.N * sigma) / (p * a)
-        if e <= -1.0:
-            return INF
-        c = self.alpha_N * self.ra[i] ** self.N * self.va[i] ** (-self.N / a)
-        r_rest = float(np.sum(self.vol[np.arange(self.vol.size) != i]))
-        r0_corr = self.alpha_N * self.r0[i] ** self.N
-        rest = r_rest - r0_corr
-        lam_c = lam_min
-        while c * lam_c ** (self.N / a) < 1e4 * max(abs(rest), 1e-300) and lam_c > 1e-280:
-            lam_c *= 0.5
-        acc = 0.0
-        if lam_c < lam_min:
-            lam, w_all = _log_gauss(np.array([math.log(lam_min)]),
-                                    np.array([math.log(lam_c)]), 24)
-            mu = self.mu_batch(lam)
-            acc += p * float(np.sum(w_all * lam ** sigma * mu ** (sigma / p)))
-        # asymptotic piece with a first-order binomial correction in R/c lam^beta
-        s_p = sigma / p
-        beta = self.N / a
-        lead = c ** s_p * lam_c ** (e + 1.0) / (e + 1.0)
-        corr_exp = e - beta
-        corr = s_p * c ** (s_p - 1.0) * rest * lam_c ** (corr_exp + 1.0) / (corr_exp + 1.0)
-        acc += p * (lead + corr)
-        return acc
+        """p * int_0^{lam_min} lam^(sigma-1) mu^(sigma/p) dlam: mu is bounded
+        near 0, so 24 Gauss nodes in u = lam^sigma."""
+        nodes, weights = _gauss_nodes(24)
+        u1 = lam_min ** sigma
+        u = 0.5 * u1 * (nodes + 1.0)
+        lam = u ** (1.0 / sigma)
+        order = np.argsort(-lam)
+        mu = np.empty_like(lam)
+        mu[order] = self.mu_batch(lam[order])
+        return (p / sigma) * float(np.sum(weights * mu ** (sigma / p))) * 0.5 * u1
 
     def _weak_norm(self, p):
         levels = self._levels()
@@ -610,18 +562,12 @@ class _SegmentSet:
         a = self.expo[self.vmax == INF]
         if np.any(a >= 0) or np.any(1.0 + self.N / (a * p) > 0):
             return INF
-        tail = (self.r1 == INF) & (self.expo < 0) & (self.kind == _POWER)
-        if np.any(1.0 + self.N / (self.expo[tail] * p) < 0):
-            return INF  # decaying tail too heavy for weak-L^p
         # mu jumps at the levels; sample just below each to capture the sup,
         # and between levels at the inner points of linspace(log hi, log lo, 10)
         u = np.log(levels)
         step = (u[1:] - u[:-1]) / 9
         between = np.exp((np.arange(1.0, 9.0) * step[:, None] + u[:-1, None]).ravel())
-        cand = [levels, levels * (1.0 - 1e-12), between]
-        if tail.any():
-            cand.append(levels[-1] * np.exp(-np.arange(1.0, 60.0, 3.0)))
-        lam = np.unique(np.concatenate(cand))[::-1]
+        lam = np.unique(np.concatenate([levels, levels * (1.0 - 1e-12), between]))[::-1]
         mu = self.mu_batch(lam)
         return float(np.max(lam * (mu / self.alpha_N) ** (1.0 / p)))
 
@@ -669,7 +615,7 @@ def _gauss_nodes(n):
 def _build_segments(profile: RadialProfile) -> _SegmentSet:
     """Inner extension, then per grid interval a power law (same signs), two
     linear pieces meeting at the interpolated zero (opposite signs) or one
-    linear piece (a zero end), then the outer tail; all-zero parts dropped."""
+    linear piece (a zero end); all-zero parts dropped."""
     g, v = profile.grid, profile.values
     r0, r1, v0, v1 = g[:-1], g[1:], v[:-1], v[1:]
     same = np.sign(v0) * np.sign(v1)  # v0 * v1 can underflow
@@ -701,17 +647,13 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     second[4], second[5], second[6], second[7] = y1, 0.0, slope, 0.0 - slope * rc
     keep = np.stack(((v0 != 0.0) | (v1 != 0.0), cross), axis=1)
 
-    # the power-law extensions, as columns of the same fields
-    head, tail = [], []
+    # the power-law extension below the grid, as a column of the same fields
+    head = []
     a_in = profile.inner_exponent
     if v[0] != 0.0 and a_in != INF_DECAY:
         head.append((0.0, g[0], _POWER, g[0], abs(v[0]), a_in, 0.0, 0.0))
-    if profile.outer_exponent is not None and v[-1] != 0.0:
-        tail.append((g[-1], INF, _POWER, g[-1], abs(v[-1]), profile.outer_exponent,
-                     0.0, 0.0))
     r0, r1, kind, ra, va, expo, slope, icpt = np.concatenate(
-        (np.reshape(head, (-1, 8)).T, fields[:, keep], np.reshape(tail, (-1, 8)).T),
-        axis=1)
+        (np.reshape(head, (-1, 8)).T, fields[:, keep]), axis=1)
     return _SegmentSet(profile.dimension, r0, r1, kind.astype(int),
                        ra, va, expo, slope, icpt)
 

@@ -363,14 +363,11 @@ def _outer_zone(r):
     return r >= r[-1] / 3.16
 
 
-def evolve_mode(hk: HarmonicProfile, phi: RadialProfile | np.ndarray,
-                t_targets, dt_cap: float = 64.0):
-    """Evolve a single mode datum phi; returns (states at the target times,
-    the flow's warnings)."""
-    phi_vals = phi.eval(hk.grid) if isinstance(phi, RadialProfile) \
-        else np.asarray(phi, dtype=float)
+def evolve_mode(hk: HarmonicProfile, phi, t_targets, dt_cap: float = 64.0):
+    """Evolve a single mode datum phi, sampled on hk's grid; returns (states
+    at the target times, the flow's warnings)."""
     with np.errstate(over="ignore"):  # evolve_modes rejects the overflow
-        w0 = phi_vals / hk.values
+        w0 = np.asarray(phi, dtype=float) / hk.values
     targets = _sorted_targets(t_targets)
     ws, warnings = evolve_modes(hk, w0[:, None], targets, dt_cap)
     return [ModeState(hk.k, t, w[:, 0], hk) for t, w in zip(targets, ws)], warnings

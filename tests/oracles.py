@@ -41,23 +41,19 @@ def segment_lp_norm(phi: RadialProfile, p: float) -> float:
     A power piece va (r/ra)^a with s = a p + N integrates to
     v_e^p r_e^N (1 - (r_lo/r_hi)^|s|) / |s|, taken at the end e where
     v^p r^N is larger (r1 if s > 0, else r0), or va^p r0^N log(r1/r0) if
-    s = 0; the inner extension (r0 = 0) diverges unless s > 0, the outer
-    tail (r1 = inf) unless s < 0.  A linear piece vanishes at one end, so
-    expanding r^(N-1) about r0, with L = r1 - r0 and va the nonzero end's
-    value, gives va^p sum_k C(N-1, k) r0^(N-1-k) L^(k+1) c_k, where
+    s = 0; the inner extension (r0 = 0) diverges unless s > 0.  A linear
+    piece vanishes at one end, so expanding r^(N-1) about r0, with
+    L = r1 - r0 and va the nonzero end's value, gives va^p sum_k C(N-1, k) r0^(N-1-k) L^(k+1) c_k, where
     c_k = 1/(p+k+1) for the zero at r0 and B(k+1, p+1) for the zero at r1.
     Values are divided by the largest finite end value before the power p.
     """
     segs = phi.segments()
     if segs.ra.size == 0:
         return 0.0
-    if np.any((segs.r1 == INF) & (segs.expo >= 0)):
-        return INF
     N = segs.N
     power = segs.kind == params._POWER
     s = np.where(power, segs.expo * p + N, 0.0)
-    if np.any(power & (((segs.r0 == 0.0) & (s <= 0.0)) |
-                       ((segs.r1 == INF) & (s >= 0.0)))):
+    if np.any(power & (segs.r0 == 0.0) & (s <= 0.0)):
         return INF
     scale = float(np.max(segs.vmax[np.isfinite(segs.vmax)]))
 
@@ -69,7 +65,7 @@ def segment_lp_norm(phi: RadialProfile, p: float) -> float:
                                 segs.vmin[power]), segs.va[power])
     abs_s = np.abs(s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.log(r1 / r0)  # inf on the extensions
+        x = np.log(r1 / r0)  # inf on the inner extension
         shape = np.where(s == 0.0, x, -np.expm1(-abs_s * x) / abs_s)
     total = np.sum((v_e / scale) ** p * np.where(up, r1, r0) ** N * shape)
 

@@ -18,7 +18,7 @@ from lorentzheat.harmonic import (
     solve_h,
 )
 from lorentzheat.iterated import apply_I, iterate_I
-from lorentzheat.params import INF, LorentzParams
+from lorentzheat.params import INF, LorentzParams, RadialProfile
 from lorentzheat.quadrature import make_grid
 from lorentzheat.rates import (
     consistency_check_free_rate,
@@ -330,7 +330,7 @@ class TestCriterion9:
         for k in (0, 1):
             hk = ps_hardy.h(k)
             phi = np.where(GRID <= 1.0, hk.values, 0.0)
-            src_norm = hk.profile.with_values(phi).lorentz_norm(1.0, 1.0)
+            src_norm = RadialProfile(GRID, phi, 3).lorentz_norm(1.0, 1.0)
             states, _ = evolve_mode(hk, phi, list(np.geomspace(1.0, 100.0, 5)))
             for st in states:
                 root_t = math.sqrt(st.t)

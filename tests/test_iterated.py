@@ -12,7 +12,6 @@ from lorentzheat.iterated import (
     envelope_nabla_J,
     iterate_I,
 )
-from lorentzheat.params import RadialProfile
 from lorentzheat.quadrature import make_grid
 
 from oracles import j_envelope, laplacian_oracle_C, mode_ode_residual
@@ -81,9 +80,8 @@ class TestApplyI:
 
     def test_too_singular_source_rejected(self, hardy_hk):
         # need |f| <~ r^-a with a < N + 2 A_1k; A_0 = 1, so a < 5
-        f = RadialProfile.power(-5.5, 3)
         with pytest.raises(SingularSourceError):
-            apply_I(hardy_hk[0], f)
+            apply_I(hardy_hk[0], GRID ** -5.5, f_inner_exponent=-5.5)
 
     def test_steep_mode_inner_integral(self):
         # r^2 h_10^2 is about 1e-178 at r = 1e-8, so the product of two

@@ -75,7 +75,7 @@ class TestDistributionFunction:
         assert phi.distribution_function(0.5) == pytest.approx(4 * math.pi / 3)
 
     def test_inverse_power_full_space(self):
-        # |x|^-1 on (0, inf) in R^3: mu(lam) = (4 pi / 3) lam^-3
+        # |x|^-1 on B(0, 1e4) in R^3: mu(lam) = (4 pi / 3) lam^-3 for lam > 1e-4
         phi = RadialProfile.power(-1.0, 3)
         for lam in (0.1, 1.0, 7.3):
             assert phi.distribution_function(lam) == pytest.approx(
@@ -101,36 +101,23 @@ class TestDistributionFunction:
             assert phi.distribution_function(phi.eval(r)) == pytest.approx(
                 A3 * r ** 3, rel=1e-10)
 
-    @staticmethod
-    def _tailed(outer):
-        # 3 down to 2 on [0.1, 1], then 2 r^outer
-        grid = np.geomspace(0.1, 1.0, 5)
-        return RadialProfile(grid, np.linspace(3.0, 2.0, 5), 3, outer_exponent=outer)
-
-    @pytest.mark.parametrize("outer, lams", [
-        (0.0, (0.5, 1.0, 1.999)),       # flat tail, below its value
-        (1.0, (0.5, 2.0, 3.0, 1e6)),    # growing tail, any level
-    ])
-    def test_flat_or_growing_tail_measure_is_infinite(self, outer, lams):
-        phi = self._tailed(outer)
-        for lam in lams:
-            assert phi.distribution_function(lam) == INF, lam
-
-    def test_decaying_tail_measure_is_finite(self):
-        # 2 r^-2 beyond r = 1 in R^3: {|phi| > lam} = B(0, sqrt(2 / lam))
-        phi = self._tailed(-2.0)
-        for lam in (0.5, 1.0, 1.999):
-            assert phi.distribution_function(lam) == pytest.approx(
-                A3 * (2.0 / lam) ** 1.5, rel=1e-12)
-        assert math.isfinite(self._tailed(0.0).distribution_function(2.5))
-
-    def test_slow_tail_measure_overflows_to_inf_quietly(self):
-        # r^-0.2 beyond r = 2 in R^5: mu(1e-14) is about a_5 3.2e351, past the
-        # largest float, so inf with no overflow warning
-        phi = RadialProfile([1, 2], [1, 1], 5, inner_exponent=0.0,
-                            outer_exponent=-0.2)
-        assert phi.distribution_function(1e-14) == math.inf
-        assert phi.distribution_function(1e-3) == pytest.approx(1.68e77, rel=1e-2)
+    def test_measure_past_the_float_range_is_inf_quietly(self):
+        # r^-0.02 on a grid out to 1e200 in R^3: r^3 overflows beyond about
+        # 5.6e102, where r^-0.02 is about 0.0089, so every level below that has
+        # a measure past the largest float, and every norm is inf; no NaN and
+        # no overflow or invalid-value warning on the way
+        grid = np.geomspace(1e-3, 1e200, 400)
+        phi = RadialProfile(grid, grid ** -0.02, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for lam in (1e-4, 1e-3, 5e-3):
+                assert phi.distribution_function(lam) == INF, lam
+            # {r^-0.02 > 1/2} = B(0, 2^50)
+            assert phi.distribution_function(0.5) == pytest.approx(
+                A3 * 2.0 ** 150, rel=1e-9)
+            for p, sigma in [(2.0, INF), (2.0, 1.0), (2.0, 2.0), (2.0, 3.0),
+                             (1.0, 1.0), (INF, INF)]:
+                assert phi.lorentz_norm(p, sigma) == INF, (p, sigma)
 
 
 class TestLorentzNorm:
@@ -147,7 +134,7 @@ class TestLorentzNorm:
     def test_borderline_power_diverges(self):
         # r^(-N/p) on a ball: pA + N = 0 fails the strict rule for sigma < inf
         p = 2.0
-        phi = RadialProfile.power(-1.5, 3, support=1.0)
+        phi = RadialProfile.power(-1.5, 3, r_max=1.0)
         assert phi.lorentz_norm(p, p) == INF
         assert phi.lorentz_norm(p, 2.5) == INF
         # but the weak norm is finite
@@ -156,7 +143,7 @@ class TestLorentzNorm:
     def test_power_on_ball_closed_form(self):
         # ||r^A||_p^p = N a_N R^(pA+N) / (pA + N) on B(0, R)
         for (A, p, R) in [(1.0, 2.0, 1.0), (0.5, 3.0, 2.0), (-0.5, 2.0, 0.7)]:
-            phi = RadialProfile.power(A, 3, support=R)
+            phi = RadialProfile.power(A, 3, r_max=R)
             expect = (3 * A3 / (p * A + 3)) ** (1 / p) * R ** (A + 3 / p)
             assert phi.lorentz_norm(p, p) == pytest.approx(expect, rel=1e-9)
 
@@ -168,7 +155,7 @@ class TestLorentzNorm:
                 A3 ** (1 / p) * t ** (3 / (2 * p)), rel=1e-10)
 
     def test_lorentz_norm_on_ball_restriction(self):
-        phi = RadialProfile.power(1.0, 3)  # r, power tail
+        phi = RadialProfile.power(1.0, 3)  # r on B(0, 1e4)
         val = phi.lorentz_norm_on_ball(2.0, 2.0, 1.0)
         expect = (3 * A3 / 5) ** 0.5
         assert val == pytest.approx(expect, rel=1e-9)
@@ -210,8 +197,8 @@ class TestLorentzNorm:
     def test_nesting_in_sigma(self):
         # finiteness for sigma_1 implies finiteness for sigma_2 >= sigma_1
         profiles = [
-            RadialProfile.power(-0.8, 3, support=1.0),
-            RadialProfile.power(0.5, 3, support=2.0),
+            RadialProfile.power(-0.8, 3, r_max=1.0),
+            RadialProfile.power(0.5, 3, r_max=2.0),
             RadialProfile.indicator_annulus(0.5, 2.0, 3),
         ]
         for phi in profiles:
@@ -293,11 +280,6 @@ class TestProfileBasics:
         with pytest.raises(ValueError):
             RadialProfile(np.array([1.0, 2.0]), np.array([1.0, np.nan]), 3)
 
-    def test_outer_power_extension_eval(self):
-        phi = RadialProfile(np.array([0.1, 1.0]), np.array([1.0, 1.0]), 3,
-                            outer_exponent=-2.0)
-        assert phi.eval(10.0) == pytest.approx(1e-2)
-
 
 def _mu_oracle(segs, lam_desc):
     """mu at descending levels, summed one segment at a time with scalar
@@ -355,15 +337,11 @@ def _segments_oracle(phi):
             linear(rc, r1, 0.0, abs(v1))
         elif v0 != 0.0 or v1 != 0.0:
             linear(r0, r1, abs(v0), abs(v1))
-    if phi.outer_exponent is not None and v[-1] != 0.0:
-        rows.append((g[-1], INF, params._POWER, g[-1], abs(v[-1]), phi.outer_exponent,
-                     0.0, 0.0))
 
     def value(row, r):
         _, _, _, ra, va, a, _, _ = row
-        if r == 0.0 or r == INF:
-            grows = a < 0 if r == 0.0 else a > 0
-            return INF if grows else (va if a == 0 else 0.0)
+        if r == 0.0:
+            return INF if a < 0 else (va if a == 0 else 0.0)
         return va * np.power(r / ra, a)
 
     # a linear piece runs from a zero to its anchor node value, exactly
@@ -392,10 +370,8 @@ def signed_profiles(draw):
         steps = draw(st.lists(st.floats(0.001, 0.05), min_size=n - 1, max_size=n - 1))
     grid = 1e-2 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
     inner = draw(st.sampled_from([None, INF_DECAY, 0.0, 1.0, -1.0, 2.0, 0.5, -0.8]))
-    outer = draw(st.sampled_from([None, -1.0, -4.5, 0.0, 1.0]))
     dimension = draw(st.sampled_from([2, 3, 5]))
-    return RadialProfile(grid, values, dimension, inner_exponent=inner,
-                         outer_exponent=outer)
+    return RadialProfile(grid, values, dimension, inner_exponent=inner)
 
 
 def _test_levels(segs, extra):
@@ -434,8 +410,7 @@ class TestRestrict:
         assert got.grid.tobytes() == expect.grid.tobytes()
         assert np.abs(got.values).tobytes() == np.abs(expect.values).tobytes()
         assert np.array_equal(got.values, expect.values)
-        assert (got.inner_exponent, got.outer_exponent) == \
-            (expect.inner_exponent, expect.outer_exponent)
+        assert got.inner_exponent == expect.inner_exponent
         for p, sigma in ((1.0, 1.0), (2.0, INF), (INF, INF), (1.5, 3.0)):
             assert got.lorentz_norm(p, sigma) == expect.lorentz_norm(p, sigma)
 
@@ -476,8 +451,7 @@ class TestDistributionKernel:
         # quadrature nodes, so the law must hold to rounding.
         scale = 2.0 ** k
         dilated = RadialProfile(phi.grid / scale, phi.values, phi.dimension,
-                                inner_exponent=phi.inner_exponent,
-                                outer_exponent=phi.outer_exponent)
+                                inner_exponent=phi.inner_exponent)
         for p, sigma in [(1.0, 1.0), (1.5, 1.0), (1.5, 3.0), (2.0, 2.0),
                          (2.0, INF), (4.0, 2.0), (INF, INF)]:
             base = phi.lorentz_norm(p, sigma)
@@ -491,8 +465,8 @@ class TestDistributionKernel:
 
 def _lp_quad_oracle(phi, p):
     """||phi||_{L^p} by scipy quad of |phi|^p r^(N-1) on each node interval
-    (split at an interpolated zero), the inner and outer power extensions in
-    closed form."""
+    (split at an interpolated zero), the inner power extension in closed
+    form."""
     from scipy.integrate import quad
 
     n, g, v = phi.dimension, phi.grid, phi.values
@@ -509,15 +483,12 @@ def _lp_quad_oracle(phi, p):
             if v0 * v1 < 0.0:
                 split = [r0 + (r1 - r0) * v0 / (v0 - v1)]
         total += quad(f, r0, r1, points=split, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    for value, radius, a, inner in ((v[0], g[0], phi.inner_exponent, True),
-                                    (v[-1], g[-1], phi.outer_exponent, False)):
-        if value == 0.0 or (inner and a == INF_DECAY) or \
-                (not inner and a is None):
-            continue
+    a = phi.inner_exponent
+    if v[0] != 0.0 and a != INF_DECAY:
         s = a * p + n
-        if (s <= 0.0) if inner else (s >= 0.0):
+        if s <= 0.0:
             return INF
-        total += abs(value) ** p * radius ** n / abs(s)
+        total += abs(v[0]) ** p * g[0] ** n / s
     return (n * unit_ball_volume(n) * total) ** (1.0 / p)
 
 
@@ -539,8 +510,7 @@ class TestExactLpNorm:
     @settings(max_examples=100, deadline=None)
     def test_dilation_law_general_factor(self, phi, c, p):
         dilated = RadialProfile(phi.grid / c, phi.values, phi.dimension,
-                                inner_exponent=phi.inner_exponent,
-                                outer_exponent=phi.outer_exponent)
+                                inner_exponent=phi.inner_exponent)
         base = phi.lorentz_norm(p, p)
         got = dilated.lorentz_norm(p, p)
         if base == INF:
@@ -560,8 +530,7 @@ class TestExactLpNorm:
         # p = 3.5; near 1e-300 the product of two neighbouring values underflows,
         # near 1e300 the product of a value and an interval length overflows
         scaled = RadialProfile(phi.grid, c * phi.values, phi.dimension,
-                               inner_exponent=phi.inner_exponent,
-                               outer_exponent=phi.outer_exponent)
+                               inner_exponent=phi.inner_exponent)
         base = phi.lorentz_norm(p, p)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -594,67 +563,12 @@ class TestExactLpNorm:
         assert phi.lorentz_norm(2, 2) == pytest.approx(_lp_quad_oracle(phi, 2.0),
                                                        rel=1e-13)
 
-    def test_outer_tail_with_nonnegative_s_diverges(self):
-        # r^-1 in R^5 at p = 1 (s = 4), and r^-1.5 in R^3 at p = 2 (s = 0)
-        phi = RadialProfile(np.array([0.01, 0.0349, 0.0575, 0.1566]),
-                            np.array([2.0, 2.0, 1.25004, 0.01]), 5,
-                            outer_exponent=-1.0)
-        assert phi.lorentz_norm(1, 1) == INF
-        assert RadialProfile.power(-1.5, 3).lorentz_norm(2, 2) == INF
-        # the same tails converge for larger p
-        assert phi.lorentz_norm(6, 6) < INF
-        assert RadialProfile(np.array([1.0, 2.0]), np.array([1.0, 2.0 ** -1.5]), 3,
-                             inner_exponent=INF_DECAY,
-                             outer_exponent=-1.5).lorentz_norm(3, 3) < INF
-
-    @pytest.mark.parametrize("p, sigma", [(2.0, 3.0), (2.0, 1.0), (3.0, 6.0),
-                                          (2.0, 2.0), (2.0, INF)])
-    def test_outer_tail_above_lowest_level_diverges(self, p, sigma):
-        # the r^-1 tail in R^5 starts at 0.01, above the lowest level 0.005
-        phi = RadialProfile(np.array([0.01, 0.03, 0.1]), np.array([2.0, 0.005, 0.01]), 5,
-                            inner_exponent=0.0, outer_exponent=-1.0)
-        assert phi.lorentz_norm(p, sigma) == INF
-
-    @pytest.mark.parametrize("sigma", [1.0, 3.0])
-    def test_outer_tail_above_lowest_level_matches_quad(self, sigma):
-        # the same profile with a convergent r^-3 tail: layer-cake integral
-        # against quad over the exact distribution function
-        from scipy.integrate import quad
-
-        phi = RadialProfile(np.array([0.01, 0.03, 0.1]), np.array([2.0, 0.005, 0.01]), 5,
-                            inner_exponent=0.0, outer_exponent=-3.0)
-        segs, p = params._build_segments(phi), 2.0
-
-        def integrand(x):  # lam^sigma mu(lam)^(sigma/p) in x = log(lam)
-            mu = float(segs.mu_batch(np.array([math.exp(x)]))[0])
-            return math.exp(sigma * x + (sigma / p) * math.log(mu))
-
-        # below 1e-150 the tail's mu ~ lam^(-5/3) leaves a share of 1e-25
-        ends = np.log([1e-150, 0.005, 0.01, 2.0])
-        acc = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-                  for a, b in zip(ends[:-1], ends[1:]))
-        expect = (segs.alpha_N ** (1.0 - sigma / p) * p * acc) ** (1.0 / sigma)
-        assert phi.lorentz_norm(p, sigma) == pytest.approx(expect, rel=1e-5)
-
-    def test_flat_outer_tail_is_infinite(self):
-        values = np.zeros(28)
-        values[-3:] = (1.0, 0.125, 1.0)
-        phi = RadialProfile(np.geomspace(0.01, 1.0, 28), values, 2, inner_exponent=INF_DECAY,
-                            outer_exponent=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for p, sigma in [(1.0, 1.0), (1.5, 1.0), (1.5, 3.0), (2.0, 2.0),
-                             (2.0, INF), (4.0, 2.0)]:
-                assert phi.lorentz_norm(p, sigma) == INF, (p, sigma)
-            assert phi.lorentz_norm(INF, INF) == 1.0
-
 
 def _node_sup(phi):
-    """max |v_i|, or inf where an extension is singular at 0 or at inf."""
+    """max |v_i|, or inf where the extension below the grid is singular."""
     v = np.abs(phi.values)
-    a, b = phi.inner_exponent, phi.outer_exponent
-    if (v[0] != 0.0 and a != INF_DECAY and a < 0.0) or \
-            (v[-1] != 0.0 and b is not None and b > 0.0):
+    a = phi.inner_exponent
+    if v[0] != 0.0 and a != INF_DECAY and a < 0.0:
         return INF
     return float(np.max(v))
 
@@ -668,22 +582,17 @@ class TestNodeValueNorms:
     def test_sup_is_the_largest_node_value(self, phi):
         assert phi.lorentz_norm(INF, INF) == _node_sup(phi)
         zero = RadialProfile(phi.grid, np.zeros_like(phi.values), phi.dimension,
-                             inner_exponent=phi.inner_exponent,
-                             outer_exponent=phi.outer_exponent)
+                             inner_exponent=phi.inner_exponent)
         assert zero.lorentz_norm(INF, INF) == 0.0
         assert zero.lorentz_norm(2, 2) == 0.0
 
     def test_sup_of_singular_extensions(self):
         grid, values = np.array([0.1, 1.0]), np.array([2.0, -3.0])
-        for inner, outer, expect in [(-0.5, None, INF), (INF_DECAY, None, 3.0),
-                                     (0.0, 1.0, INF), (0.0, 0.0, 3.0),
-                                     (2.0, -1.0, 3.0)]:
-            phi = RadialProfile(grid, values, 3, inner_exponent=inner,
-                                outer_exponent=outer)
-            assert phi.lorentz_norm(INF, INF) == expect, (inner, outer)
+        for inner, expect in [(-0.5, INF), (INF_DECAY, 3.0), (0.0, 3.0), (2.0, 3.0)]:
+            phi = RadialProfile(grid, values, 3, inner_exponent=inner)
+            assert phi.lorentz_norm(INF, INF) == expect, inner
         # a zero end has no extension to be singular
-        phi = RadialProfile(grid, np.array([0.0, 0.0]), 3, inner_exponent=-0.5,
-                            outer_exponent=1.0)
+        phi = RadialProfile(grid, np.array([0.0, 0.0]), 3, inner_exponent=-0.5)
         assert phi.lorentz_norm(INF, INF) == 0.0
 
     @given(phi=signed_profiles(), p=st.sampled_from([1.0, 1.5, 2.0, 3.5]))
@@ -702,22 +611,19 @@ class TestNodeValueNorms:
         # bit for bit, whatever the neighbours: their zeros, sign changes,
         # singular or divergent extensions and scales
         m = phi.grid.size
-        cols = [phi.values]
-        inner, outer = [phi.inner_exponent], \
-            [INF_DECAY if phi.outer_exponent is None else phi.outer_exponent]
+        cols, inner = [phi.values], [phi.inner_exponent]
         for _ in range(data.draw(st.integers(1, 4))):
             values = np.array(data.draw(st.lists(_VALUE, min_size=m, max_size=m)))
             cols.append(values * 10.0 ** data.draw(st.integers(-3, 3)))
             inner.append(data.draw(_EXTENSIONS))
-            outer.append(data.draw(_EXTENSIONS))
         at = data.draw(st.integers(0, len(cols) - 1))
-        for seq in (cols, inner, outer):
+        for seq in (cols, inner):
             seq.insert(at, seq.pop(0))
         for p in (1.0, 1.5, 2.0, 3.5, INF):
-            stack = params.lp_norms(phi.grid, np.column_stack(cols), inner, outer, p,
+            stack = params.lp_norms(phi.grid, np.column_stack(cols), inner, p,
                                     phi.dimension)
             for j, col in enumerate(cols):
-                one = params.lp_norms(phi.grid, col[:, None], [inner[j]], [outer[j]], p,
+                one = params.lp_norms(phi.grid, col[:, None], [inner[j]], p,
                                       phi.dimension)
                 assert stack[j] == one[0], (p, j)
             assert stack[at] == phi.lorentz_norm(p, p)
