@@ -44,6 +44,9 @@ t = 109.9 into L^2.  Last, the only runs whose manifests hold warning
 lines: `norm-scan`, `evolve` and `verify T4.2` on the small Hardy config
 with `time.t_max = 2500` (sqrt t_max = r_max / 20), whose flows reach the
 absorbing boundary and warn of its contamination at t = 1416.91 and 2500.
+Then `norm-scan` and `verify T4.2` on the small config at the critical
+Hardy coupling lambda = -0.25, where h_0 = r^-0.5 and every empirical
+bound into L^inf is inf.
 Each run gets its own working directory, so the paths in stdout and
 stderr read the same in both trees.
 """
@@ -114,6 +117,9 @@ CUT_R_MIN = "grid.r_min = 2e-3\n"
 # sqrt t_max = r_max / 20: the last flows warn of boundary contamination
 LONG_TIME = "time.t_max = 2500\n"
 
+# the critical Hardy coupling, h_0 = r^-0.5
+CRITICAL = "potential.kind = hardy\npotential.lambda = -0.25\n"
+
 
 def _runs() -> list[tuple[str, str, list[str]]]:
     """(name, config text, CLI arguments) of every compared run."""
@@ -149,6 +155,8 @@ def _runs() -> list[tuple[str, str, list[str]]]:
     long_hardy = SMALL_COMMON + SMALL_POTENTIALS["hardy"] + LONG_TIME
     runs += [("hardy_long_" + "_".join(argv), long_hardy, argv)
              for argv in (["norm-scan"], ["evolve"], ["verify", "T4.2"])]
+    runs += [("critical_" + "_".join(argv), SMALL_COMMON + CRITICAL, argv)
+             for argv in (["norm-scan"], ["verify", "T4.2"])]
     return runs
 
 
