@@ -173,41 +173,29 @@ def envelope_nabla_J(hk: HarmonicProfile, itg: IteratedIntegral, alpha: int
     # u[j] = d^j (h_k I_k^n), by Leibniz over the exact factor derivatives
     d = [derivative_iterated(itg, m) for m in range(alpha + 1)]
     u = [leibniz_h(hk, d.__getitem__, j) for j in range(alpha + 1)]
-    gd, gd_crude = [], []
+    # g[i] = d^i (h_k I_k^n r^-k), its terms below the noise floor of their
+    # absolute sum clamped to zero before they are combined
+    gd = []
     for i in range(alpha + 1):
         acc = np.zeros_like(r)
         crude = np.zeros_like(r)
         for j in range(i + 1):
-            fall = 1.0
-            for step in range(i - j):
-                fall *= -k - step
+            fall = math.prod(range(-k, -k - (i - j), -1))
             term = math.comb(i, j) * u[j] * fall * r ** (-k - (i - j))
             acc += term
             crude += np.abs(term)
-        gd.append(acc)
-        gd_crude.append(crude)
-    # mask cancellation noise in the g-derivatives before combining
-    for i in range(alpha + 1):
-        gd[i] = np.where(np.abs(gd[i]) < 1e-11 * gd_crude[i], 0.0, gd[i])
+        gd.append(np.where(np.abs(acc) < 1e-11 * crude, 0.0, acc))
     ps, ps_crude = _radial_gradient_components(gd, r)
     env = np.zeros_like(r)
     env_crude = np.zeros_like(r)
     for m in range(min(alpha, k) + 1):
-        poly = 1.0
-        for step in range(m):
-            poly *= k - step
         j = alpha - m
         radial = np.zeros_like(r)
         radial_crude = np.zeros_like(r)
-        if j == 0:
-            radial, radial_crude = np.abs(ps[0]), ps_crude[0]
-        else:
-            for ell in range(j // 2 + 1):
-                if j - ell < 1:
-                    continue
-                radial += np.abs(ps[j - ell]) * r ** (-ell)
-                radial_crude += ps_crude[j - ell] * r ** (-ell)
-        weight = math.comb(alpha, m) * abs(poly) * r ** (k - m)
+        for ell in range(j // 2 + 1):
+            radial += np.abs(ps[j - ell]) * r ** (-ell)
+            radial_crude += ps_crude[j - ell] * r ** (-ell)
+        weight = math.comb(alpha, m) * math.perm(k, m) * r ** (k - m)
         env += weight * radial
         env_crude += weight * radial_crude
     env[env < 1e-10 * env_crude] = 0.0

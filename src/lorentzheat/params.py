@@ -298,8 +298,9 @@ def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
     the zero at r_0 and B(k+1, p+1) for the zero at its other end.  Values
     are divided by max |v| before the power p.  Every column's pieces sum
     in slots fixed by the grid's intervals, so a column's norm does not
-    depend on its neighbours in the stack.  Past the float range r^N
-    overflows to inf, and so does a piece that reaches there.
+    depend on its neighbours in the stack.  Where r^N overflows, a power
+    piece's v_e^p r_e^N is taken in logs; a piece whose value is past the
+    float range is inf.
     """
     g = np.asarray(grid, dtype=float)
     v = np.ascontiguousarray(np.asarray(values, dtype=float).T)  # a row per column
@@ -333,8 +334,16 @@ def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
                                 y[:, 0] ** p * g_N[0] * (1.0 / np.abs(s_in)), 0.0)
     up = s > 0.0
     v_e = np.where(up & (a != 0.0), y1, y0)
-    pieces[:, 1:] = np.where(power, v_e ** p * np.where(up, g_N[1:], g_N[:-1]) * shape,
-                             0.0)
+    g_e = np.where(up, g_N[1:], g_N[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        end = v_e ** p * g_e
+        far = np.isinf(g_e)
+        if far.any():
+            # r_e^N overflows: v_e^p r_e^N in logs, since v_e^p may underflow
+            # to 0 there; a product past the float range stays inf
+            r_e = np.where(up, g[1:], g[:-1])[far]
+            end[far] = np.exp(p * np.log(v_e[far]) + N * np.log(r_e))
+    pieces[:, 1:] = np.where(power, end * shape, 0.0)
 
     # linear pieces: an interval's first piece, and the second of a sign change
     cross = same < 0.0

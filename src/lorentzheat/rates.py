@@ -184,10 +184,12 @@ def lower_envelope(ps: ProfileSet, lp: LorentzParams, alpha: int, t: float,
         radius = delta * root_t
         main = hk.derived(harmonic.derivative_h, alpha).lorentz_norm_on_ball(
             q, th, radius)
+        if main == INF:  # the bracket reads nothing (inf - inf at an inf soft)
+            continue
         soft = hk.derived(harmonic.weighted_h, 2.0 - alpha).lorentz_norm_on_ball(
             q, th, radius)
         bracket = main - soft / t
-        if bracket <= 0.0 or main == INF:
+        if bracket <= 0.0:
             continue
         val = t ** (-n / 2.0) * gam / hk.eval(root_t) * bracket
         best = max(best, val)

@@ -120,23 +120,6 @@ def check_dt_cap(dt_cap: float) -> None:
             f"scheme.dt_cap must be in (0, {DT_CAP_MAX:g}], got {dt_cap}")
 
 
-@dataclass
-class ModeState:
-    """Solution ratio w = v/h_k of one mode at one time."""
-
-    k: int
-    t: float
-    w: np.ndarray
-    hk: HarmonicProfile
-
-    def v_values(self) -> np.ndarray:
-        return self.hk.values * self.w
-
-    def v_profile(self) -> RadialProfile:
-        return RadialProfile(self.hk.grid, self.v_values(), self.hk.spec.dimension,
-                             inner_exponent=self.hk.inner_exponent)
-
-
 class _Operator:
     """Precomputed conservative discretization of the weighted flow."""
 
@@ -264,11 +247,6 @@ def _cell_masses(r, weight, head_exponent):
     return mass
 
 
-def _sorted_targets(t_targets) -> list[float]:
-    """The distinct target times, ascending: the order of every flow output."""
-    return sorted(set(float(t) for t in t_targets))
-
-
 def _time_schedule(t_targets, dt_cap: float = 64.0):
     """Steps of dt <= 2 t / dt_cap (two solves each) once moving; emit
     flags mark target arrivals.
@@ -279,10 +257,11 @@ def _time_schedule(t_targets, dt_cap: float = 64.0):
     only climbs and each rung is compared as the float it steps by, so no
     rounding takes dt past t / cap, and a run of equal steps shares one
     factorization.  The step that reaches a target is shortened to land on
-    it exactly.
+    it exactly.  The targets are the distinct times, ascending: the order
+    of every flow output.
     """
     check_dt_cap(dt_cap)
-    targets = _sorted_targets(t_targets)
+    targets = sorted(set(float(t) for t in t_targets))
     if targets[0] <= 0.0:
         raise ValueError("targets must be positive")
     cap = 0.5 * dt_cap
@@ -313,9 +292,9 @@ def evolve_modes(hk: HarmonicProfile, w0: np.ndarray, t_targets,
                  dt_cap: float = 64.0):
     """Flow one or more initial ratios w0 (columns) to the target times.
 
-    Returns (list over targets of w arrays, warnings).  Positivity /
-    outer-boundary contamination are monitored rather than silently
-    ignored.
+    Returns (list over the distinct targets, ascending, of w arrays,
+    warnings).  Positivity / outer-boundary contamination are monitored
+    rather than silently ignored.
     """
     w = np.array(np.atleast_2d(np.asarray(w0, dtype=float).T).T, order="F")
     bad = np.flatnonzero(~np.isfinite(w).all(axis=1))
@@ -363,35 +342,22 @@ def _outer_zone(r):
     return r >= r[-1] / 3.16
 
 
-def evolve_mode(hk: HarmonicProfile, phi, t_targets, dt_cap: float = 64.0):
-    """Evolve a single mode datum phi, sampled on hk's grid; returns (states
-    at the target times, the flow's warnings)."""
-    with np.errstate(over="ignore"):  # evolve_modes rejects the overflow
-        w0 = np.asarray(phi, dtype=float) / hk.values
-    targets = _sorted_targets(t_targets)
-    ws, warnings = evolve_modes(hk, w0[:, None], targets, dt_cap)
-    return [ModeState(hk.k, t, w[:, 0], hk) for t, w in zip(targets, ws)], warnings
-
-
-def radial_derivative(state: ModeState, alpha: int) -> RadialProfile:
-    """d^alpha_r v as a profile: one column of derivative_columns."""
-    values = derivative_columns(state.hk, state.t, state.w[:, None], alpha)
-    return _derivative_profile(state.hk, values[:, 0], alpha)
-
-
-def derivative_columns(hk: HarmonicProfile, t: float, w, alpha: int) -> np.ndarray:
-    """d^alpha_r v of v = h_k w for the columns of w (grid x c) at time t,
-    each column on its own, in one pass.
+def radial_derivative(hk: HarmonicProfile, t: float, w, alpha: int
+                      ) -> list[RadialProfile]:
+    """d^alpha_r v of v = h_k w as a profile, one per column of w (grid x c)
+    at time t, each column on its own; the derivatives in one pass.
 
     h_k factors use the exact ODE recursion; w factors use log-grid finite
     differences.  Deep inside B(0, sqrt t) the ratio w is flat to below
     double precision and differences only amplify solver noise by r^-2, so
     the inner zone is replaced by the leading expansion of w around the
-    origin (w' proportional to r, w'' constant).
+    origin (w' proportional to r, w'' constant).  v itself keeps the inner
+    extension of h_k; its derivatives fit theirs from the values.
     """
+    r, n = hk.grid, hk.spec.dimension
     if alpha == 0:
-        return hk.values[:, None] * w
-    r = hk.grid
+        return [RadialProfile(r, v, n, inner_exponent=hk.inner_exponent)
+                for v in (hk.values[:, None] * w).T]
     cut = np.searchsorted(r, 3e-4 * math.sqrt(t))
     cut = int(np.clip(cut, 2, r.size - 8))
     wd = [w]
@@ -405,24 +371,14 @@ def derivative_columns(hk: HarmonicProfile, t: float, w, alpha: int) -> np.ndarr
         else:
             d[:cut] = d[cut]
         wd.append(d)
-    return leibniz_h(hk, wd.__getitem__, alpha)
-
-
-def _derivative_profile(hk: HarmonicProfile, values, alpha: int) -> RadialProfile:
-    """One column of derivative_columns as a profile.  v itself keeps the
-    inner extension of h_k; its derivatives fit theirs from the values."""
-    r = hk.grid
-    if alpha == 0:
-        return RadialProfile(r, values, hk.spec.dimension,
-                             inner_exponent=hk.inner_exponent)
     # deep sub-resolution cells carry a percent-level systematic tilt from
     # the quasi-static advance, so two-point fits are meaningless there: a
     # windowed fit averages the tilt, and slopes inside the snap band become
     # flat extensions, since the estimate layer reports lower bounds and must
     # not extrapolate a singularity it cannot resolve (genuine singular
     # exponents on this corpus sit well outside the band)
-    return RadialProfile(r, values, hk.spec.dimension,
-                         inner_exponent=windowed_exponent(r, values, 32, 0.15))
+    return [RadialProfile(r, v, n, inner_exponent=windowed_exponent(r, v, 32, 0.15))
+            for v in leibniz_h(hk, wd.__getitem__, alpha).T]
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +472,8 @@ def best_ratios(hk: HarmonicProfile, fam: list[FamilyDatum], t: float, w_t,
     ||datum||_{L^{p,sigma}} over the family's columns w_t at time t; data of
     zero or infinite source norm are passed over, and 0 means none was left.
 
-    One pass per alpha takes the radial derivatives of all the columns
-    (derivative_columns).  Norms are taken per column stack, with one
+    One radial_derivative call per alpha takes the derivative profiles of
+    all the columns.  Norms are taken per column stack, with one
     lorentz_norms call per (alpha, target pair) and one per distinct
     source pair; sigma = p and sup norms come from the node values.
     """
@@ -526,8 +482,7 @@ def best_ratios(hk: HarmonicProfile, fam: list[FamilyDatum], t: float, w_t,
            for pair in dict.fromkeys(lp.source_pair() for lp in lps)}
     best = {}
     for a in alphas:
-        values = derivative_columns(hk, t, w_t, a)
-        derivs = [_derivative_profile(hk, values[:, col], a) for col in range(len(fam))]
+        derivs = radial_derivative(hk, t, w_t, a)
         target = {}
         for i, lp in enumerate(lps):
             pair = lp.target_pair()

@@ -16,8 +16,7 @@ from lorentzheat.params import (INF, LambdaMembershipError, RadialProfile,
                                 power_membership, validate_pair)
 from lorentzheat.quadrature import (cumulative_integral, make_grid,
                                     radial_derivative_values)
-from lorentzheat.semigroup import (ModeState, build_test_family, evolve_modes,
-                                   radial_derivative)
+from lorentzheat.semigroup import build_test_family, evolve_modes, radial_derivative
 
 # dilation factors at which mode_ratio_decay compares the profile ratios
 MODE_RATIO_EPS = (0.5, 0.25, 0.125)
@@ -232,8 +231,8 @@ def sweep_every_column(hk: HarmonicProfile, alphas, lps, t_list,
             w0 = np.stack([d.profile.values / hk.values for d in fam], axis=1)
         ws, warnings = evolve_modes(hk, w0, [t], dt_cap)
         all_warnings += warnings
-        states = [ModeState(hk.k, t, w, hk) for w in ws[0].T]
-        deriv_profiles = {a: [radial_derivative(st, a) for st in states] for a in alphas}
+        deriv_profiles = {a: [radial_derivative(hk, t, w[:, None], a)[0] for w in ws[0].T]
+                          for a in alphas}
         for i, lp in enumerate(lps):
             p, sigma = lp.source_pair()
             q, th = lp.target_pair()

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import types
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lorentzheat import cli, harmonic, iterated, params, semigroup, spectral
+from lorentzheat import cli, harmonic, iterated, params, rates, semigroup, spectral
 from lorentzheat.cli import ConfigError, parse_config
-from lorentzheat.params import INF
+from lorentzheat.params import INF, LorentzParams
 
 FAST_COMMON = """
 dimension = 3
@@ -311,6 +312,36 @@ alphas = 0
                                if line.startswith("warning ")]
         assert any("boundary contamination" in w for w in warned["norm-scan"])
         assert warned["verify"] == warned["norm-scan"]
+
+    def test_norm_scan_at_the_critical_coupling_warns_nothing(self, tmp_path):
+        # both of lower_envelope's ball norms are inf here for some alpha,
+        # and main - soft / t would read inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(tmp_path, CRITICAL, "norm-scan")
+        assert code == 0
+        with (out / "norm_scan_k0_alpha0_p1qinfs1tinf.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(row[1] == "inf" for row in rows)
+
+    def test_verify_floor_skips_an_infinite_series(self, tmp_path):
+        # no rate can be fitted to an inf series: it is skipped like an
+        # unbounded tuple of the other recipes, and the rest is judged
+        code, out = run_cli(tmp_path, CRITICAL, "verify", "T4.2")
+        assert code == 0
+        with (out / "verdicts_T4.2.csv").open(newline="") as fh:
+            status = {row[1]: row[2] for row in list(csv.reader(fh))[1:]}
+        assert len(status) == 9
+        passed = {s for s, v in status.items() if v == "PASS"}
+        assert passed == {"alpha=0 (1,1)->(2,2)", "alpha=1 (1,1)->(2,2)"}
+        assert set(status.values()) == {"SKIP", "PASS"}
+
+    def test_verify_floor_fits_a_nan_series(self):
+        # a NaN is no evidence of an unbounded norm: it still fails the fit
+        ps = types.SimpleNamespace(spec=types.SimpleNamespace(dimension=3))
+        ts = np.geomspace(1.0, 100.0, 9)
+        with pytest.raises(rates.RateFitError):
+            cli._judge_floor(ps, LorentzParams(1, 2, 1, 2), 0, ts, np.full(9, np.nan))
 
     def test_verify_two_sided_writes_four_columns(self, tmp_path):
         cfgtext = FAST_COMMON + "potential.kind = zero\nalphas = 0,1,3\n" \
@@ -731,8 +762,8 @@ class TestWriteColumns:
         ps = cli.build_profiles(cfg)
         ts = cli.time_grid(cfg)
         hk, phi = cli._initial_datum(cfg, ps, ts[0])
-        states, _ = semigroup.evolve_mode(hk, phi, list(ts), cfg["scheme.dt_cap"])
-        values = np.concatenate([state.v_values() for state in states])
+        ws, _ = semigroup.evolve_modes(hk, phi / hk.values, list(ts), cfg["scheme.dt_cap"])
+        values = np.concatenate([hk.values * w[:, 0] for w in ws])
         assert np.count_nonzero(values == 0.0) > 0.05 * values.size
         slow = cli._format_into(np.empty((values.size, 5), np.uint32), values)
         assert 0 < slow < 0.01 * values.size
@@ -849,6 +880,24 @@ lorentz = 2,inf,2,inf
 alphas = 1
 """
 
+# the critical Hardy coupling lambda = -0.25, h_0 = r^-0.5: every empirical
+# bound into L^inf is inf
+CRITICAL = """
+dimension = 3
+potential.kind = hardy
+potential.lambda = -0.25
+grid.r_min = 1e-6
+grid.r_max = 1e3
+grid.points = 768
+modes.k_max = 2
+time.t_min = 0.5
+time.t_max = 200
+time.points_per_decade = 4
+family.j_max = 3
+alphas = 0,1,2
+lorentz = 1,inf,1,inf; 2,inf,2,inf; 1,2,1,2
+"""
+
 # T3.1 at every derivative order its envelopes cover, on a bounded
 # potential whose profiles are RK45 solves: iterate_I reaches n = 2 and
 # derivative_h order 4
@@ -892,6 +941,16 @@ class TestNormWork:
         code, _ = run_cli(tmp_path, config, *argv)
         assert code == 0
         assert calls == {}
+
+    def test_radial_derivative_once_per_alpha_and_time(self, tmp_path, monkeypatch):
+        # every derivative profile of the sweep comes from one
+        # radial_derivative call per (alpha, t): 3 alphas at 2 times
+        calls = _spy(monkeypatch, semigroup, "radial_derivative",
+                     lambda args: (args[3], args[1]))
+        code, _ = run_cli(tmp_path, SCAN_HARDY, "norm-scan")
+        assert code == 0
+        assert len(calls) == 6 and set(calls.values()) == {1}
+        assert {alpha for alpha, _ in calls} == {0, 1, 2}
 
     def test_envelope_work_done_once(self, tmp_path, monkeypatch):
         # gamma ratios once per (profile, p, sigma, t), envelope_nabla_J once

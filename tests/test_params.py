@@ -628,6 +628,20 @@ class TestNodeValueNorms:
                 assert stack[j] == one[0], (p, j)
             assert stack[at] == phi.lorentz_norm(p, p)
 
+    @pytest.mark.parametrize("dimension, expect", [
+        (2, math.sqrt(2000.0 * math.pi)),
+        (3, math.sqrt(4.0 * math.pi * math.log(1e203))),
+        (5, INF)])
+    def test_power_where_r_to_the_n_overflows(self, dimension, expect):
+        # r^-1.5 on [1e-3, 1e200], zero below: ||f||_2^2 = |S^(N-1)| times
+        # the integral of r^(N-4).  Far out |f|^2 underflows to 0 where r^N
+        # overflows to inf, yet their product is finite for N = 2 and 3;
+        # for N = 5 the norm itself is past the float range
+        grid = np.geomspace(1e-3, 1e200, 400)
+        got = params.lp_norms(grid, (grid ** -1.5)[:, None], [INF_DECAY], 2.0,
+                              dimension)[0]
+        assert got == pytest.approx(expect, rel=1e-11)
+
 
 class TestLinearPieceCoefficients:
     @pytest.mark.parametrize("n", [2, 3, 5])
