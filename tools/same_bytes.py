@@ -21,23 +21,26 @@ theorem on a Hardy, a zero and an inverse-power config at 768 nodes;
 (a = -0.05, kappa = 3), the only run whose nonnegativity evidence is the
 Dirichlet eigenvalue;
 `harmonic` on that inverse-power config with `modes.k_max = 6`, which
-writes all seven RK45 profiles; `evolve` of ball, annulus and gaussian data
-on the small Hardy and inverse-power configs, whose column files hold exact
-zeros and 3-digit exponents (the column writer's zero and fallback paths);
-one `norm-scan` on off-diagonal Lorentz
-tuples, which takes the weak-norm and layer-cake paths; and two more on
-`scan_hardy`'s config at the edges of the sweep's flowed basis: one with
-`family.j_max = 0` (ball_j0, annulus_j0 and the bump, no annulus taken as
-a difference) and one whose `grid.r_min` ends the family before `j_max`;
-one on that config with Hardy lambda = -0.24, whose h_0 = r^-0.4 is
-singular at the origin, on tuples into L^inf, L^2 and L^4, which takes the
-inf and inner-extension branches of the sigma = p and sup norms; and the
-runs that reach derivative order alpha >= 3, which no other run does:
-`verify T3.1` with `modes.k_max = 4` and alphas 0..4 on the small zero and
-inverse-power configs, and a `norm-scan` on `scan_hardy`'s config with
+writes all seven RK45 profiles, and `harmonic` on `verify_bounded`'s config
+(the same potential, `modes.k_max = 6`), the seven RK45 profiles on its
+1e-8..1e4 grid of 1024 nodes, where the workload itself solves only h_0;
+`evolve` of ball, annulus and gaussian data on the small Hardy and
+inverse-power configs, whose column files hold exact zeros and 3-digit
+exponents (the column writer's zero and fallback paths); one `norm-scan`
+on off-diagonal Lorentz tuples, which takes the weak-norm and layer-cake
+paths; and two more on `scan_hardy`'s config at the edges of the sweep's
+flowed basis: one with `family.j_max = 0` (ball_j0, annulus_j0 and the
+bump, no annulus taken as a difference) and one whose `grid.r_min` ends
+the family before `j_max`; one on that config with Hardy lambda = -0.24,
+whose h_0 = r^-0.4 is singular at the origin, on tuples into L^inf, L^2
+and L^4, which takes the inf and inner-extension branches of the
+sigma = p and sup norms; and the runs that reach derivative order
+alpha >= 3, which no other run does: `verify T3.1` with
+`modes.k_max = 4` and alphas 0..4 on the small zero and inverse-power
+configs, and a `norm-scan` on `scan_hardy`'s config with
 `modes.k_max = 3` and alphas 0..3.  They take derivative_h above order 2
 (the mode potential's derivatives), iterate_I with n = 2, and the finite
-differences of derivative_iterated and derivative_columns at orders 3 and
+differences of derivative_iterated and radial_derivative at orders 3 and
 4.  On the inverse-power config the alpha = 4 rows FAIL (exit 3): the
 empirical lower bound is inf at t = 60.3 and 109.9 into L^inf, and at
 t = 109.9 into L^2.  Last, the only runs whose manifests hold warning
@@ -136,6 +139,8 @@ def _runs() -> list[tuple[str, str, list[str]]]:
     runs.append(("kappa4_harmonic", SMALL_COMMON.replace(
         "modes.k_max = 2", "modes.k_max = 6") + SMALL_POTENTIALS["kappa4"],
         ["harmonic"]))
+    runs.append(("bounded_harmonic", workloads.verify_bounded_inputs(0).config,
+                 ["harmonic"]))
     for pot in ("hardy", "kappa4"):
         runs += [(f"{pot}_evolve_{data}", SMALL_COMMON + SMALL_POTENTIALS[pot]
                   + f"evolve.data = {data}\n", ["evolve"])
