@@ -19,6 +19,7 @@ characteristic roots; the match of h_0 is what
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -93,6 +94,11 @@ class HarmonicProfile:
 # quartic dense output (Math. Comp. 46, 1986).  The tableau, the order of
 # every sum and the step control are scipy.integrate's RK45, so a profile
 # is the same to the last bit as one solved by scipy.integrate.solve_ivp.
+# Only the sums stay numpy calls: the tableau sums over the rows of K, the
+# dot of the error norm and the dense-output products round as OpenBLAS
+# sums them, which a sum in Python does not reproduce.  Every other
+# operation is one IEEE operation per component, the same in Python floats,
+# which skip numpy's per-call overhead on the 2-vectors of each step.
 _C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 _A = np.array([
     [0, 0, 0, 0, 0],
@@ -116,7 +122,6 @@ _P = np.array([
      701980252875 / 199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-_STAGES = [(_A[s, :s], _C[s]) for s in range(1, 6)]
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
@@ -152,35 +157,49 @@ def solve_ivp(fun, x, y0, first_step) -> IvpResult:
     """RK45 for y' = fun(t, y), y = (g, dg/dx), from x[0] to x[-1] with
     outputs at the increasing points x.  The solve stops (status 1) after the
     first step on which g goes from >= 0 to <= 0; the points of that step
-    are not output."""
-    t, t_bound = float(x[0]), float(x[-1])
-    y = np.asarray(y0, dtype=float)
-    f = np.asarray(fun(t, y), dtype=float)
+    are not output.  fun gets y as a tuple of two floats.  The step runs on
+    Python floats; its sums (the stages, the error norm and the dense
+    output) stay numpy calls, which round as scipy's do."""
+    xs = x.tolist()
+    t, t_bound = xs[0], xs[-1]
+    y = tuple(map(float, y0))
+    f = fun(t, y)
     nfev = 1
     K = np.empty((7, 2))
+    # the rows of K are written through a memoryview, which skips numpy's
+    # per-call cost; the sums take the views of K that scipy's RK45 takes
+    Kw = memoryview(K)
+    stages = [(s, K[:s].T, _A[s, :s], float(_C[s])) for s in range(1, 6)]
+    K_step, K_all = K[:-1].T, K.T
     h_abs = first_step
-    ts, ys = [], []
+    g_out, gd_out = [], []
     i = 0
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
+        Kw[0, 0], Kw[0, 1] = f
         while True:
             if h_abs < min_step:
-                return _ivp_result(ts, ys, -1, nfev)
+                return _ivp_result(x[:i], g_out, gd_out, -1, nfev)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s, (a, c) in enumerate(_STAGES, start=1):
-                dy = np.dot(K[:s].T, a) * h
-                K[s] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            f_new = np.asarray(fun(t + h, y_new), dtype=float)
-            K[-1] = f_new
+            h_abs = abs(h)
+            for s, rows, a, c in stages:
+                d0, d1 = rows.dot(a).tolist()
+                Kw[s, 0], Kw[s, 1] = fun(t + c * h,
+                                         (y[0] + d0 * h, y[1] + d1 * h))
+            d0, d1 = K_step.dot(_B).tolist()
+            y_new = (y[0] + h * d0, y[1] + h * d1)
+            f_new = fun(t + h, y_new)
+            Kw[6, 0], Kw[6, 1] = f_new
             nfev += 6
-            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            error_norm = np.linalg.norm(np.dot(K.T, _E) * h / scale) / 2 ** 0.5
+            e0, e1 = K_all.dot(_E).tolist()
+            err = np.array((
+                e0 * h / (ATOL + max(abs(y[0]), abs(y_new[0])) * RTOL),
+                e1 * h / (ATOL + max(abs(y[1]), abs(y_new[1])) * RTOL)))
+            # np.linalg.norm's sum, as scipy takes it
+            error_norm = math.sqrt(err.dot(err)) / 2 ** 0.5
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -196,24 +215,24 @@ def solve_ivp(fun, x, y0, first_step) -> IvpResult:
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         if y_old[0] >= 0 and y[0] <= 0:
-            return _ivp_result(ts, ys, 1, nfev)
-        i_new = np.searchsorted(x, t, side="right")
+            return _ivp_result(x[:i], g_out, gd_out, 1, nfev)
+        i_new = bisect.bisect_right(xs, t, i)
         if i_new > i:
             step = t - t_old
-            p = np.cumprod(np.tile((x[i:i_new] - t_old) / step, (4, 1)), axis=0)
-            out = step * np.dot(K.T.dot(_P), p)
-            out += y_old[:, None]
-            ts.append(x[i:i_new])
-            ys.append(out)
+            z = [(xv - t_old) / step for xv in xs[i:i_new]]
+            p = [z]  # the powers z, z^2, z^3, z^4 as cumulative products
+            for _ in range(3):
+                p.append([u * v for u, v in zip(p[-1], z)])
+            d0, d1 = K_all.dot(_P).dot(p).tolist()
+            g_out += [y_old[0] + step * d for d in d0]
+            gd_out += [y_old[1] + step * d for d in d1]
             i = i_new
         if t - t_bound >= 0:
-            return _ivp_result(ts, ys, 0, nfev)
+            return _ivp_result(x[:i], g_out, gd_out, 0, nfev)
 
 
-def _ivp_result(ts, ys, status, nfev) -> IvpResult:
-    if ts:
-        return IvpResult(np.hstack(ts), np.hstack(ys), status, nfev)
-    return IvpResult(np.empty(0), np.empty((2, 0)), status, nfev)
+def _ivp_result(t, g, gd, status, nfev) -> IvpResult:
+    return IvpResult(t.copy(), np.array((g, gd)), status, nfev)
 
 
 def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:

@@ -189,9 +189,9 @@ class RadialProfile:
     def eval(self, r):
         """Interpolated (signed) values; the power law below the grid, zero
         beyond it."""
+        if np.ndim(r) == 0:
+            return self._eval_point(float(r))
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
         out = np.empty_like(r)
         g, v = self.grid, self.values
         idx = np.searchsorted(g, r, side="right") - 1
@@ -217,7 +217,27 @@ class RadialProfile:
             a = self.inner_exponent
             out[inner] = 0.0 if a == INF_DECAY else v[0] * (r[inner] / g[0]) ** a
         out[outerm] = np.where(r[outerm] == g[-1], v[-1], 0.0)
-        return out[0] if scalar else out
+        return out
+
+    def _eval_point(self, r: float) -> np.float64:
+        """eval at one point without the masks: the same numpy operations on
+        numpy scalars (log and power round as on arrays), so the same bits."""
+        g, v = self.grid, self.values
+        i = g.searchsorted(r, side="right") - 1
+        if i < 0:
+            a = self.inner_exponent
+            if a == INF_DECAY:
+                return np.float64(0.0)
+            # a 0-d array takes the array's ** (a sqrt for a = 0.5)
+            return v[0] * np.asarray(r / g[0]) ** a
+        if i >= g.size - 1:
+            return v[-1] if r == g[-1] else np.float64(0.0)
+        r0, r1, v0, v1 = g[i], g[i + 1], v[i], v[i + 1]
+        if (v0 > 0.0 and v1 > 0.0) or (v0 < 0.0 and v1 < 0.0):
+            a = np.log(abs(v1 / v0)) / np.log(r1 / r0)
+            return v0 * np.power(r / r0, a)
+        w = (r - r0) / (r1 - r0)
+        return v0 * (1.0 - w) + v1 * w
 
     # -- derived profiles ---------------------------------------------------------
 
@@ -517,6 +537,10 @@ class _SegmentSet:
             n_gl = 24 if levels.size <= 192 else 8
             lam, w_all = _log_gauss(np.log(levels[:-1]), np.log(levels[1:]), n_gl)
             mu = self.mu_batch(lam)
+            # a measure past the float range makes the norm inf; the sum
+            # would meet it as inf * 0 at a node of zero weight
+            if np.isinf(mu).any():
+                return INF
             acc += p * float(np.sum(w_all * lam ** sigma * mu ** (sigma / p)))
         acc += self._bottom_piece(levels[-1], p, sigma)
         if acc == INF or not math.isfinite(acc):

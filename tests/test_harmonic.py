@@ -475,3 +475,29 @@ class TestScipyOracle:
         assert np.array_equal(ours.t, ref.t[:m])
         assert np.array_equal(ours.y, ref.y[:, :m])
         assert ours.t[-1] < ref.t_events[0][0]
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_benchmark_solve_bit_for_bit(self, k):
+        # verify_bounded's potential and grid: 1e-8..1e4 at 1024 nodes
+        spec = spectral.PotentialSpec.inverse_power(3, 1.0, 4.0)
+        ours, ref = self._both(spec, k, make_grid(1e-8, 1e4, 1024))
+        assert ours.status == ref.status == 0
+        assert ours.nfev == ref.nfev
+        assert np.array_equal(ours.t, ref.t)
+        assert np.array_equal(ours.y, ref.y)
+
+    def test_initial_value_sequence_types_agree(self):
+        remainder = spectral.PotentialSpec.inverse_power(3, 1.0, 4.0).remainder
+
+        def fun(xv, y):
+            return [y[1], -1.0 * y[1] + remainder(np.exp(xv)) * y[0]]
+
+        x = np.log(self.GRID)
+        y0 = (1.0 + 1e-9, 3e-9)
+        results = [harmonic.solve_ivp(fun, x, start, 1e-3)
+                   for start in (list(y0), y0, np.array(y0))]
+        for res in results[1:]:
+            assert res.status == results[0].status == 0
+            assert res.nfev == results[0].nfev
+            assert np.array_equal(res.t, results[0].t)
+            assert np.array_equal(res.y, results[0].y)

@@ -119,6 +119,18 @@ class TestDistributionFunction:
                              (1.0, 1.0), (INF, INF)]:
                 assert phi.lorentz_norm(p, sigma) == INF, (p, sigma)
 
+    def test_infinite_measure_at_a_zero_weight_node_is_inf_quietly(self):
+        # sin(log r) beyond r = 1e150 in R^2: r^2 overflows, so the levels
+        # below its peaks have an infinite measure, and equal levels make
+        # Gauss nodes of zero weight among them (inf * 0 if summed)
+        grid = np.geomspace(1e-3, 1e200, 400)
+        phi = RadialProfile(grid, np.where(grid > 1e150, np.sin(np.log(grid)),
+                                           0.0), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for sigma in (1.0, 3.0):
+                assert phi.lorentz_norm(2.0, sigma) == INF, sigma
+
 
 class TestLorentzNorm:
     def test_indicator_lp(self):
@@ -271,6 +283,28 @@ class TestProfileBasics:
         phi = RadialProfile.power(1.5, 3, r_min=1e-6, r_max=100.0)
         r = np.array([1e-7, 1e-3, 1.0, 50.0])
         assert np.allclose(phi.eval(r), r ** 1.5, rtol=1e-12)
+
+    @pytest.mark.parametrize("inner", [2.0, 0.5, -0.7, INF_DECAY])
+    def test_eval_at_a_point_equals_the_array_path(self, inner):
+        # sin(3 log r) r^0.3 changes sign between nodes and has a run of
+        # zero nodes, so the points take power and linear pieces, the inner
+        # extension (a = 0.5 is numpy's sqrt branch of **), r == g[-1] and
+        # points beyond the grid
+        rng = np.random.default_rng(3)
+        grid = np.geomspace(1e-3, 1e2, 200)
+        vals = np.sin(3.0 * np.log(grid)) * grid ** 0.3
+        vals[90:100] = 0.0
+        phi = RadialProfile(grid, vals, 3, inner_exponent=inner)
+        r = np.concatenate((
+            grid[0] * np.exp(rng.uniform(-8.0, 0.0, 100)),
+            np.exp(rng.uniform(math.log(grid[0]), math.log(grid[-1]), 1000)),
+            grid, grid[-1] * np.array([1.0 + 1e-15, 1.5, 1e9])))
+        expect = phi.eval(r)
+        assert np.isfinite(expect).all()
+        for point in (r.tolist(), list(r), [np.array(x) for x in r]):
+            got = np.array([phi.eval(x) for x in point])
+            assert got.tobytes() == expect.tobytes()
+        assert isinstance(phi.eval(float(grid[-1])), np.float64)
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
