@@ -3,10 +3,12 @@
     python tools/same_bytes.py <rev>
 
 Unpacks `git archive <rev>` into a temporary directory, then runs the fixed
-list of CLI invocations in RUNS once with that tree's `src/` and once with
-the working tree's.  For every run it compares the exit code, stdout,
-stderr and every file written to the output directory; `manifest.txt` is
-compared without its `wall_clock_seconds` line.  Every difference is
+list of runs in RUNS once with that tree's `src/` and once with the working
+tree's.  A run is one or more CLI invocations, made in order in one working
+directory with one output directory.  For every run it compares the exit
+code, stdout and stderr of each invocation and every file in the output
+directory after the last one; `manifest.txt` is compared without its
+`wall_clock_seconds` line.  Every difference is
 listed, and the script exits 1 if there is any, else 0 (2 on a usage
 error or a revision that git cannot archive).  A differing file whose two
 versions are tables of the same shape, where every cell that differs is a
@@ -49,7 +51,10 @@ with `time.t_max = 2500` (sqrt t_max = r_max / 20), whose flows reach the
 absorbing boundary and warn of its contamination at t = 1416.91 and 2500.
 Then `norm-scan` and `verify T4.2` on the small config at the critical
 Hardy coupling lambda = -0.25, where h_0 = r^-0.5 and every empirical
-bound into L^inf is inf.
+bound into L^inf is inf.  Last, one chained run on the small Hardy config:
+`verify T4.2`, then `verify T7.1`, then `report` in the same output
+directory.  It is the only run that reaches `report`, and the only one
+whose `Manifest.write` merges the lines of an earlier manifest.
 Each run gets its own working directory, so the paths in stdout and
 stderr read the same in both trees.
 """
@@ -123,45 +128,53 @@ LONG_TIME = "time.t_max = 2500\n"
 # the critical Hardy coupling, h_0 = r^-0.5
 CRITICAL = "potential.kind = hardy\npotential.lambda = -0.25\n"
 
+# two verdict files, then the report that reads them and the merged manifest
+CHAINED = (["verify", "T4.2"], ["verify", "T7.1"], ["report"])
 
-def _runs() -> list[tuple[str, str, list[str]]]:
-    """(name, config text, CLI arguments) of every compared run."""
+
+def _runs() -> list[tuple[str, str, list[list[str]]]]:
+    """(name, config text, the CLI arguments of each invocation) of every
+    compared run."""
     runs = []
     for name, (inputs, _, _) in workloads.WORKLOADS.items():
         for seed in (0, 5):
             inp = inputs(seed)
-            runs.append((f"{name}_seed{seed}", inp.config, list(inp.command)))
+            runs.append((f"{name}_seed{seed}", inp.config, [list(inp.command)]))
     for pot, lines in SMALL_POTENTIALS.items():
         config = SMALL_COMMON + lines
-        runs.append((f"{pot}_classify", config, ["classify"]))
-        runs += [(f"{pot}_verify_{tid}", config, ["verify", tid]) for tid in THEOREMS]
-    runs.append(("negative_classify", SMALL_COMMON + NEGATIVE, ["classify"]))
+        runs.append((f"{pot}_classify", config, [["classify"]]))
+        runs += [(f"{pot}_verify_{tid}", config, [["verify", tid]])
+                 for tid in THEOREMS]
+    runs.append(("negative_classify", SMALL_COMMON + NEGATIVE, [["classify"]]))
     runs.append(("kappa4_harmonic", SMALL_COMMON.replace(
         "modes.k_max = 2", "modes.k_max = 6") + SMALL_POTENTIALS["kappa4"],
-        ["harmonic"]))
+        [["harmonic"]]))
     runs.append(("bounded_harmonic", workloads.verify_bounded_inputs(0).config,
-                 ["harmonic"]))
+                 [["harmonic"]]))
     for pot in ("hardy", "kappa4"):
         runs += [(f"{pot}_evolve_{data}", SMALL_COMMON + SMALL_POTENTIALS[pot]
-                  + f"evolve.data = {data}\n", ["evolve"])
+                  + f"evolve.data = {data}\n", [["evolve"]])
                  for data in EVOLVE_DATA]
     config = workloads.scan_hardy_inputs(0).config
     scan = "".join(line + "\n" for line in config.splitlines()
                    if not line.startswith("lorentz"))
-    runs.append(("norm_scan_off_diagonal", scan + OFF_DIAGONAL, ["norm-scan"]))
+    runs.append(("norm_scan_off_diagonal", scan + OFF_DIAGONAL, [["norm-scan"]]))
     # a later line of a key overrides an earlier one
-    runs.append(("norm_scan_j_max_0", config + "family.j_max = 0\n", ["norm-scan"]))
-    runs.append(("norm_scan_family_cut", config + CUT_R_MIN, ["norm-scan"]))
-    runs.append(("norm_scan_singular", config + SINGULAR, ["norm-scan"]))
+    runs.append(("norm_scan_j_max_0", config + "family.j_max = 0\n",
+                 [["norm-scan"]]))
+    runs.append(("norm_scan_family_cut", config + CUT_R_MIN, [["norm-scan"]]))
+    runs.append(("norm_scan_singular", config + SINGULAR, [["norm-scan"]]))
     for pot in ("zero", "kappa4"):
         runs.append((f"{pot}_verify_T3.1_alpha4", SMALL_COMMON
-                     + SMALL_POTENTIALS[pot] + HIGH_ORDER, ["verify", "T3.1"]))
-    runs.append(("norm_scan_alpha3", config + HIGH_ORDER_SCAN, ["norm-scan"]))
+                     + SMALL_POTENTIALS[pot] + HIGH_ORDER, [["verify", "T3.1"]]))
+    runs.append(("norm_scan_alpha3", config + HIGH_ORDER_SCAN, [["norm-scan"]]))
     long_hardy = SMALL_COMMON + SMALL_POTENTIALS["hardy"] + LONG_TIME
-    runs += [("hardy_long_" + "_".join(argv), long_hardy, argv)
+    runs += [("hardy_long_" + "_".join(argv), long_hardy, [argv])
              for argv in (["norm-scan"], ["evolve"], ["verify", "T4.2"])]
-    runs += [("critical_" + "_".join(argv), SMALL_COMMON + CRITICAL, argv)
+    runs += [("critical_" + "_".join(argv), SMALL_COMMON + CRITICAL, [argv])
              for argv in (["norm-scan"], ["verify", "T4.2"])]
+    runs.append(("hardy_chained_report", SMALL_COMMON + SMALL_POTENTIALS["hardy"],
+                 [list(argv) for argv in CHAINED]))
     return runs
 
 
@@ -170,17 +183,20 @@ RUNS = _runs()
 
 def run_tree(src: Path, work: Path) -> dict:
     """Run every entry of RUNS with `src` first on the import path; returns
-    {run name: {"exit": ..., "stdout": ..., "stderr": ..., file name: bytes}}."""
+    {run name: {"exit": ..., "stdout": ..., "stderr": ..., file name: bytes}},
+    each stream a tuple with one item per invocation."""
     env = dict(os.environ, PYTHONPATH=str(src))
     results = {}
-    for name, config, argv in RUNS:
+    for name, config, commands in RUNS:
         cwd = work / name
         cwd.mkdir(parents=True)
         (cwd / "run.cfg").write_text(config)
-        proc = subprocess.run(
+        procs = [subprocess.run(
             [sys.executable, "-m", "lorentzheat.cli", "--config", "run.cfg",
              "--out", "out", *argv], cwd=cwd, env=env, capture_output=True)
-        got = dict(zip(STREAMS, (proc.returncode, proc.stdout, proc.stderr)))
+            for argv in commands]
+        got = {key: tuple(getattr(proc, attr) for proc in procs) for key, attr
+               in zip(STREAMS, ("returncode", "stdout", "stderr"))}
         out = cwd / "out"
         for path in sorted(out.iterdir()) if out.is_dir() else ():
             data = path.read_bytes()
