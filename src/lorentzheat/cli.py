@@ -49,8 +49,6 @@ def _parse_lorentz_list(text):
             raise ConfigError(f"lorentz tuple needs 4 entries, got {chunk!r}")
         vals = [INF if p == "inf" else float(p) for p in parts]
         out.append(LorentzParams(*vals))
-    if not out:
-        raise ConfigError("lorentz list is empty")
     return out
 
 
@@ -155,6 +153,15 @@ def _validate_config(v):
         raise ConfigError("delta must be positive")
     if v["evolve.scale"] <= 0.0:
         raise ConfigError("evolve.scale must be positive")
+    # so did an empty list, which wrote no results, and a repeated entry,
+    # which wrote each of its outputs twice
+    for key in ("alphas", "modes.scan", "lorentz"):
+        if not v[key]:
+            raise ConfigError(f"{key} is empty")
+        repeated = [e for i, e in enumerate(v[key]) if e in v[key][:i]]
+        if repeated:
+            entry = repeated[0].label() if key == "lorentz" else repeated[0]
+            raise ConfigError(f"{key} repeats {entry}")
     try:
         semigroup.check_dt_cap(v["scheme.dt_cap"])
     except ValueError as exc:
@@ -164,7 +171,7 @@ def _validate_config(v):
         if bad:
             raise ConfigError(
                 f"{key} holds {bad[0]}, outside 0..modes.k_max = {v['modes.k_max']}")
-    if max(v["alphas"], default=0) > v["modes.k_max"]:
+    if max(v["alphas"]) > v["modes.k_max"]:
         raise ConfigError(
             f"alphas reach {max(v['alphas'])} > modes.k_max = {v['modes.k_max']}: "
             "the envelopes of order alpha use h_k for every k <= alpha")

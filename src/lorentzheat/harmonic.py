@@ -15,6 +15,9 @@ g = 1 and h_k = r^{A_{1,k}} in closed form, with no solve.  Far-field
 exponents are fitted on the last grid decade and matched against the
 characteristic roots; the match of h_0 is what
 `spectral.classify_criticality` reads.
+
+A solved h_k is a `RadialProfile` with inner exponent A_{1,k} that also
+carries h_k' and its asymptotics.
 """
 
 from __future__ import annotations
@@ -53,41 +56,22 @@ class InsufficientSmoothnessError(ValueError):
     pass
 
 
-@dataclass
-class HarmonicProfile:
-    """Solved h_k together with its exact first derivative and asymptotics."""
+class HarmonicProfile(RadialProfile):
+    """Solved h_k with its exact first derivative and far-field asymptotics
+    (c and fit_residual are None when the constant's fit does not converge)."""
 
-    k: int
-    spec: spectral.PotentialSpec
-    profile: RadialProfile
-    hprime: np.ndarray
-    inner_exponent: float
-    fitted_outer_exponent: float
-    outer_exponent: float
-    outer_log_power: int
-    c: float | None = None
-    fit_residual: float | None = None
-    _derived: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.profile.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.profile.values
-
-    def eval(self, r):
-        return self.profile.eval(r)
-
-    def derived(self, build, *args):
-        """build(self, *args), run once per (build, args) and kept.  Callers
-        look build up on its module at the call, so that a wrapper put there
-        is the key and sees every build."""
-        key = (build, args)
-        if key not in self._derived:
-            self._derived[key] = build(self, *args)
-        return self._derived[key]
+    def __init__(self, k, spec, grid, h, hprime, inner_exponent):
+        super().__init__(grid, h, spec.dimension, inner_exponent=inner_exponent)
+        self.k = k
+        self.spec = spec
+        self.hprime = hprime
+        self.fitted_outer_exponent = _fit_tail_exponent(self.grid, self.values)
+        self.outer_exponent, self.outer_log_power = _match_outer(
+            spec, k, self.fitted_outer_exponent)
+        try:
+            self.c, self.fit_residual = fit_asymptotic_constant(self)
+        except NonConvergedFitError:
+            self.c = self.fit_residual = None
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with Shampine's
@@ -258,16 +242,7 @@ def solve_h(spec: spectral.PotentialSpec, k: int, grid=None) -> HarmonicProfile:
         hprime = np.exp((a1 - 1.0) * x) * (a1 * g + gdot)
     if not (np.isfinite(h).all() and np.isfinite(hprime).all()):
         raise HarmonicSolveError(f"h_{k} or its derivative overflowed on the grid")
-
-    fitted = _fit_tail_exponent(grid, h)
-    matched, logpow = _match_outer(spec, k, fitted)
-    profile = RadialProfile(grid, h, n, inner_exponent=a1)
-    hp = HarmonicProfile(k, spec, profile, hprime, a1, fitted, matched, logpow)
-    try:
-        hp.c, hp.fit_residual = fit_asymptotic_constant(hp)
-    except NonConvergedFitError:
-        hp.c, hp.fit_residual = None, None
-    return hp
+    return HarmonicProfile(k, spec, grid, h, hprime, a1)
 
 
 def _solve_g(spec, k, a1, grid, x):
@@ -400,7 +375,7 @@ def gamma_ratio(hp: HarmonicProfile, p: float, sigma: float, t: float) -> float:
     root_t = math.sqrt(t)
     if root_t > hp.grid[-1]:
         raise ValueError(f"sqrt(t)={root_t:g} beyond the solved grid")
-    return hp.profile.lorentz_norm_on_ball(p, sigma, root_t) / hp.eval(root_t)
+    return hp.lorentz_norm_on_ball(p, sigma, root_t) / hp.eval(root_t)
 
 
 def fit_asymptotic_constant(hp: HarmonicProfile) -> tuple[float, float]:

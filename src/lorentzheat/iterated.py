@@ -9,13 +9,13 @@ L_k u := u'' + (N-1)/r u' - (V + omega_k r^-2) u one has, exactly,
 
 equivalently I_k[f]'' + ((N-1)/r + 2 h_k'/h_k) I_k[f]' = f.  The repeated
 kernels I_k^n := I_k^n[1] and their h_k-weighted envelopes are the building
-blocks of the upper decay envelopes.
+blocks of the upper decay envelopes.  Each I_k^n is a `RadialProfile` on the
+grid of h_k that also carries its integrand and its exact first derivative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +35,16 @@ class SingularSourceError(ValueError):
     """f too singular at the origin for the inner integral to converge."""
 
 
-@dataclass
-class IteratedIntegral:
+class IteratedIntegral(RadialProfile):
     """I_k^n together with the exact pieces of its first two derivatives."""
 
-    k: int
-    n: int
-    profile: RadialProfile
-    source: HarmonicProfile
-    fvals: np.ndarray            # the integrand f this level was built from
-    dI: np.ndarray               # exact first derivative r^(1-N) h^-2 G
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.profile.values
+    def __init__(self, n, source, values, inner_exponent, fvals, dI):
+        super().__init__(source.grid, values, source.spec.dimension,
+                         inner_exponent=inner_exponent)
+        self.n = n
+        self.source = source
+        self.fvals = fvals  # the integrand f this level was built from
+        self.dI = dI        # exact first derivative r^(1-N) h^-2 G
 
 
 def apply_I(hk: HarmonicProfile, f, f_inner_exponent=None) -> IteratedIntegral:
@@ -74,9 +70,7 @@ def apply_I(hk: HarmonicProfile, f, f_inner_exponent=None) -> IteratedIntegral:
         outer = cumulative_integral(r, dI, head_exponent=head_out)
     except DivergentIntegralError as exc:
         raise SingularSourceError(str(exc)) from exc
-    profile = RadialProfile(r, outer, n,
-                            inner_exponent=f_inner_exponent + 2.0)
-    return IteratedIntegral(hk.k, 1, profile, hk, fvals, dI)
+    return IteratedIntegral(1, hk, outer, f_inner_exponent + 2.0, fvals, dI)
 
 
 def iterate_I(hk: HarmonicProfile, n: int) -> IteratedIntegral:
@@ -86,14 +80,11 @@ def iterate_I(hk: HarmonicProfile, n: int) -> IteratedIntegral:
     r = hk.grid
     if n == 0:
         ones = np.ones_like(r)
-        prof = RadialProfile(r, ones, hk.spec.dimension, inner_exponent=0.0)
-        return IteratedIntegral(hk.k, 0, prof, hk, ones, np.zeros_like(r))
+        return IteratedIntegral(0, hk, ones, 0.0, ones, np.zeros_like(r))
     cur = apply_I(hk, np.ones_like(r), f_inner_exponent=0.0)
     for j in range(1, n):
-        nxt = apply_I(hk, cur.values, f_inner_exponent=2.0 * j)
-        nxt.n = j + 1
-        cur = nxt
-    cur.n = n
+        cur = apply_I(hk, cur.values, f_inner_exponent=2.0 * j)
+        cur.n = j + 1
     return cur
 
 

@@ -160,7 +160,7 @@ class RadialProfile:
             inner_exponent = INF_DECAY if values[0] == 0.0 \
                 else two_point_exponent(grid, values)
         self.inner_exponent = float(inner_exponent)
-        self._segments = None
+        self._derived = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -241,10 +241,17 @@ class RadialProfile:
 
     # -- derived profiles ---------------------------------------------------------
 
+    def derived(self, build, *args):
+        """build(self, *args), run once per (build, args) and kept.  Callers
+        look build up on its module at the call, so that a wrapper put there
+        is the key and sees every build."""
+        key = (build, args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
+
     def segments(self) -> "_SegmentSet":
-        if self._segments is None:
-            self._segments = _build_segments(self)
-        return self._segments
+        return self.derived(_build_segments)
 
     def restrict(self, r_hi) -> "RadialProfile":
         """Zero-extended restriction to the ball B(0, r_hi): the nodes below

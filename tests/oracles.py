@@ -138,7 +138,7 @@ def j_envelope(hk: HarmonicProfile, n: int) -> RadialProfile:
     itg = iterate_I(hk, n)
     vals = hk.values * itg.values
     return RadialProfile(hk.grid, vals, hk.spec.dimension,
-                         inner_exponent=hk.inner_exponent + itg.profile.inner_exponent)
+                         inner_exponent=hk.inner_exponent + itg.inner_exponent)
 
 
 def mode_ode_residual(itg: IteratedIntegral) -> float:

@@ -110,6 +110,29 @@ class TestConfig:
         assert code == 1
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("alphas", "", "alphas is empty"),
+        ("modes.scan", "", r"modes\.scan is empty"),
+        ("lorentz", " ; ", "lorentz is empty"),
+        ("alphas", "0,1,0", "alphas repeats 0"),
+        ("modes.scan", "0,0", r"modes\.scan repeats 0"),
+        ("lorentz", "1,inf,1,inf; 2,inf,2,inf; 1.0,inf,1,inf",
+         r"lorentz repeats \(1,1\)->\(inf,inf\)")],
+        ids=["alphas_empty", "scan_empty", "lorentz_empty", "alphas_repeated",
+             "scan_repeated", "lorentz_repeated"])
+    @pytest.mark.parametrize("argv", [["norm-scan"], ["verify", "T4.2"]],
+                             ids=["norm-scan", "verify_T4.2"])
+    def test_empty_or_repeated_list_rejected(self, key, value, message, argv,
+                                             tmp_path, capsys):
+        # an empty list ran with exit 0 and wrote only a manifest; a repeated
+        # entry wrote each of its CSVs, or its verdict row, twice
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"{key} = {value}")
+        code, out = run_cli(tmp_path, f"grid.points = 256\n{key} = {value}\n", *argv)
+        assert code == 1
+        assert re.search("invalid input: .*" + message, capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
     def test_evolve_scale_rejected(self, value, tmp_path, capsys):
         # 0, -1 and nan ran evolve with exit 0 and wrote all-zero profiles

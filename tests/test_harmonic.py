@@ -1,9 +1,10 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from lorentzheat import harmonic, spectral
+from lorentzheat import harmonic, params, spectral
 from lorentzheat.harmonic import (
     ProfileSet,
     derivative_h,
@@ -14,7 +15,7 @@ from lorentzheat.harmonic import (
     weighted_h,
 )
 from lorentzheat.iterated import iterate_I
-from lorentzheat.params import INF, unit_ball_volume
+from lorentzheat.params import INF, RadialProfile, unit_ball_volume
 from lorentzheat.quadrature import make_grid, radial_derivative_values
 
 from oracles import (derivative_bound_constant, doubling_constant,
@@ -22,6 +23,13 @@ from oracles import (derivative_bound_constant, doubling_constant,
                      mode_ratio_decay, sandwich_constants)
 
 GRID = make_grid(1e-8, 1e4, 2048)
+
+
+def _empty_cache_copy(hp):
+    """A copy of hp whose derived cache is empty."""
+    twin = copy.copy(hp)
+    twin._derived = {}
+    return twin
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +188,7 @@ class TestHessianEnvelope:
         h1, h2 = derivative_h(hp, 1).values, derivative_h(hp, 2).values
         expect = np.sqrt(h2 ** 2 + 2 * (h1 / hp.grid) ** 2)
         assert np.array_equal(env.values, expect)
-        rebuilt = dataclasses.replace(hp, _derived={}).derived(hessian_envelope)
+        rebuilt = _empty_cache_copy(hp).derived(hessian_envelope)
         assert rebuilt is not env
         assert rebuilt.values.tobytes() == env.values.tobytes()
 
@@ -189,7 +197,7 @@ class TestDerivativeCache:
     def test_each_order_built_once_whatever_the_order_asked(self, monkeypatch):
         spec = spectral.PotentialSpec.inverse_power(3, 1.0, 4.0)
         first = solve_h(spec, 1, GRID)
-        second = dataclasses.replace(first, _derived={})
+        second = _empty_cache_copy(first)
         built = []
         inner = harmonic._derivative_values
         monkeypatch.setattr(harmonic, "_derivative_values",
@@ -214,8 +222,55 @@ class TestDerivativeCache:
         assert hp.derived(weighted_h, 1.0) is soft
         assert soft.values.tobytes() == (hp.grid ** 1.0 * hp.values).tobytes()
         assert hp.derived(weighted_h, 2.0) is not soft
-        assert dataclasses.replace(hp, _derived={}).derived(weighted_h, 1.0) \
+        assert _empty_cache_copy(hp).derived(weighted_h, 1.0) \
             .values.tobytes() == soft.values.tobytes()
+
+
+def _sampled_functions():
+    """Freshly solved h_k (Hardy lambda = 2, kappa = 4) and I_k^n."""
+    grid = make_grid(1e-6, 1e3, 512)
+    hardy = [solve_h(spectral.PotentialSpec.hardy(3, 2.0), k, grid) for k in (0, 1)]
+    kappa4 = solve_h(spectral.PotentialSpec.inverse_power(3, 1.0, 4.0), 0, grid)
+    return {"hardy_h0": hardy[0], "hardy_h1": hardy[1], "kappa4_h0": kappa4,
+            "hardy_I1^2": iterate_I(hardy[1], 2), "kappa4_I0^1": iterate_I(kappa4, 1)}
+
+
+SAMPLED = ("hardy_h0", "hardy_h1", "kappa4_h0", "hardy_I1^2", "kappa4_I0^1")
+SEGMENT_FIELDS = ("r0", "r1", "kind", "ra", "va", "expo", "slope", "icpt",
+                  "vol", "vmin", "vmax")
+
+
+class TestOneSampledFunctionType:
+    """h_k and I_k^n are RadialProfiles: their norms, values and segments are
+    those of the plain profile of their samples, and what is derived from
+    them, the segment set too, sits in one cache."""
+
+    @pytest.mark.parametrize("name", SAMPLED)
+    def test_same_bits_as_the_plain_profile(self, name):
+        prof = _sampled_functions()[name]
+        plain = RadialProfile(prof.grid, prof.values, 3,
+                              inner_exponent=prof.inner_exponent)
+        for pair in ((1, 1), (2, 2), (INF, INF), (1.5, 3), (2, INF)):
+            assert prof.lorentz_norm(*pair) == plain.lorentz_norm(*pair), pair
+        r = np.concatenate(([1e-8, 1e-6], np.geomspace(2e-6, 9e2, 37), [1e3, 2e3]))
+        assert prof.eval(r).tobytes() == plain.eval(r).tobytes()
+        for x in r:
+            assert prof.eval(x) == plain.eval(x)
+        got, want = prof.segments(), plain.segments()
+        for key in SEGMENT_FIELDS:
+            assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+
+    @pytest.mark.parametrize("name", SAMPLED)
+    def test_segments_are_one_derived_build(self, name, monkeypatch):
+        prof = _sampled_functions()[name]
+        built = []
+        inner = params._build_segments
+        monkeypatch.setattr(params, "_build_segments",
+                            lambda profile: built.append(profile) or inner(profile))
+        segments = prof.segments()
+        assert prof.segments() is segments
+        assert segments is prof.derived(params._build_segments)
+        assert built == [prof]
 
 
 class TestAsymptoticConstants:

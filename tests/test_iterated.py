@@ -70,7 +70,7 @@ class TestApplyI:
     def test_vanishes_at_origin(self, hardy_hk):
         itg = iterate_I(hardy_hk[1], 2)
         assert itg.values[0] < 1e-20
-        assert itg.profile.inner_exponent == pytest.approx(4.0)
+        assert itg.inner_exponent == pytest.approx(4.0)
 
     def test_positivity_and_monotonicity(self, hardy_hk):
         f = np.exp(-GRID)
@@ -103,11 +103,10 @@ class TestApplyI:
     def test_hardy_scaling(self, hardy_hk):
         # I_k^n(lam r) = lam^(2n) I_k^n(r) for the scale-invariant potential
         itg = iterate_I(hardy_hk[1], 2)
-        prof = itg.profile
         r = GRID[(GRID > 1e-5) & (GRID < 1e2)]
         for lam in (2.0, 8.0):
-            lhs = prof.eval(lam * r)
-            rhs = lam ** 4 * prof.eval(r)
+            lhs = itg.eval(lam * r)
+            rhs = lam ** 4 * itg.eval(r)
             assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-6
 
 

@@ -139,7 +139,7 @@ class TestEnvelopes:
         lp = LorentzParams(2.0, INF, 2.0, INF)
         for t in (0.5, 5.0):
             got = phi_alpha(ps_zero, lp, 1, t)
-            want = t ** -1.5 * ps_zero.h(0).profile.lorentz_norm_on_ball(
+            want = t ** -1.5 * ps_zero.h(0).lorentz_norm_on_ball(
                 2.0, 2.0, math.sqrt(t)) / 1.0 * t ** -0.5
             # the gradient norm is numerically ~0, so phi ~ Gamma' * t^(-N/2) * t^(-1/2)
             assert got == pytest.approx(want, rel=1e-2)
