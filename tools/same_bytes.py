@@ -54,7 +54,13 @@ Hardy coupling lambda = -0.25, where h_0 = r^-0.5 and every empirical
 bound into L^inf is inf.  Last, one chained run on the small Hardy config:
 `verify T4.2`, then `verify T7.1`, then `report` in the same output
 directory.  It is the only run that reaches `report`, and the only one
-whose `Manifest.write` merges the lines of an earlier manifest.
+whose `Manifest.write` merges the lines of an earlier manifest.  Then four
+runs on input that no result can be read from, each of which must exit 1
+with `invalid input`: `norm-scan` and `verify T4.2` where sqrt t_min is at
+most 4 grid.r_min, so that the test family at t_min holds no ball (here it
+is empty at every time); `evolve` of a ball whose radius lies below
+grid.r_min, a datum that is zero at every node; and `verify T4.2` on a time
+grid of 5 points, too few for any rate fit.
 Each run gets its own working directory, so the paths in stdout and
 stderr read the same in both trees.
 """
@@ -131,6 +137,25 @@ CRITICAL = "potential.kind = hardy\npotential.lambda = -0.25\n"
 # two verdict files, then the report that reads them and the merged manifest
 CHAINED = (["verify", "T4.2"], ["verify", "T7.1"], ["report"])
 
+# sqrt t <= 4 r_min at every t: the test family is empty
+EMPTY_FAMILY = """\
+grid.r_min = 1e-2
+grid.r_max = 1e3
+grid.points = 256
+time.t_min = 1e-5
+time.t_max = 1e-3
+time.points_per_decade = 1
+lorentz = 1,inf,1,inf
+alphas = 0
+"""
+
+# a ball of radius 1e-8 sqrt(0.1), below r_min = 1e-8: zero at every node
+EVOLVE_BELOW_GRID = "grid.points = 256\nevolve.data = ball\nevolve.scale = 1e-8\n" \
+                    "time.t_max = 1\n"
+
+# t = 0.5..50 at 2 per decade: 5 times, below the 8 a rate fit needs
+SHORT_TIME = "time.t_max = 50\ntime.points_per_decade = 2\n"
+
 
 def _runs() -> list[tuple[str, str, list[list[str]]]]:
     """(name, config text, the CLI arguments of each invocation) of every
@@ -175,6 +200,11 @@ def _runs() -> list[tuple[str, str, list[list[str]]]]:
              for argv in (["norm-scan"], ["verify", "T4.2"])]
     runs.append(("hardy_chained_report", SMALL_COMMON + SMALL_POTENTIALS["hardy"],
                  [list(argv) for argv in CHAINED]))
+    runs += [("empty_family_" + "_".join(argv), EMPTY_FAMILY, [argv])
+             for argv in (["norm-scan"], ["verify", "T4.2"])]
+    runs.append(("evolve_below_grid", EVOLVE_BELOW_GRID, [["evolve"]]))
+    runs.append(("hardy_short_time_verify_T4.2", SMALL_COMMON
+                 + SMALL_POTENTIALS["hardy"] + SHORT_TIME, [["verify", "T4.2"]]))
     return runs
 
 
