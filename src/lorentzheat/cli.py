@@ -496,6 +496,10 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
     ps = build_profiles(cfg)
     ts = time_grid(cfg)
     hk, phi = _initial_datum(cfg, ps, ts[0])
+    if not phi.any():
+        raise ConfigError(
+            f"the {cfg['evolve.data']} datum of evolve.scale = {cfg['evolve.scale']:g} "
+            f"is zero at every grid node (grid.r_min = {cfg['grid.r_min']:g})")
     with np.errstate(over="ignore"):  # evolve_modes rejects the overflow
         w0 = phi / hk.values
     ws, warnings = semigroup.evolve_modes(hk, w0, list(ts), cfg["scheme.dt_cap"])
@@ -512,6 +516,13 @@ def cmd_evolve(cfg: RunConfig, out: Path, manifest: Manifest) -> int:
 def _empirical_table(cfg, ps, k, alphas, lps, ts, manifest):
     """{(alpha, lp_idx): array of bounds over ts} via the batched sweep; the
     flows' warnings go to the manifest."""
+    # the family at t_min would hold the bump alone, or nothing: no bound
+    cut = semigroup.FAMILY_CUT * ps.grid[0]
+    if math.sqrt(ts[0]) <= cut:
+        raise ConfigError(
+            f"sqrt(time.t_min) = {math.sqrt(ts[0]):g} must exceed "
+            f"{semigroup.FAMILY_CUT:g} grid.r_min = {cut:g}: the test family "
+            "at t_min holds no ball")
     table, warnings = semigroup.operator_norm_sweep(
         ps.h(k), alphas, lps, list(ts), dt_cap=cfg["scheme.dt_cap"],
         j_max=cfg["family.j_max"])
@@ -566,6 +577,17 @@ EXP_TOL = 0.05
 LOG_TOL = 0.3
 
 
+def _fit_rate(ts, vals, model="auto"):
+    """rates.fit_rate; a time grid that no series can be fitted on is
+    invalid input, not a numerical failure."""
+    try:
+        rates.check_window(ts)
+    except rates.RateFitError as exc:
+        raise ConfigError("time.t_min, time.t_max and time.points_per_decade "
+                          f"give no time grid a rate fits on: {exc}") from exc
+    return rates.fit_rate(ts, vals, model)
+
+
 def _judge_two_sided(ps, lp, alpha, ts, vals):
     phis = np.array([rates.phi_alpha(ps, lp, alpha, t) for t in ts])
     if not np.all(np.isfinite(phis)):
@@ -595,7 +617,7 @@ def _judge_floor(ps, lp, alpha, ts, vals):
     if np.isinf(vals).any():
         return "empirical lower bound infinite (unbounded)"
     free = rates.free_exponent(lp, alpha, ps.spec.dimension)
-    fit = rates.fit_rate(ts, vals)
+    fit = _fit_rate(ts, vals)
     return ((ts, vals), None, fit.exponent >= free - EXP_TOL,
             f"fitted {fit.exponent:+.4f} >= free {free:+.4f} - {EXP_TOL}")
 
@@ -609,7 +631,7 @@ def _judge_family_rates(theorem, ps, lp, alpha, ts, vals):
         return f"hypothesis failed: {why}"
     # fit the model the prediction names: a free log factor can trade
     # exponent for log power where the theorem rules the log out
-    fit = rates.fit_rate(ts, vals, "power-log" if pred.log_power else "pure-power")
+    fit = _fit_rate(ts, vals, "power-log" if pred.log_power else "pure-power")
     ok = abs(fit.exponent - pred.exponent) <= EXP_TOL and \
         abs(fit.log_power - (pred.log_power or 0.0)) <= LOG_TOL
     return ((ts, vals), ("fit_b", fit.exponent), ok,

@@ -31,15 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import two_point_exponent
+from .quadrature import power_pieces, two_point_exponent
 
 INF = math.inf
 
 # marker for "vanishes faster than any power" below the grid
 INF_DECAY = -math.inf
-
-# exponents below this magnitude are treated as flat segments
-_FLAT_EPS = 1e-13
 
 
 def unit_ball_volume(dimension: int) -> float:
@@ -188,40 +185,15 @@ class RadialProfile:
 
     def eval(self, r):
         """Interpolated (signed) values; the power law below the grid, zero
-        beyond it."""
+        beyond it.  An array of points is evaluated point by point."""
         if np.ndim(r) == 0:
             return self._eval_point(float(r))
         r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        g, v = self.grid, self.values
-        idx = np.searchsorted(g, r, side="right") - 1
-        inner = idx < 0
-        outerm = idx >= g.size - 1
-        mid = ~(inner | outerm)
-        if np.any(mid):
-            i = idx[mid]
-            r0, r1 = g[i], g[i + 1]
-            v0, v1 = v[i], v[i + 1]
-            rm = r[mid]
-            res = np.empty(i.shape)
-            powok = np.sign(v0) * np.sign(v1) > 0.0  # v0 * v1 can underflow
-            if np.any(powok):
-                a = np.log(np.abs(v1[powok] / v0[powok])) / np.log(r1[powok] / r0[powok])
-                res[powok] = v0[powok] * (rm[powok] / r0[powok]) ** a
-            lin = ~powok
-            if np.any(lin):
-                w = (rm[lin] - r0[lin]) / (r1[lin] - r0[lin])
-                res[lin] = v0[lin] * (1.0 - w) + v1[lin] * w
-            out[mid] = res
-        if np.any(inner):
-            a = self.inner_exponent
-            out[inner] = 0.0 if a == INF_DECAY else v[0] * (r[inner] / g[0]) ** a
-        out[outerm] = np.where(r[outerm] == g[-1], v[-1], 0.0)
-        return out
+        return np.array([self._eval_point(x) for x in r.ravel().tolist()],
+                        dtype=float).reshape(r.shape)
 
     def _eval_point(self, r: float) -> np.float64:
-        """eval at one point without the masks: the same numpy operations on
-        numpy scalars (log and power round as on arrays), so the same bits."""
+        """eval at one point, on the piece of the profile's power_pieces."""
         g, v = self.grid, self.values
         i = g.searchsorted(r, side="right") - 1
         if i < 0:
@@ -232,10 +204,10 @@ class RadialProfile:
             return v[0] * np.asarray(r / g[0]) ** a
         if i >= g.size - 1:
             return v[-1] if r == g[-1] else np.float64(0.0)
+        same, a = self.derived(_power_pieces)
         r0, r1, v0, v1 = g[i], g[i + 1], v[i], v[i + 1]
-        if (v0 > 0.0 and v1 > 0.0) or (v0 < 0.0 and v1 < 0.0):
-            a = np.log(abs(v1 / v0)) / np.log(r1 / r0)
-            return v0 * np.power(r / r0, a)
+        if same[i] > 0.0:
+            return v0 * np.power(r / r0, a[i])
         w = (r - r0) / (r1 - r0)
         return v0 * (1.0 - w) + v1 * w
 
@@ -317,7 +289,7 @@ def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
     v_lo (r/r_lo)^a with s = a p + N gives v_e^p r_e^N (1 - (r_lo/r_hi)^|s|)
     / |s|, at the end e where v^p r^N is larger (r_hi if s > 0, else r_lo),
     or v_lo^p r_lo^N log(r_hi/r_lo) if s = 0.  v_e is the node value, but a
-    piece that _FLAT_EPS snaps flat keeps its anchor value v_lo.  The inner
+    piece that power_pieces snaps flat keeps its anchor value v_lo.  The inner
     extension (r_lo = 0) diverges unless s > 0.  A linear piece runs from a
     zero (a zero node, or the interpolated zero of a sign change) to a node
     value va: with L its length, expanding r^(N-1) about its start r_0 gives
@@ -347,12 +319,10 @@ def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
     log_step = np.log(g[1:] / g[:-1])
     g_N = g ** N
     v0, v1, y0, y1 = v[:, :-1], v[:, 1:], y[:, :-1], y[:, 1:]
-    same = np.sign(v0) * np.sign(v1)  # v0 * v1 can underflow
+    same, a = power_pieces(g, v)
     power = same > 0.0
     pieces = np.zeros((c, g.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.log(np.abs(v1 / v0)) / log_step
-        a = np.where(power & (np.abs(a) >= _FLAT_EPS), a, 0.0)
         s = a * p + N
         abs_s = np.abs(s)
         shape = np.where(s == 0.0, log_step, -np.expm1(-abs_s * log_step) / abs_s)
@@ -652,17 +622,19 @@ def _gauss_nodes(n):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _power_pieces(profile: RadialProfile):
+    """power_pieces of the profile: the one table eval and the segments read."""
+    return power_pieces(profile.grid, profile.values)
+
+
 def _build_segments(profile: RadialProfile) -> _SegmentSet:
     """Inner extension, then per grid interval a power law (same signs), two
     linear pieces meeting at the interpolated zero (opposite signs) or one
     linear piece (a zero end); all-zero parts dropped."""
     g, v = profile.grid, profile.values
     r0, r1, v0, v1 = g[:-1], g[1:], v[:-1], v[1:]
-    same = np.sign(v0) * np.sign(v1)  # v0 * v1 can underflow
+    same, a = profile.derived(_power_pieces)
     power, cross = same > 0.0, same < 0.0
-    a = np.zeros(r0.size)
-    a[power] = np.log(np.abs(v1[power] / v0[power])) / np.log(r1[power] / r0[power])
-    a[np.abs(a) < _FLAT_EPS] = 0.0
     rc = r0.copy()
     rc[cross] = _zero_crossing(r0[cross], r1[cross], v0[cross], v1[cross])
     # the rows of fields are (r0, r1, kind, ra, va, expo, slope, icpt); each

@@ -17,13 +17,27 @@ class DivergentIntegralError(ArithmeticError):
     """Head panel of a cumulative integral diverges at r = 0."""
 
 
+_FLAT_EPS = 1e-13  # exponents below this magnitude are flat pieces
+
+
+def power_pieces(r, v):
+    """The interpolant's piece on each interval of the grid r, along the last
+    axis of v (one column, or a stack of them, each on its own): (same, a).
+
+    same is the product of the end values' signs (v0 * v1 could underflow):
+    > 0 for a power law v0 (r/r0)^a, < 0 for a sign change, 0 for a zero end.
+    a is 0.0 on those linear pieces and where |a| < _FLAT_EPS.
+    """
+    v0, v1 = v[..., :-1], v[..., 1:]
+    same = np.sign(v0) * np.sign(v1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.log(np.abs(v1 / v0)) / np.log(r[1:] / r[:-1])
+    return same, np.where((same > 0.0) & (np.abs(a) >= _FLAT_EPS), a, 0.0)
+
+
 def two_point_exponent(r, v) -> float:
-    """Power e with v[1] = v[0] (r[1]/r[0])^e; 0.0 unless v[0] and v[1] are
-    nonzero with one sign (tested by sign, as a product could underflow)."""
-    v0, v1 = v[0], v[1]
-    if min(v0, v1) > 0.0 or max(v0, v1) < 0.0:
-        return math.log(abs(v1 / v0)) / math.log(r[1] / r[0])
-    return 0.0
+    """a of power_pieces' first piece: v[1] = v[0] (r[1]/r[0])^a, or 0.0."""
+    return float(power_pieces(r[:2], v[:2])[1][0])
 
 
 def windowed_exponent(r, v, window, snap):
@@ -67,12 +81,12 @@ def cumulative_integral(r, y, head_exponent=None):
         out[0] = y0 * r[0] / (head_exponent + 1.0)
 
     ratio = np.empty(n - 1)
-    powok = np.sign(y[:-1]) * np.sign(y[1:]) > 0.0  # y[:-1] * y[1:] can underflow
+    same, expo = power_pieces(r, y)
+    powok = same > 0.0
     idx_pow = np.nonzero(powok)[0]
     if idx_pow.size:
         r0, r1 = r[idx_pow], r[idx_pow + 1]
-        a0, a1 = y[idx_pow], y[idx_pow + 1]
-        e = np.log(np.abs(a1 / a0)) / np.log(r1 / r0)
+        a0, e = y[idx_pow], expo[idx_pow]
         flat = np.abs(e + 1.0) < 1e-12
         val = np.empty(idx_pow.size)
         nz = ~flat

@@ -370,6 +370,16 @@ class RateEstimate:
     model: str
 
 
+def check_window(ts) -> None:
+    """RateFitError unless the times ts are >= 8 points that span >= 2
+    decades, the least fit_rate fits on."""
+    if ts.size < 8:
+        raise RateFitError(f"need >= 8 usable points, got {ts.size}")
+    span = np.max(ts) / np.min(ts)
+    if span < 99.0:
+        raise RateFitError(f"window must span >= 2 decades, got {span:.3g}x")
+
+
 def fit_rate(ts, values, model: str = "auto") -> RateEstimate:
     """Least squares in log-log coordinates.
 
@@ -381,11 +391,7 @@ def fit_rate(ts, values, model: str = "auto") -> RateEstimate:
     values = np.asarray(values, dtype=float)
     mask = np.isfinite(values) & (values > 0.0)
     ts, values = ts[mask], values[mask]
-    if ts.size < 8:
-        raise RateFitError(f"need >= 8 usable points, got {ts.size}")
-    span = np.max(ts) / np.min(ts)
-    if span < 99.0:
-        raise RateFitError(f"window must span >= 2 decades, got {span:.3g}x")
+    check_window(ts)
     lt, lv = np.log(ts), np.log(values)
 
     def pure():

@@ -69,7 +69,7 @@ import numpy as np
 
 from .harmonic import HarmonicProfile, leibniz_h
 from .params import INF_DECAY, RadialProfile, lorentz_norms
-from .quadrature import radial_derivative_values, windowed_exponent
+from .quadrature import power_pieces, radial_derivative_values, windowed_exponent
 
 
 INIT_SCALE_STEPS = 8.0            # first dt = 2 t_first / (dt_cap * this); 8: see above
@@ -221,14 +221,12 @@ def _cell_masses(r, weight, head_exponent):
     """Integral of the weight over each finite-volume cell.
 
     Faces sit at geometric means of adjacent nodes; each half-panel is
-    integrated with the local power law, and the innermost cell includes
-    the exact (0, r_0] head.
+    integrated with the panel's power law from power_pieces (flat where a
+    weight is 0), and the innermost cell includes the exact (0, r_0] head.
     """
     n = r.size
     faces = np.sqrt(r[:-1] * r[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expo = np.log(weight[1:] / weight[:-1]) / np.log(r[1:] / r[:-1])
-    expo = np.where(np.isfinite(expo), expo, 0.0)
+    expo = power_pieces(r, weight)[1]
 
     def partial(anchor_r, anchor_w, e, r_from, r_to):
         ep1 = e + 1.0
@@ -406,6 +404,11 @@ def start_values(hk: HarmonicProfile, kind: str, radius: float) -> np.ndarray:
     return np.where(r <= radius, hk.values if kind == "hk_bump" else 1.0, 0.0)
 
 
+# the test family keeps a ball or annulus only where its radius exceeds
+# FAMILY_CUT r_min
+FAMILY_CUT = 4.0
+
+
 def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
                       ) -> list[FamilyDatum]:
     """Concentrated data at dyadic fractions of sqrt t.
@@ -423,12 +426,12 @@ def build_test_family(hk: HarmonicProfile, t: float, j_max: int = 6
     out = []
     for j in range(j_max + 1):
         radius = root_t * 2.0 ** (-j)
-        if radius <= r[0] * 4.0:
+        if radius <= r[0] * FAMILY_CUT:
             break
         prof = RadialProfile(r, start_values(hk, "ball", radius), n,
                              inner_exponent=0.0)
         out.append(FamilyDatum(f"ball_j{j}", prof))
-        if radius / 2.0 > r[0] * 4.0:
+        if radius / 2.0 > r[0] * FAMILY_CUT:
             av = start_values(hk, "annulus", radius)
             if np.any(av > 0.0):
                 aprof = RadialProfile(r, av, n, inner_exponent=INF_DECAY)

@@ -366,6 +366,64 @@ alphas = 0
         with pytest.raises(rates.RateFitError):
             cli._judge_floor(ps, LorentzParams(1, 2, 1, 2), 0, ts, np.full(9, np.nan))
 
+    @pytest.mark.parametrize("argv, t_min, t_max", [(["norm-scan"], "1e-3", "1e-1"),
+                                                    (["verify", "T4.2"], "1e-5", "1e-3")])
+    def test_family_without_a_ball_at_t_min_exits_1(self, argv, t_min, t_max, tmp_path,
+                                                   monkeypatch, capsys):
+        # sqrt t_min <= 4 r_min: at t_min = 1e-3 the family is the bump alone,
+        # whose norm-scan ran with exit 0 and an empirical_lower far below the
+        # envelope; at 1e-5 it is empty at every t, and the flow of no column
+        # raised a traceback.  Refused before any flow
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran")
+
+        monkeypatch.setattr(semigroup, "evolve_modes", no_flow)
+        cfgtext = ("grid.r_min = 1e-2\ngrid.r_max = 1e3\ngrid.points = 256\n"
+                   f"time.t_min = {t_min}\ntime.t_max = {t_max}\n"
+                   "time.points_per_decade = 1\nlorentz = 1,inf,1,inf\nalphas = 0\n")
+        code, out = run_cli(tmp_path, cfgtext, *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "time.t_min" in err \
+            and "grid.r_min" in err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("data, scale", [("ball", "1e-8"), ("hk_bump", "1e-8"),
+                                             ("gaussian", "1e-10")])
+    def test_evolve_of_a_datum_zero_on_the_grid_exits_1(self, data, scale, tmp_path,
+                                                       capsys):
+        # radius scale sqrt(0.1) below r_min = 1e-8: every node of the datum
+        # is 0 (the gaussian underflows), and evolve wrote zeros with exit 0
+        code, out = run_cli(tmp_path, f"grid.points = 256\nevolve.data = {data}\n"
+                            f"evolve.scale = {scale}\ntime.t_max = 1\n", "evolve")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "zero at every grid node" in err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("theorem, times", [
+        ("T4.2", "time.t_max = 50\ntime.points_per_decade = 2\n"),
+        ("T4.2", "time.t_min = 1\ntime.t_max = 50\ntime.points_per_decade = 8\n"),
+        ("T7.1", "time.t_max = 50\ntime.points_per_decade = 2\n"),
+    ], ids=["T4.2-6-points", "T4.2-50x", "T7.1-6-points"])
+    def test_verify_on_a_time_grid_no_rate_fits_exits_1(self, theorem, times, tmp_path,
+                                                        capsys):
+        # 6 times from 0.1 to 50, or 15 over a 50x span: every fit fails, and
+        # the run exited 2 as a numerical failure after the whole sweep
+        code, out = run_cli(tmp_path, FAST_COMMON + times, "verify", theorem)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "time.points_per_decade" in err
+        assert not (out / f"verdicts_{theorem}.csv").exists()
+
+    def test_verify_that_skips_every_row_ignores_the_time_grid(self, tmp_path):
+        # T7.3 under Hardy fits nothing: every row is a SKIP, whatever the grid
+        code, out = run_cli(tmp_path, FAST_COMMON + "time.t_max = 50\n"
+                            "time.points_per_decade = 2\n", "verify", "T7.3")
+        assert code == 0
+        with (out / "verdicts_T7.3.csv").open(newline="") as fh:
+            assert {row[2] for row in list(csv.reader(fh))[1:]} == {"SKIP"}
+
     def test_verify_two_sided_writes_four_columns(self, tmp_path):
         cfgtext = FAST_COMMON + "potential.kind = zero\nalphas = 0,1,3\n" \
             "modes.k_max = 3\n"

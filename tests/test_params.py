@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lorentzheat import params
+from lorentzheat import params, quadrature
 from lorentzheat.params import (
     INF,
     INF_DECAY,
@@ -284,6 +284,16 @@ class TestProfileBasics:
         r = np.array([1e-7, 1e-3, 1.0, 50.0])
         assert np.allclose(phi.eval(r), r ** 1.5, rtol=1e-12)
 
+    def test_eval_takes_the_flat_piece_the_norms_take(self):
+        # the first interval's exponent, about 5e-14, is below the flat
+        # threshold: the segment set and lp_norms integrate 1 there, and eval
+        # returns it
+        phi = RadialProfile(np.array([1.0, 2.0, 4.0]), np.array([1.0, 1.0 + 3.5e-14, 1.0]),
+                            3, inner_exponent=0.0)
+        assert phi.segments().expo[1] == 0.0
+        assert phi.eval(1.5) == 1.0
+        assert phi.eval(np.array([1.5, 1.9])).tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize("inner", [2.0, 0.5, -0.7, INF_DECAY])
     def test_eval_at_a_point_equals_the_array_path(self, inner):
         # sin(3 log r) r^0.3 changes sign between nodes and has a run of
@@ -363,7 +373,7 @@ def _segments_oracle(phi):
     for r0, r1, v0, v1 in zip(g[:-1], g[1:], v[:-1], v[1:]):
         if v0 * v1 > 0.0:
             a = np.log(abs(v1 / v0)) / np.log(r1 / r0)
-            a = 0.0 if abs(a) < params._FLAT_EPS else a
+            a = 0.0 if abs(a) < quadrature._FLAT_EPS else a
             rows.append((r0, r1, params._POWER, r0, abs(v0), a, 0.0, 0.0))
         elif v0 * v1 < 0.0:
             rc = r0 + (r1 - r0) * v0 / (v0 - v1)

@@ -4,6 +4,7 @@ import pytest
 from lorentzheat.params import INF_DECAY, RadialProfile
 from lorentzheat.quadrature import (
     cumulative_integral,
+    power_pieces,
     radial_derivative_values,
     two_point_exponent,
     windowed_exponent,
@@ -48,6 +49,44 @@ class TestCumulativeIntegral:
         normal = exact > 1e-290
         assert np.count_nonzero(normal) > 300
         np.testing.assert_allclose(got[normal], exact[normal], rtol=1e-12, atol=0.0)
+
+
+# exponents of about +-5e-14, below the flat threshold
+NEAR_FLAT = (np.array([1.0, 2.0, 4.0]), np.array([1.0, 1.0 + 3.5e-14, 1.0]))
+
+
+class TestPowerPieces:
+    def test_a_stack_equals_each_column_alone(self):
+        # lp_norms takes a stack of columns at once; each column's pieces must
+        # be its own, bit for bit: powers of either sign, zero runs, sign
+        # changes, near-flat and underflowing neighbours
+        rng = np.random.default_rng(7)
+        r = np.geomspace(1e-3, 1e3, 300)
+        stack = rng.standard_normal((6, r.size)) * np.exp(rng.uniform(-30, 30, (6, r.size)))
+        stack[1] = r ** -1.5
+        stack[2, 50:80] = 0.0
+        stack[3] = 1e-170 * r ** 2
+        stack[4] = 1.0 + rng.uniform(-1e-14, 1e-14, r.size)
+        same, a = power_pieces(r, stack)
+        assert same.shape == a.shape == (6, r.size - 1)
+        for k in range(stack.shape[0]):
+            one_same, one_a = power_pieces(r, stack[k])
+            assert one_same.tobytes() == same[k].tobytes()
+            assert one_a.tobytes() == a[k].tobytes()
+
+    def test_signs_and_snap(self):
+        r = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        same, a = power_pieces(r, np.array([1.0, 4.0, -1.0, 0.0, 2.0]))
+        assert same.tolist() == [1.0, -1.0, -0.0, 0.0]
+        assert a.tolist() == [2.0, 0.0, 0.0, 0.0]
+        same, a = power_pieces(*NEAR_FLAT)
+        assert same.tolist() == [1.0, 1.0] and a.tolist() == [0.0, 0.0]
+
+    def test_near_flat_panel_integrates_flat(self):
+        # the flat piece that eval and the norms take: 1 on [1, 2]
+        r, v = NEAR_FLAT
+        got = cumulative_integral(r, v, head_exponent=0.0)
+        assert got[1] - got[0] == 1.0
 
 
 class TestWindowedExponent:
