@@ -60,7 +60,12 @@ with `invalid input`: `norm-scan` and `verify T4.2` where sqrt t_min is at
 most 4 grid.r_min, so that the test family at t_min holds no ball (here it
 is empty at every time); `evolve` of a ball whose radius lies below
 grid.r_min, a datum that is zero at every node; and `verify T4.2` on a time
-grid of 5 points, too few for any rate fit.
+grid of 5 points, too few for any rate fit.  Last, `norm-scan` and
+`verify T7.2` on the zero potential at 64 nodes on [3.89e-6, 1.24e4],
+`modes.scan = 0,1`, alpha = 1, into L^{2,inf} and L^{6,8}: far out the
+flowed values (1e-163 to 1e-184) change sign between nodes, and some of
+their zero crossings round onto a node, which leaves a linear piece of
+zero length on the layer-cake path of every sigma != p norm.
 Each run gets its own working directory, so the paths in stdout and
 stderr read the same in both trees.
 """
@@ -156,6 +161,24 @@ EVOLVE_BELOW_GRID = "grid.points = 256\nevolve.data = ball\nevolve.scale = 1e-8\
 # t = 0.5..50 at 2 per decade: 5 times, below the 8 a rate fit needs
 SHORT_TIME = "time.t_max = 50\ntime.points_per_decade = 2\n"
 
+# far-field sign changes whose zero crossings round onto a node
+NODE_CROSSING = """\
+dimension = 3
+potential.kind = zero
+grid.r_min = 3.89e-6
+grid.r_max = 1.24e4
+grid.points = 64
+modes.k_max = 1
+modes.scan = 0,1
+time.t_min = 0.00428
+time.t_max = 0.932
+time.points_per_decade = 6
+lorentz = 1,2,1,inf; 3,6,2,8
+alphas = 1
+family.j_max = 5
+scheme.dt_cap = 256
+"""
+
 
 def _runs() -> list[tuple[str, str, list[list[str]]]]:
     """(name, config text, the CLI arguments of each invocation) of every
@@ -205,6 +228,8 @@ def _runs() -> list[tuple[str, str, list[list[str]]]]:
     runs.append(("evolve_below_grid", EVOLVE_BELOW_GRID, [["evolve"]]))
     runs.append(("hardy_short_time_verify_T4.2", SMALL_COMMON
                  + SMALL_POTENTIALS["hardy"] + SHORT_TIME, [["verify", "T4.2"]]))
+    runs += [("node_crossing_" + "_".join(argv), NODE_CROSSING, [argv])
+             for argv in (["norm-scan"], ["verify", "T7.2"])]
     return runs
 
 
