@@ -290,9 +290,9 @@ def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
     / |s|, at the end e where v^p r^N is larger (r_hi if s > 0, else r_lo),
     or v_lo^p r_lo^N log(r_hi/r_lo) if s = 0.  v_e is the node value, but a
     piece that power_pieces snaps flat keeps its anchor value v_lo.  The inner
-    extension (r_lo = 0) diverges unless s > 0.  A linear piece runs from a
-    zero (a zero node, or the interpolated zero of a sign change) to a node
-    value va: with L its length, expanding r^(N-1) about its start r_0 gives
+    extension (r_lo = 0) diverges unless s > 0.  A linear piece of
+    _linear_pieces runs from a zero to a node value va: with L its length,
+    expanding r^(N-1) about its start r_0 gives
     va^p sum_k C(N-1, k) r_0^(N-1-k) L^(k+1) c_k, where c_k = 1/(p+k+1) for
     the zero at r_0 and B(k+1, p+1) for the zero at its other end.  Values
     are divided by max |v| before the power p.  Every column's pieces sum
@@ -313,12 +313,13 @@ def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
     N = int(dimension)
     s_in = inner * p + N
     divergent = head & (s_in <= 0.0)
-    y /= np.where(scale > 0.0, scale, 1.0)[:, None]
+    unit = np.where(scale > 0.0, scale, 1.0)
+    y /= unit[:, None]
 
     # power pieces: head, then one slot per interval
     log_step = np.log(g[1:] / g[:-1])
     g_N = g ** N
-    v0, v1, y0, y1 = v[:, :-1], v[:, 1:], y[:, :-1], y[:, 1:]
+    y0, y1 = y[:, :-1], y[:, 1:]
     same, a = power_pieces(g, v)
     power = same > 0.0
     pieces = np.zeros((c, g.size))
@@ -342,31 +343,43 @@ def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
             end[far] = np.exp(p * np.log(v_e[far]) + N * np.log(r_e))
     pieces[:, 1:] = np.where(power, end * shape, 0.0)
 
-    # linear pieces: an interval's first piece, and the second of a sign change
-    cross = same < 0.0
-    col, i = np.nonzero(cross | ((same == 0.0) & ((v0 != 0.0) | (v1 != 0.0))))
-    x = cross[col, i]
-    rc = _zero_crossing(g[i[x]], g[i[x] + 1], v0[col[x], i[x]], v1[col[x], i[x]])
-    first_end = g[i + 1]
-    first_end[x] = rc
-    start = np.concatenate((g[i], rc))
-    length = np.concatenate((first_end - g[i], g[i[x] + 1] - rc))
-    va = np.concatenate((np.where(x, y0[col, i], np.maximum(y0[col, i], y1[col, i])),
-                         y1[col[x], i[x]]))
-    zero_at_start = np.concatenate((~x & (v0[col, i] == 0.0), np.ones(rc.size, bool)))
+    # linear pieces: two slots per interval
+    row, slot, start, end, top, zero_at_start = _linear_pieces(g, v, same)
+    length = end - start
     k = np.arange(N)
     binom, zero_at_r0, zero_at_r1 = _linear_piece_coefficients(N, p)
     coef = np.where(zero_at_start[:, None], zero_at_r0, zero_at_r1)
     terms = binom * start[:, None] ** (N - 1 - k) * length[:, None] ** (k + 1) * coef
     lines = np.zeros((c, 2 * (g.size - 1)))
-    lines[np.concatenate((col, col[x])), np.concatenate((2 * i, 2 * i[x] + 1))] = \
-        va ** p * terms.sum(axis=1)
+    lines[row, slot] = (top / unit[row]) ** p * terms.sum(axis=1)
 
     total = pieces.sum(axis=1) + lines.sum(axis=1)
     factor = N * unit_ball_volume(N)
     return np.array([INF if bad else 0.0 if top == 0.0 else
                      top * float(factor * part) ** (1.0 / p)
                      for top, bad, part in zip(scale.tolist(), divergent.tolist(), total)])
+
+
+def _linear_pieces(g, v, same):
+    """The interpolant's linear pieces in the rows of v (c x m) on the grid
+    g, with same from power_pieces(g, v): an interval with one zero end is
+    one piece, in slot 2i; a sign change is two that meet at the
+    interpolated zero, in slots 2i and 2i + 1.  A piece of zero length (a
+    zero that rounds onto a node) is not a piece.  Returns (row, slot,
+    start, end, |v| at the nonzero end, whether the zero is at the start),
+    one entry per piece, ordered by row and slot."""
+    v0, v1 = v[:, :-1], v[:, 1:]
+    cross = same < 0.0
+    row, i = np.nonzero(cross | ((same == 0.0) & ((v0 != 0.0) | (v1 != 0.0))))
+    x, a, b = cross[row, i], v0[row, i], v1[row, i]
+    mid = g[i + 1]  # a copy; the second slot of a zero end is left empty
+    mid[x] = _zero_crossing(g[i[x]], g[i[x] + 1], a[x], b[x])
+    y0, y1 = np.abs(a), np.abs(b)
+    pieces = [np.stack(pair, axis=1) for pair in (
+        (row, row), (2 * i, 2 * i + 1), (g[i], mid), (mid, g[i + 1]),
+        (np.where(x, y0, np.maximum(y0, y1)), y1), (~x & (a == 0.0), x))]
+    keep = pieces[3] > pieces[2]
+    return tuple(field[keep] for field in pieces)
 
 
 def _zero_crossing(r0, r1, v0, v1):
@@ -628,36 +641,21 @@ def _power_pieces(profile: RadialProfile):
 
 
 def _build_segments(profile: RadialProfile) -> _SegmentSet:
-    """Inner extension, then per grid interval a power law (same signs), two
-    linear pieces meeting at the interpolated zero (opposite signs) or one
-    linear piece (a zero end); all-zero parts dropped."""
+    """Inner extension, then per grid interval a power law (same signs) or
+    its _linear_pieces, in the order of their slots."""
     g, v = profile.grid, profile.values
-    r0, r1, v0, v1 = g[:-1], g[1:], v[:-1], v[1:]
     same, a = profile.derived(_power_pieces)
-    power, cross = same > 0.0, same < 0.0
-    rc = r0.copy()
-    rc[cross] = _zero_crossing(r0[cross], r1[cross], v0[cross], v1[cross])
-    # the rows of fields are (r0, r1, kind, ra, va, expo, slope, icpt); each
-    # interval has two slots, its first piece and the second piece of a sign
-    # change, so row-major order within a row is segment order
-    y0, y1 = np.abs(v0), np.abs(v1)
-    fields = np.empty((8, r0.size, 2))
-    # the first piece: a power law, or linear from (r0, |v0|) to the zero
-    # of a sign change or to (r1, |v1|)
-    x1, f1 = np.where(cross, rc, r1), np.where(cross, 0.0, y1)
-    slope = (f1 - y0) / (x1 - r0)
-    first = fields[:, :, 0]
-    first[0], first[1], first[3], first[5] = r0, x1, r0, a
-    first[2] = np.where(power, _POWER, _LINEAR)
-    first[4] = np.where(power, y0, np.maximum(y0, f1))
-    first[6] = np.where(power, 0.0, slope)
-    first[7] = np.where(power, 0.0, y0 - slope * r0)
-    # the second linear piece of a sign change, (rc, 0) to (r1, |v1|)
-    slope = y1 / (r1 - rc)
-    second = fields[:, :, 1]
-    second[0], second[1], second[2], second[3] = rc, r1, _LINEAR, rc
-    second[4], second[5], second[6], second[7] = y1, 0.0, slope, 0.0 - slope * rc
-    keep = np.stack(((v0 != 0.0) | (v1 != 0.0), cross), axis=1)
+    _, slot, start, end, top, zero_at_start = _linear_pieces(g, v[None], same[None])
+    slope = np.where(zero_at_start, top, -top) / (end - start)
+    i = np.nonzero(same > 0.0)[0]
+    nil, flat = np.zeros(i.size), np.zeros(slot.size)
+    # the fields (r0, r1, kind, ra, va, expo, slope, icpt) as rows, a column
+    # per segment: the power laws and the lines, put in slot order
+    fields = np.concatenate((
+        (g[i], g[i + 1], nil + _POWER, g[i], np.abs(v[i]), a[i], nil, nil),
+        (start, end, flat + _LINEAR, start, top, flat, slope,
+         np.where(zero_at_start, 0.0, top) - slope * start)),
+        axis=1)[:, np.argsort(np.concatenate((2 * i, slot)))]
 
     # the power-law extension below the grid, as a column of the same fields
     head = []
@@ -665,7 +663,7 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     if v[0] != 0.0 and a_in != INF_DECAY:
         head.append((0.0, g[0], _POWER, g[0], abs(v[0]), a_in, 0.0, 0.0))
     r0, r1, kind, ra, va, expo, slope, icpt = np.concatenate(
-        (np.reshape(head, (-1, 8)).T, fields[:, keep]), axis=1)
+        (np.reshape(head, (-1, 8)).T, fields), axis=1)
     return _SegmentSet(profile.dimension, r0, r1, kind.astype(int),
                        ra, va, expo, slope, icpt)
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 import warnings
 from fractions import Fraction
@@ -252,6 +253,37 @@ class TestLorentzNorm:
         assert 0 < worst < 10.0  # single corpus-wide constant
 
 
+class TestZeroCrossingOnANode:
+    """A sign change whose interpolated zero rounds onto a node leaves a
+    linear piece of zero length, which is not a piece: every norm is, bit
+    for bit, that of the profile with that node set to 0."""
+
+    GRID = np.array([1.0, 2.0])
+    PAIRS = [(2, INF), (3, 2), (2, 1), (1.5, 3), (2, 2), (INF, INF)]
+    # (values, the node the zero rounds onto, the values with it set to 0)
+    RIGHT = [((1.0, -1e-17), 1, (1.0, 0.0)), ((1.0, -1e-300), 1, (1.0, 0.0))]
+    LEFT = [((-1e-17, 1.0), 0, (0.0, 1.0)), ((1e-300, -1.0), 0, (0.0, -1.0))]
+    # the fitted inner exponent only where the zeroed profile fits the same
+    CASES = [pytest.param(*case, inner, id="{:g},{:g}-{}".format(*case[0], name))
+             for cases, inner, name in ((RIGHT + LEFT, INF_DECAY, "INF_DECAY"),
+                                        (RIGHT, None, "fitted"))
+             for case in cases]
+
+    @pytest.mark.parametrize("values, node, zeroed, inner", CASES)
+    def test_norms_are_those_of_the_zero_node(self, values, node, zeroed, inner):
+        assert params._zero_crossing(1.0, 2.0, *values) == self.GRID[node]
+        phi, ref = (RadialProfile(self.GRID, np.array(v), 3, inner_exponent=inner)
+                    for v in (values, zeroed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [phi.lorentz_norm(p, sigma) for p, sigma in self.PAIRS]
+            segs = phi.segments()
+        assert np.all(segs.r1 > segs.r0)
+        expect = [ref.lorentz_norm(p, sigma) for p, sigma in self.PAIRS]
+        assert np.isfinite(got).all()
+        assert np.array(got).tobytes() == np.array(expect).tobytes()
+
+
 class TestPowerNormAsymptotics:
     def test_constant(self):
         assert power_norm_asymptotic(0.0, 2.0, 2.0, 9.0, 3) == pytest.approx(
@@ -315,6 +347,11 @@ class TestProfileBasics:
             got = np.array([phi.eval(x) for x in point])
             assert got.tobytes() == expect.tobytes()
         assert isinstance(phi.eval(float(grid[-1])), np.float64)
+        # against each piece's closed form, at the nodes, mid-interval and
+        # off the grid
+        for x in np.concatenate((r, 0.5 * (grid[:-1] + grid[1:]))).tolist():
+            value, scale = _eval_oracle(phi, x)
+            assert abs(phi.eval(x) - value) <= 4 * math.ulp(scale), x
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -323,6 +360,28 @@ class TestProfileBasics:
             RadialProfile(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 3)
         with pytest.raises(ValueError):
             RadialProfile(np.array([1.0, 2.0]), np.array([1.0, np.nan]), 3)
+
+
+def _eval_oracle(phi, x):
+    """phi(x) from the closed form of its piece, read off the node values in
+    Python floats, and the magnitude its rounding is relative to: the value
+    of a power law, the larger end of a line.  The inner extension below the
+    grid, a power law where the ends share a sign (flat below 1e-13), a line
+    elsewhere, and 0 beyond the grid."""
+    g, v = phi.grid.tolist(), phi.values.tolist()
+    if x < g[0]:
+        a = phi.inner_exponent
+        value = 0.0 if a == INF_DECAY else v[0] * (x / g[0]) ** a
+        return value, abs(value)
+    if x >= g[-1]:
+        return (v[-1], abs(v[-1])) if x == g[-1] else (0.0, 0.0)
+    i = bisect.bisect_right(g, x) - 1
+    r0, r1, v0, v1 = g[i], g[i + 1], v[i], v[i + 1]
+    if (v0 > 0.0 and v1 > 0.0) or (v0 < 0.0 and v1 < 0.0):
+        a = math.log(v1 / v0) / math.log(r1 / r0)
+        value = v0 * (x / r0) ** (a if abs(a) >= 1e-13 else 0.0)
+        return value, abs(value)
+    return v0 + (v1 - v0) * (x - r0) / (r1 - r0), max(abs(v0), abs(v1))
 
 
 def _mu_oracle(segs, lam_desc):
