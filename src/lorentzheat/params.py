@@ -344,14 +344,14 @@ def lp_norms(grid, values, inner, p, dimension) -> np.ndarray:
     pieces[:, 1:] = np.where(power, end * shape, 0.0)
 
     # linear pieces: two slots per interval
-    row, slot, start, end, top, zero_at_start = _linear_pieces(g, v, same)
-    length = end - start
+    row, slot, start, stop, va, zero_at_start = _linear_pieces(g, v, same)
+    length = stop - start
     k = np.arange(N)
     binom, zero_at_r0, zero_at_r1 = _linear_piece_coefficients(N, p)
     coef = np.where(zero_at_start[:, None], zero_at_r0, zero_at_r1)
     terms = binom * start[:, None] ** (N - 1 - k) * length[:, None] ** (k + 1) * coef
     lines = np.zeros((c, 2 * (g.size - 1)))
-    lines[row, slot] = (top / unit[row]) ** p * terms.sum(axis=1)
+    lines[row, slot] = (va / unit[row]) ** p * terms.sum(axis=1)
 
     total = pieces.sum(axis=1) + lines.sum(axis=1)
     factor = N * unit_ball_volume(N)
@@ -372,7 +372,7 @@ def _linear_pieces(g, v, same):
     cross = same < 0.0
     row, i = np.nonzero(cross | ((same == 0.0) & ((v0 != 0.0) | (v1 != 0.0))))
     x, a, b = cross[row, i], v0[row, i], v1[row, i]
-    mid = g[i + 1]  # a copy; the second slot of a zero end is left empty
+    mid = g[i + 1]  # a copy; a zero end's second slot gets zero length
     mid[x] = _zero_crossing(g[i[x]], g[i[x] + 1], a[x], b[x])
     y0, y1 = np.abs(a), np.abs(b)
     pieces = [np.stack(pair, axis=1) for pair in (
