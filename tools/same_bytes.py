@@ -65,7 +65,12 @@ grid of 5 points, too few for any rate fit.  Last, `norm-scan` and
 `modes.scan = 0,1`, alpha = 1, into L^{2,inf} and L^{6,8}: far out the
 flowed values (1e-163 to 1e-184) change sign between nodes, and some of
 their zero crossings round onto a node, which leaves a linear piece of
-zero length on the layer-cake path of every sigma != p norm.
+zero length on the layer-cake path of every sigma != p norm.  Last,
+`norm-scan` and `verify T4.2` on the zero potential in N = 5 at 200 nodes
+on [0.00255, 6.97e5], mode 0, alpha = 0, t 6.3..1.64e4, into L^{4,inf},
+L^{6,8} and L^{2,inf}: the far tail holds a linear piece across a wide
+cell whose node value is so small that its slope underflows to 0, on the
+layer-cake path of every sigma != p norm.
 Each run gets its own working directory, so the paths in stdout and
 stderr read the same in both trees.
 """
@@ -179,6 +184,23 @@ family.j_max = 5
 scheme.dt_cap = 256
 """
 
+# a wide far cell whose line from a zero to a tiny node value has a slope
+# below the float range
+TINY_LINE = """\
+dimension = 5
+potential.kind = zero
+grid.r_min = 0.00255
+grid.r_max = 6.97e5
+grid.points = 200
+modes.k_max = 0
+time.t_min = 6.3
+time.t_max = 1.64e4
+time.points_per_decade = 2
+lorentz = 2,4,1,inf; 3,6,2,8; 1,2,1,inf
+alphas = 0
+family.j_max = 1
+"""
+
 
 def _runs() -> list[tuple[str, str, list[list[str]]]]:
     """(name, config text, the CLI arguments of each invocation) of every
@@ -230,6 +252,8 @@ def _runs() -> list[tuple[str, str, list[list[str]]]]:
                  + SMALL_POTENTIALS["hardy"] + SHORT_TIME, [["verify", "T4.2"]]))
     runs += [("node_crossing_" + "_".join(argv), NODE_CROSSING, [argv])
              for argv in (["norm-scan"], ["verify", "T7.2"])]
+    runs += [("tiny_line_" + "_".join(argv), TINY_LINE, [argv])
+             for argv in (["norm-scan"], ["verify", "T4.2"])]
     return runs
 
 
