@@ -398,16 +398,17 @@ def _zero_crossing(r0, r1, v0, v1):
 # ---------------------------------------------------------------------------
 
 _POWER = 0
-_LINEAR = 1
+_RISING = 1   # a line from a zero at r0 to its node value at r1
+_FALLING = 2  # a line from its node value at r0 to a zero at r1
 
 # most (segment, level) pairs mu_batch forms at once, which bounds its memory
 _PAIR_BLOCK = 4096
 
 
 class _SegmentSet:
-    """|phi| as disjoint monotone segments, each a power law or linear."""
+    """|phi| as disjoint monotone segments: power laws and lines from a zero."""
 
-    def __init__(self, dimension, r0, r1, kind, ra, va, expo, slope, icpt):
+    def __init__(self, dimension, r0, r1, kind, ra, va, expo):
         self.N = dimension
         self.alpha_N = unit_ball_volume(dimension)
         self.r0 = r0
@@ -416,8 +417,6 @@ class _SegmentSet:
         self.ra = ra          # anchor radius for power segments
         self.va = va          # anchor value, > 0
         self.expo = expo
-        self.slope = slope    # linear segments: |phi| = icpt + slope r
-        self.icpt = icpt
         # past the float range r^N is inf, and so is the volume, even where
         # r0^N is inf too
         with np.errstate(over="ignore", invalid="ignore"):
@@ -463,17 +462,18 @@ class _SegmentSet:
         before = np.bincount(lo + 1, minlength=m + 1) - \
             np.bincount(hi + 1, minlength=m + 2)[:-1]
         np.cumsum(np.cumsum(before, out=before), out=before)
-        # per straddling segment: |phi| = lam at rstar = (lam - icpt) / slope on a
-        # line, ra (lam / va)^(1/a) on a power law (icpt = 0); the part above lam
-        # is sign (fixed^N - clip(rstar, r0, r1)^N): a_N, r1 if increasing, else -a_N, r0
-        power = self.kind[straddle] == _POWER
-        icpt = self.icpt[straddle]
-        scale = np.where(power, self.va[straddle], self.slope[straddle])
-        ra = self.ra[straddle]
+        # per straddling segment, with x = lam / va: |phi| = lam at
+        # rstar = ra x^(1/a) on a power law, r0 + (r1 - r0) x on a rising line
+        # and r1 - (r1 - r0) x on a falling one; the part above lam is
+        # sign (fixed^N - clip(rstar, r0, r1)^N): a_N, r1 if increasing, else -a_N, r0
+        kind = self.kind[straddle]
+        power = kind == _POWER
+        va, ra = self.va[straddle], self.ra[straddle]
         inv_a = np.divide(1.0, self.expo[straddle], out=np.ones(straddle.size),
                           where=power)
         r0, r1 = self.r0[straddle], self.r1[straddle]
-        increasing = np.where(power, self.expo[straddle] > 0, self.slope[straddle] > 0)
+        increasing = np.where(power, self.expo[straddle] > 0, kind == _RISING)
+        start, step = np.where(increasing, (r0, r1 - r0), (r1, r0 - r1))
         fixed_N = np.where(increasing, r1, r0) ** self.N
         sign = np.where(increasing, self.alpha_N, -self.alpha_N)
         b0 = 0
@@ -487,9 +487,10 @@ class _SegmentSet:
                 level = np.arange(before[b1] - before[b0]) + \
                     np.repeat(first - np.cumsum(count) + count, count)
                 j = np.repeat(np.nonzero(take)[0], count)
-                rstar = (lam_desc[level] - icpt[j]) / scale[j]
+                x = lam_desc[level] / va[j]
+                rstar = start[j] + step[j] * x
                 pw = power[j]
-                rstar[pw] = ra[j[pw]] * np.power(rstar[pw], inv_a[j[pw]])
+                rstar[pw] = ra[j[pw]] * np.power(x[pw], inv_a[j[pw]])
                 vol = fixed_N[j] - np.clip(rstar, r0[j], r1[j]) ** self.N
                 vol *= sign[j]
                 vol[np.isnan(vol)] = INF
@@ -646,26 +647,23 @@ def _build_segments(profile: RadialProfile) -> _SegmentSet:
     g, v = profile.grid, profile.values
     same, a = profile.derived(_power_pieces)
     _, slot, start, end, top, zero_at_start = _linear_pieces(g, v[None], same[None])
-    slope = np.where(zero_at_start, top, -top) / (end - start)
     i = np.nonzero(same > 0.0)[0]
-    nil, flat = np.zeros(i.size), np.zeros(slot.size)
-    # the fields (r0, r1, kind, ra, va, expo, slope, icpt) as rows, a column
-    # per segment: the power laws and the lines, put in slot order
+    # the fields (r0, r1, kind, ra, va, expo) as rows, a column per segment:
+    # the power laws and the lines, put in slot order
     fields = np.concatenate((
-        (g[i], g[i + 1], nil + _POWER, g[i], np.abs(v[i]), a[i], nil, nil),
-        (start, end, flat + _LINEAR, start, top, flat, slope,
-         np.where(zero_at_start, 0.0, top) - slope * start)),
+        (g[i], g[i + 1], np.full(i.size, _POWER), g[i], np.abs(v[i]), a[i]),
+        (start, end, np.where(zero_at_start, _RISING, _FALLING), start, top,
+         np.zeros(slot.size))),
         axis=1)[:, np.argsort(np.concatenate((2 * i, slot)))]
 
     # the power-law extension below the grid, as a column of the same fields
     head = []
     a_in = profile.inner_exponent
     if v[0] != 0.0 and a_in != INF_DECAY:
-        head.append((0.0, g[0], _POWER, g[0], abs(v[0]), a_in, 0.0, 0.0))
-    r0, r1, kind, ra, va, expo, slope, icpt = np.concatenate(
-        (np.reshape(head, (-1, 8)).T, fields), axis=1)
-    return _SegmentSet(profile.dimension, r0, r1, kind.astype(int),
-                       ra, va, expo, slope, icpt)
+        head.append((0.0, g[0], _POWER, g[0], abs(v[0]), a_in))
+    r0, r1, kind, ra, va, expo = np.concatenate(
+        (np.reshape(head, (-1, 6)).T, fields), axis=1)
+    return _SegmentSet(profile.dimension, r0, r1, kind.astype(int), ra, va, expo)
 
 
 def power_membership(exponent: float, p: float, sigma: float, dimension: int) -> bool:

@@ -73,7 +73,8 @@ def segment_lp_norm(phi: RadialProfile, p: float) -> float:
     length = segs.r1[lin] - r0
     k = np.arange(N)
     binom, zero_at_r0, zero_at_r1 = params._linear_piece_coefficients(N, p)
-    coef = np.where(segs.slope[lin][:, None] > 0, zero_at_r0, zero_at_r1)
+    coef = np.where(segs.kind[lin][:, None] == params._RISING, zero_at_r0,
+                    zero_at_r1)
     terms = binom * r0[:, None] ** (N - 1 - k) * length[:, None] ** (k + 1) * coef
     total += np.sum((segs.va[lin] / scale) ** p * terms.sum(axis=1))
     return scale * float(N * segs.alpha_N * total) ** (1.0 / p)

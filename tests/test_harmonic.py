@@ -236,8 +236,7 @@ def _sampled_functions():
 
 
 SAMPLED = ("hardy_h0", "hardy_h1", "kappa4_h0", "hardy_I1^2", "kappa4_I0^1")
-SEGMENT_FIELDS = ("r0", "r1", "kind", "ra", "va", "expo", "slope", "icpt",
-                  "vol", "vmin", "vmax")
+SEGMENT_FIELDS = ("r0", "r1", "kind", "ra", "va", "expo", "vol", "vmin", "vmax")
 
 
 class TestOneSampledFunctionType:

@@ -284,6 +284,38 @@ class TestZeroCrossingOnANode:
         assert np.array(got).tobytes() == np.array(expect).tobytes()
 
 
+class TestLineOnAWideCell:
+    """A line from a zero to a tiny node value across a wide cell: its slope
+    would underflow to 0, yet the line is its ends, its node value and its
+    direction, so its levels are found without dividing by a slope."""
+
+    WIDE = np.array([1.0, 1e30])
+    # sigma >= 3 is left out: there lam^sigma underflows at c = 1e-300
+    PAIRS = [(2, 1), (1.5, 1), (2, INF), (3, INF), (4, 1)]
+    SHAPES = [(0.0, 1.0), (1.0, 0.0), (1.0, -1.0), (-1.0, 1.0)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_norms_are_homogeneous(self, shape):
+        c = 1e-300
+        phi, small = (RadialProfile(self.WIDE, scale * np.array(shape), 3,
+                                    inner_exponent=INF_DECAY) for scale in (1.0, c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p, sigma in self.PAIRS:
+                assert small.lorentz_norm(p, sigma) == pytest.approx(
+                    c * phi.lorentz_norm(p, sigma), rel=1e-12, abs=0.0), (p, sigma)
+
+    @pytest.mark.parametrize("values", [(0.0, 5e-324), (5e-324, 0.0)], ids=str)
+    def test_smallest_subnormal_node_gives_finite_norms(self, values):
+        phi = RadialProfile(np.array([1.0, 8.5]), np.array(values), 3,
+                            inner_exponent=INF_DECAY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [phi.lorentz_norm(p, sigma) for p, sigma in
+                   self.PAIRS + [(1.5, 3), (3, 2), (3, 6)]]
+        assert np.isfinite(got).all()
+
+
 class TestPowerNormAsymptotics:
     def test_constant(self):
         assert power_norm_asymptotic(0.0, 2.0, 2.0, 9.0, 3) == pytest.approx(
@@ -404,8 +436,12 @@ def _mu_oracle(segs, lam_desc):
                                               np.full(lam.size, 1.0 / a))
                 increasing = a > 0
             else:
-                rstar = (lam - segs.icpt[i]) / segs.slope[i]
-                increasing = segs.slope[i] > 0
+                # a line from its zero: x = lam / va of the way to its node
+                x = lam / segs.va[i]
+                length = segs.r1[i] - segs.r0[i]
+                increasing = segs.kind[i] == params._RISING
+                rstar = (segs.r0[i] + length * x if increasing
+                         else segs.r1[i] - length * x)
             if increasing:
                 r_lo, r_hi = np.maximum(segs.r0[i], rstar), np.full_like(lam, segs.r1[i])
             else:
@@ -420,20 +456,19 @@ def _segments_oracle(phi):
     log and power as the program uses them, plus each segment's value range:
     its power-law ends, or exactly 0 and the anchor value on a line."""
     g, v = phi.grid, phi.values
-    rows = []  # (r0, r1, kind, ra, va, expo, slope, icpt)
+    rows = []  # (r0, r1, kind, ra, va, expo)
 
     def linear(r0, r1, y0, y1):
-        m = (y1 - y0) / (r1 - r0)
-        rows.append((r0, r1, params._LINEAR, r0, max(y0, y1), 0.0, m, y0 - m * r0))
+        kind = params._RISING if y0 == 0.0 else params._FALLING
+        rows.append((r0, r1, kind, r0, max(y0, y1), 0.0))
 
     if v[0] != 0.0 and phi.inner_exponent != INF_DECAY:
-        rows.append((0.0, g[0], params._POWER, g[0], abs(v[0]), phi.inner_exponent,
-                     0.0, 0.0))
+        rows.append((0.0, g[0], params._POWER, g[0], abs(v[0]), phi.inner_exponent))
     for r0, r1, v0, v1 in zip(g[:-1], g[1:], v[:-1], v[1:]):
         if v0 * v1 > 0.0:
             a = np.log(abs(v1 / v0)) / np.log(r1 / r0)
             a = 0.0 if abs(a) < quadrature._FLAT_EPS else a
-            rows.append((r0, r1, params._POWER, r0, abs(v0), a, 0.0, 0.0))
+            rows.append((r0, r1, params._POWER, r0, abs(v0), a))
         elif v0 * v1 < 0.0:
             rc = r0 + (r1 - r0) * v0 / (v0 - v1)
             linear(r0, rc, abs(v0), 0.0)
@@ -442,13 +477,13 @@ def _segments_oracle(phi):
             linear(r0, r1, abs(v0), abs(v1))
 
     def value(row, r):
-        _, _, _, ra, va, a, _, _ = row
+        _, _, _, ra, va, a = row
         if r == 0.0:
             return INF if a < 0 else (va if a == 0 else 0.0)
         return va * np.power(r / ra, a)
 
     # a linear piece runs from a zero to its anchor node value, exactly
-    ends = [(0.0, row[4]) if row[2] == params._LINEAR else
+    ends = [(0.0, row[4]) if row[2] != params._POWER else
             (value(row, row[0]), value(row, row[1])) for row in rows]
     return rows, [min(e) for e in ends], [max(e) for e in ends]
 
@@ -540,9 +575,8 @@ class TestDistributionKernel:
         # bit for bit: an ulp in an exponent or end value moves quadrature levels
         rows, vmin, vmax = _segments_oracle(phi)
         segs = phi.segments()
-        fields = (segs.r0, segs.r1, segs.kind, segs.ra, segs.va, segs.expo,
-                  segs.slope, segs.icpt)
-        for got, expect in zip(fields, zip(*rows) if rows else [[]] * 8):
+        fields = (segs.r0, segs.r1, segs.kind, segs.ra, segs.va, segs.expo)
+        for got, expect in zip(fields, zip(*rows) if rows else [[]] * 6):
             assert np.array_equal(got, np.array(expect, dtype=got.dtype))
         assert np.array_equal(segs.vmin, vmin) and np.array_equal(segs.vmax, vmax)
 

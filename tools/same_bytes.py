@@ -14,7 +14,7 @@ error or a revision that git cannot archive).  A differing file whose two
 versions are tables of the same shape, where every cell that differs is a
 number on both sides (`.dat` files, and CSVs whose text cells agree), gets
 its size on its line: the largest move of a cell relative to the peak
-|value| of its column.
+finite |value| of its column, inf for a move to or from inf.
 
 The runs are the three benchmark workloads (their configs imported from
 `bench/workloads.py`) at seeds 0 and 5; `classify` and `verify` for every
@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -302,9 +303,10 @@ def _number(cell: str) -> float | None:
 
 
 def largest_move(a: bytes, b: bytes) -> float | None:
-    """The largest |b - a| of a cell over the peak |value| of its column on
-    either side, or None unless the two files are tables of the same shape
-    whose differing cells are all numbers."""
+    """The largest |b - a| of a cell over the peak finite |value| of its
+    column on either side, or None unless the two files are tables of the
+    same shape whose differing cells are all numbers.  A move to or from inf
+    or nan is infinite."""
     rows_a, rows_b = _cells(a), _cells(b)
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return None
@@ -316,13 +318,15 @@ def largest_move(a: bytes, b: bytes) -> float | None:
                 if x != y:
                     return None
                 continue
-            peak[col] = max(peak.get(col, 0.0), abs(u), abs(v))
+            peak[col] = max([peak.get(col, 0.0)] +
+                            [abs(w) for w in (u, v) if math.isfinite(w)])
             if x != y:
                 moves.append((col, abs(v - u)))
     if not moves:
         return None
-    # a nonzero move makes its column's peak nonzero
-    return max(move / peak[col] if move else 0.0 for col, move in moves)
+    # a finite nonzero move makes its column's peak nonzero
+    return max(0.0 if move == 0.0 else move / peak[col] if math.isfinite(move)
+               else math.inf for col, move in moves)
 
 
 def differences(before: dict, after: dict) -> list[str]:
